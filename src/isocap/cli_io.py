@@ -609,6 +609,7 @@ def run_command(argv):
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         doc, code = args.run(args)
+        text = to_json(doc)  # a non-finite value raises InputError here
     except BudgetError as exc:
         print(to_json({"tool_version": __version__,
                        "error": {"kind": "budget", "message": str(exc)}}))
@@ -617,7 +618,7 @@ def run_command(argv):
         print(to_json({"tool_version": __version__,
                        "error": {"kind": "input", "message": str(exc)}}))
         return EXIT_INPUT
-    print(to_json(doc))
+    print(text)
     return code
 
 

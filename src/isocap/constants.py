@@ -53,23 +53,27 @@ class LimitReport:
     heuristic: bool = False
 
 
-def _grounded_values(k_amb, combos):
-    """Energies of the minimizers with f = 1 on each combo, free elsewhere.
+def _complement(rows, n):
+    """Ascending indices of range(n) that each row of the (N, s) array of
+    distinct indices rows leaves out, as an (N, n - s) array."""
+    m = len(rows)
+    mask = np.ones((m, n), dtype=bool)
+    mask[np.arange(m)[:, None], rows] = False
+    return np.nonzero(mask)[1].reshape(m, n - rows.shape[1])
+
+
+def _grounded_values(k_amb, combos, free):
+    """Energies of the minimizers with f = 1 on each combo, solved on the
+    matching free rows; every other row of k_amb is grounded.
 
     Vertices absent from k_amb's index set are grounded implicitly: their
-    edges only contribute to the retained diagonal.  combos is an (N, s)
-    array of row indices; one batched solve per call.
+    edges only contribute to the retained diagonal.  combos (N, s) and free
+    (N, d) are arrays of ascending row indices; one batched solve per call.
     """
-    n, s = combos.shape
-    d_amb = k_amb.shape[0]
     kaa = k_amb[combos[:, :, None], combos[:, None, :]]
     tops = kaa.sum(axis=(1, 2))
-    d = d_amb - s
-    if d == 0:
+    if free.shape[1] == 0:
         return tops
-    mask = np.ones((n, d_amb), dtype=bool)
-    mask[np.arange(n)[:, None], combos] = False
-    free = np.nonzero(mask)[1].reshape(n, d)
     kfa = k_amb[free[:, :, None], combos[:, None, :]]
     c = kfa.sum(axis=2)
     kff = k_amb[free[:, :, None], free[:, None, :]]
@@ -78,7 +82,8 @@ def _grounded_values(k_amb, combos):
 
 
 def _grounded_value(k_amb, positions):
-    return float(_grounded_values(k_amb, np.array([positions], dtype=int))[0])
+    rows = np.array([positions], dtype=int)
+    return float(_grounded_values(k_amb, rows, _complement(rows, k_amb.shape[0]))[0])
 
 
 def _better(best, value, key):
@@ -87,17 +92,63 @@ def _better(best, value, key):
     return best
 
 
+def _lex_first(keys):
+    """The lexicographically smallest row of a 2-D integer array, column 0
+    most significant."""
+    if len(keys) == 1:
+        return keys[0]
+    return keys[np.lexsort(keys.T[::-1])[0]]
+
+
+def _split_keys(slots, in_a):
+    """Rows [A's slots, -1 padding, B's slots, -1 padding], each side u
+    wide, for splits of unions given as (k, u) slot rows and boolean rows
+    in_a (True for A).  The rows order like Python (A, B) tuples of
+    ascending slot tuples: -1 sorts a shorter tuple before its extensions.
+    Slots must stay below the maximum of their integer type."""
+    pad = np.iinfo(slots.dtype).max
+    sides = []
+    for side in (in_a, ~in_a):
+        keys = np.sort(np.where(side, slots, pad), axis=1)
+        keys[keys == pad] = -1
+        sides.append(keys)
+    return np.hstack(sides)
+
+
+def _first_tied_split(part, t_in_a, tied, key_type):
+    """The smallest (A, B) pair of slot tuples, in Python tuple order, among
+    the True entries of tied, a (unions, splits) mask over the rows of part
+    (ascending union slots) and of t_in_a (True for A)."""
+    ui, pi = np.nonzero(tied)
+    if len(ui) == 1:  # a single winner needs no ordering
+        slots, in_a = part[ui[0]], t_in_a[pi[0]]
+        return tuple(slots[in_a].tolist()), tuple(slots[~in_a].tolist())
+    # slices of _CHUNK tied splits bound the memory of the keys
+    slots = part.astype(key_type)
+    firsts = [
+        _lex_first(_split_keys(slots[ui[lo : lo + _CHUNK]], t_in_a[pi[lo : lo + _CHUNK]]))
+        for lo in range(0, len(ui), _CHUNK)
+    ]
+    row = _lex_first(np.array(firsts)).tolist()
+    u = part.shape[1]
+    return tuple(i for i in row[:u] if i >= 0), tuple(i for i in row[u:] if i >= 0)
+
+
 def _min_single(k_amb, universe, masses, rng=None):
     """Exact min over nonempty A of grounded-energy(A)/mass(A).
 
     universe: ascending row indices of k_amb that A may use; masses aligns
     with universe.  Returns (value, witness slots into universe, count).
-    Ties go to the lexicographically smallest slot tuple; a shuffled pass
-    performs identical per-candidate arithmetic, so values match exactly.
+    Witness rule: among all candidates with the minimal value (exact float
+    equality), the lexicographically smallest slot tuple.  Each chunk picks
+    its smallest tied row in numpy and offers it once to the running best;
+    a shuffled pass performs identical per-candidate arithmetic, so values
+    and witnesses match exactly.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
+    d_amb = k_amb.shape[0]
     best = None
     examined = 0
     sizes = list(range(1, p + 1))
@@ -109,11 +160,14 @@ def _min_single(k_amb, universe, masses, rng=None):
             combos = combos[rng.permutation(len(combos))]
         for lo in range(0, len(combos), _CHUNK):
             part = combos[lo : lo + _CHUNK]
-            vals = _grounded_values(k_amb, universe[part]) / masses[part].sum(axis=1)
+            rows = universe[part]
+            vals = _grounded_values(k_amb, rows, _complement(rows, d_amb))
+            vals /= masses[part].sum(axis=1)
             examined += len(part)
             vmin = vals.min()
-            for row in np.nonzero(vals == vmin)[0]:
-                best = _better(best, float(vmin), tuple(int(i) for i in part[row]))
+            tied = part[vals == vmin]
+            if len(tied):
+                best = _better(best, float(vmin), tuple(_lex_first(tied).tolist()))
     return best[0], best[1], examined
 
 
@@ -123,12 +177,16 @@ def _min_pair(k_amb, universe, masses, rng=None):
 
     Normalization: A holds the smallest index of the union.  For each union
     U the Schur complement of k_amb onto U turns every split into a quadratic
-    form, batched over unions of equal size.
+    form, batched over unions of equal size.  Witness rule: among the
+    minimal-value splits, the smallest (A, B) pair of slot tuples in Python
+    tuple order; each chunk picks its smallest tied split in numpy
+    (_first_tied_split) and offers only that one to the running best.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
     d_amb = k_amb.shape[0]
+    key_type = np.min_scalar_type(-(p + 1))  # holds -1 and a pad above every slot
     best = None
     examined = 0
     sizes = list(range(2, p + 1))
@@ -141,6 +199,7 @@ def _min_pair(k_amb, universe, masses, rng=None):
         t[:, 0] = 1.0
         for j in range(u - 1):
             t[:, j + 1] = (bits[:-1] >> j) & 1
+        t_in_a = t > 0
         combos = np.array(list(itertools.combinations(range(p), u)), dtype=int)
         if rng is not None:
             combos = combos[rng.permutation(len(combos))]
@@ -148,13 +207,10 @@ def _min_pair(k_amb, universe, masses, rng=None):
         for lo in range(0, len(combos), chunk):
             part = combos[lo : lo + chunk]
             rows = universe[part]
-            n = len(part)
             kuu = k_amb[rows[:, :, None], rows[:, None, :]]
             d = d_amb - u
             if d:
-                mask = np.ones((n, d_amb), dtype=bool)
-                mask[np.arange(n)[:, None], rows] = False
-                elim = np.nonzero(mask)[1].reshape(n, d)
+                elim = _complement(rows, d_amb)
                 kue = k_amb[rows[:, :, None], elim[:, None, :]]
                 kee = k_amb[elim[:, :, None], elim[:, None, :]]
                 x = np.linalg.solve(kee, kue.transpose(0, 2, 1))
@@ -168,13 +224,8 @@ def _min_pair(k_amb, universe, masses, rng=None):
             vals = quad / np.minimum(m_a, m_b)
             examined += vals.size
             vmin = vals.min()
-            for ui, pi in zip(*np.nonzero(vals == vmin)):
-                slots = part[ui]
-                in_a = t[pi].astype(bool)
-                key = (
-                    tuple(int(i) for i in slots[in_a]),
-                    tuple(int(i) for i in slots[~in_a]),
-                )
+            if not np.isnan(vmin):  # else no entry equals vmin
+                key = _first_tied_split(part, t_in_a, vals == vmin, key_type)
                 best = _better(best, float(vmin), key)
     return best[0], best[1], examined
 
@@ -415,6 +466,11 @@ def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
     """Min over disjoint arity-tuples of nonempty parts of the max part
     objective; parts capped at part_cap slots when set.
 
+    objective is batched: it takes an (N, s) integer array holding every
+    part of one size s, one ascending slot tuple per row in
+    itertools.combinations order, and returns the N part values (floats or
+    INFINITE) in row order.  Every part counts as one evaluation.
+
     Parts are scanned in ascending objective order while a reachability table
     tracks which slot unions admit j disjoint parts; the first time an
     arity-packing exists fixes the optimum.  The witness is the
@@ -432,12 +488,11 @@ def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
     if cap < 1:
         raise InputError("part cap must be positive")
     parts = []
-    for s in range(1, cap + 1):
-        for slots in itertools.combinations(range(n_slots), s):
-            mask = 0
-            for i in slots:
-                mask |= 1 << i
-            parts.append((objective(slots), slots, mask))
+    for s in range(1, min(cap, n_slots) + 1):
+        slot_sets = list(itertools.combinations(range(n_slots), s))
+        combos = np.array(slot_sets, dtype=int)
+        masks = (1 << combos).sum(axis=1).tolist()
+        parts.extend(zip(objective(combos), slot_sets, masks))
     parts.sort(key=_sort_key)
     size = 1 << n_slots
     all_masks = np.arange(size)
@@ -491,11 +546,11 @@ def gamma_tilde_dirichlet(graph, W, k, budget=None):
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
 
-    def objective(slots):
-        rows = pos[list(slots)]
-        sub = kmat[np.ix_(rows, rows)]
-        d = 1.0 / np.sqrt(masses[list(slots)])
-        return float(np.linalg.eigvalsh(sub * d[:, None] * d[None, :])[0])
+    def objective(parts):
+        rows = pos[parts]
+        sub = kmat[rows[:, :, None], rows[:, None, :]]
+        d = 1.0 / np.sqrt(masses[parts])
+        return np.linalg.eigvalsh(sub * d[:, :, None] * d[:, None, :])[:, 0].tolist()
 
     return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
 
@@ -508,28 +563,39 @@ def gamma_k_dirichlet(graph, W, k, budget=None):
     kmat = stiffness_matrix(graph).a
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
-
-    def objective(slots):
-        rows = pos[list(slots)]
-        sub = kmat[np.ix_(rows, rows)]
-        val, _, _ = _min_single(sub, list(range(len(slots))), masses[list(slots)])
-        return val
-
+    objective = _ds_objective(kmat[np.ix_(pos, pos)], range(len(order)), masses)
     return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
 
 
-def _ds_objective(k_amb, pos, boundary_slots, masses):
-    """alpha_DS of a part: enumerate sources inside the part's boundary
-    vertices; everything outside the part is grounded, which is exact."""
+def _ds_objective(k_amb, boundary_slots, masses):
+    """Batched alpha_DS of parts, the objective for _min_tuple.
 
-    def objective(slots):
-        inner = [i for i, s in enumerate(slots) if s in boundary_slots]
-        if not inner:
-            return INFINITE
-        rows = pos[list(slots)]
-        sub = k_amb[np.ix_(rows, rows)]
-        val, _, _ = _min_single(sub, inner, masses[[slots[i] for i in inner]])
-        return val
+    A part's value is the min over nonempty A inside its boundary slots of
+    the grounded energy of A, with the rest of the part free and everything
+    outside it grounded (which is exact), over m(A); INFINITE when the part
+    has no boundary slot.  Slots are rows of k_amb and indices of masses.
+    The (part, A) candidates of each A size are solved in chunks of one
+    batched solve, with the same blocks as a per-part _min_single.
+    """
+    is_bnd = np.zeros(k_amb.shape[0], dtype=bool)
+    is_bnd[list(boundary_slots)] = True
+
+    def objective(parts):
+        n, s = parts.shape
+        inner = is_bnd[parts]
+        best = np.full(n, np.inf)
+        for a in range(1, s + 1):
+            local = np.array(list(itertools.combinations(range(s), a)), dtype=int)
+            rest = _complement(local, s)
+            owner, pick = np.nonzero(inner[:, local].all(axis=2))
+            for lo in range(0, len(owner), _CHUNK):
+                i, j = owner[lo : lo + _CHUNK], pick[lo : lo + _CHUNK]
+                rows = parts[i[:, None], local[j]]
+                vals = _grounded_values(k_amb, rows, parts[i[:, None], rest[j]])
+                vals /= masses[rows].sum(axis=1)
+                np.minimum.at(best, i, vals)
+        return [v if has else INFINITE
+                for v, has in zip(best.tolist(), inner.any(axis=1).tolist())]
 
     return objective
 
@@ -542,10 +608,9 @@ def kappa_steklov(domain, k, budget=None):
         raise InputError("k must be in 1..|boundary|-1")
     order = list(domain.closure)
     kmat = stiffness_matrix(domain.induced).a
-    pos = np.arange(len(order))
     masses = np.array([domain.graph.mass[v] for v in order])
-    bnd = {domain.closure_index[v] for v in domain.boundary}
-    objective = _ds_objective(kmat, pos, bnd, masses)
+    bnd = [domain.closure_index[v] for v in domain.boundary]
+    objective = _ds_objective(kmat, bnd, masses)
     return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
 
 
@@ -559,9 +624,9 @@ def gamma_k_steklov(domain, W, k, budget=None):
     kmat = stiffness_matrix(domain.induced).a
     pos = np.array([domain.closure_index[v] for v in order])
     masses = np.array([domain.graph.mass[v] for v in order])
-    bnd = {i for i, v in enumerate(order) if v in domain.boundary_index}
+    bnd = [i for i, v in enumerate(order) if v in domain.boundary_index]
     sub = kmat[np.ix_(pos, pos)]  # rows keep their full G_U diagonals
-    objective = _ds_objective(sub, np.arange(len(order)), bnd, masses)
+    objective = _ds_objective(sub, bnd, masses)
     return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
 
 
@@ -576,8 +641,8 @@ def beta_tuple(graph, omega, k, budget=None):
     order = list(graph.vertices)
     kmat = stiffness_matrix(graph).a
     masses = np.array([graph.mass[v] for v in order])
-    in_omega = {graph.index[v] for v in oset}
-    objective = _ds_objective(kmat, np.arange(len(order)), in_omega, masses)
+    in_omega = [graph.index[v] for v in oset]
+    objective = _ds_objective(kmat, in_omega, masses)
     return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
 
 

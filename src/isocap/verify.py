@@ -31,7 +31,6 @@ from .infinity import INFINITE, is_infinite
 FINITE_THEOREMS = ("dirichlet_1", "neumann_1", "steklov_1", "hm_steklov_1")
 K_THEOREMS = ("higher_dirichlet", "higher_steklov_finite",
               "higher_steklov_infinite", "hm_higher")
-FAMILY_THEOREMS = ("bottom", "dtn_bottom", "higher_steklov_infinite")
 THEOREMS = FINITE_THEOREMS + ("bottom", "dtn_bottom") + K_THEOREMS
 
 _ConstEval = namedtuple("_ConstEval", "value witness")
@@ -281,13 +280,16 @@ _PATTERN_CAP = 13  # 3^13 candidate sign patterns is still cheap
 
 
 def _sign_patterns(b):
-    pats = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=b)))
-    keep = []
-    for row in pats:
-        nz = np.nonzero(row)[0]
-        if len(nz) and row[nz[0]] > 0:
-            keep.append(row)
-    return np.array(keep)
+    """int8 rows over {-1, 0, 1}^b whose first nonzero entry is +1, in
+    lexicographic order (base-3 digits of 0..3^b-1, shifted down by one)."""
+    count = np.arange(3 ** b)
+    pats = np.empty((len(count), b), dtype=np.int8)
+    for j in range(b - 1, -1, -1):
+        count, digit = np.divmod(count, 3)
+        pats[:, j] = digit - 1
+    nonzero = pats != 0
+    lead = pats[np.arange(len(pats)), nonzero.argmax(axis=1)]
+    return pats[nonzero.any(axis=1) & (lead > 0)]
 
 
 def check_equality_case(domain, budget=None):
@@ -320,16 +322,14 @@ def check_equality_case(domain, budget=None):
     pats = _sign_patterns(b)
     # eigenfunctions are mass-orthogonal to constants, so +1/-1 masses balance
     balanced = np.abs(pats @ masses) <= 1e-7 * (np.abs(pats) @ masses)
-    pats = pats[balanced]
+    pats = pats[balanced].astype(float)
     if len(pats):
         coef, *_ = np.linalg.lstsq(basis, pats.T, rcond=None)
         resid = np.linalg.norm(basis @ coef - pats.T, axis=0)
         norms = np.linalg.norm(pats, axis=1)
         form = dtn_operator(domain).form.a
         # pattern rows are already in lexicographic order
-        for j in range(len(pats)):
-            if resid[j] > 1e-7 * norms[j]:
-                continue
+        for j in np.nonzero(resid <= 1e-7 * norms)[0]:
             t = pats[j]
             rayleigh = float(t @ form @ t) / float(t @ (masses * t))
             if abs(rayleigh - sigma) <= tol:

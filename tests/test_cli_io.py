@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from isocap import INFINITE, BoundReport, InputError
@@ -201,6 +202,26 @@ def test_exit_codes(capsys, tmp_path, t3_file, monkeypatch):
     code, doc = run_json(capsys, ["verify", "steklov_1", t3_file])
     assert code == EXIT_FAILED
     assert doc["results"][0]["upper_ok"] is False
+
+
+HOSTILE = """# masses and weights spanning 1e-300..1e300
+v a 1e-300
+v b 1
+v c 1e300
+e a b 1e300
+e b c 1e-300
+omega b
+"""
+
+
+def test_non_finite_report_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "hostile.graph"
+    path.write_text(HOSTILE)
+    with np.errstate(all="ignore"):
+        code, doc = run_json(capsys, ["verify", "steklov_1", str(path)])
+    assert code == EXIT_INPUT
+    assert doc["error"]["kind"] == "input"
+    assert "non-finite" in doc["error"]["message"]
 
 
 def test_usage_errors_return_input_code(capsys):
