@@ -10,15 +10,24 @@ significant digits (exact double round trip), and the distinguished infinite
 value spelled as the string "infinite".  Identical inputs and seed produce
 byte-identical output apart from tool_version.
 
-Exit codes: 0 success, 2 bad input, 3 enumeration budget exceeded, 4 a
-verified inequality failed.
+Exit codes: 0 success, 2 bad input or a numerical failure, 3 enumeration
+budget exceeded, 4 a verified inequality failed.  An error report carries
+{"kind", "message"}: kind "input" for an InputError (a non-finite number
+anywhere in a report included), "numerical" for a SingularMatrixError or a
+numpy LinAlgError, "budget" for a BudgetError.
+
+The argument parser is built once per process; argparse keeps no state
+between parse_args calls, so every call of run_command parses afresh.
 """
 
 import argparse
+import functools
 import json as _json
 import math
 import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from .capacity import (CapacityResult, CapacitySequence, cap, cap_exhaustion,
@@ -27,7 +36,7 @@ from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
                         alpha_dirichlet_limit, alpha_ds, alpha_neumann,
                         alpha_steklov, alpha_steklov_limit, gamma_k_dirichlet,
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import WeightedGraph, energy, make_domain
 from .infinite_families import FamilySpec, default_source, generate_steps
 from .infinity import INFINITE, is_infinite
@@ -530,6 +539,7 @@ def _cmd_coarea(args):
     return document(args.file, results, graph, domain), EXIT_OK
 
 
+@functools.cache
 def _parser():
     top = argparse.ArgumentParser(prog="isocap",
                                   description="capacities, boundary spectra, and "
@@ -602,23 +612,26 @@ def _parser():
 
 def run_command(argv):
     """Run one subcommand; prints the report JSON and returns the exit code."""
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         doc, code = args.run(args)
         text = to_json(doc)  # a non-finite value raises InputError here
     except BudgetError as exc:
-        print(to_json({"tool_version": __version__,
-                       "error": {"kind": "budget", "message": str(exc)}}))
-        return EXIT_BUDGET
+        return _error("budget", exc, EXIT_BUDGET)
     except InputError as exc:
-        print(to_json({"tool_version": __version__,
-                       "error": {"kind": "input", "message": str(exc)}}))
-        return EXIT_INPUT
+        return _error("input", exc, EXIT_INPUT)
+    except (SingularMatrixError, np.linalg.LinAlgError) as exc:
+        return _error("numerical", exc, EXIT_INPUT)
     print(text)
+    return code
+
+
+def _error(kind, exc, code):
+    print(to_json({"tool_version": __version__,
+                   "error": {"kind": kind, "message": str(exc)}}))
     return code
 
 

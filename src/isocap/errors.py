@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Exit-code mapping used by the CLI: InputError / DomainError /
-InfeasibleError -> 2, BudgetError -> 3 (4 is reserved for a failed
-inequality check, which is not an exception).
+InfeasibleError -> 2 (error kind "input"), SingularMatrixError and numpy's
+LinAlgError -> 2 (error kind "numerical"), BudgetError -> 3 (4 is reserved
+for a failed inequality check, which is not an exception).
 """
 
 

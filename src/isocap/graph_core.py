@@ -19,6 +19,9 @@ class WeightedGraph:
     mass: id -> positive mass.
     edges: iterable of (u, v, weight) with positive weight, no self-loops,
     no parallel edges, no isolated vertices.
+
+    linear_core.stiffness_matrix stores the graph's stiffness on the
+    instance the first time it is asked for.
     """
 
     def __init__(self, vertices, mass, edges):
@@ -86,6 +89,20 @@ class WeightedGraph:
         return "WeightedGraph(|V|=%d, |E|=%d)" % (len(self.vertices), len(self.edges))
 
 
+def is_connected(graph):
+    """Whether every vertex is reachable from the first (breadth-first)."""
+    start = graph.vertices[0]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y, _ in graph.adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == len(graph.vertices)
+
+
 def vertex_boundary(graph, interior):
     """{y not in interior : y ~ x for some interior x}."""
     graph.check_vertices(interior, "interior")
@@ -132,20 +149,8 @@ class SteklovDomain:
         self.interior_index = {v: i for i, v in enumerate(self.interior)}
         self.boundary_index = {v: i for i, v in enumerate(self.boundary)}
         self.closure_index = {v: i for i, v in enumerate(self.closure)}
-        if not self._closure_connected():
+        if not is_connected(self.induced):
             raise DomainError("closure is not connected in the induced graph")
-
-    def _closure_connected(self):
-        start = self.closure[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _ in self.induced.adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == len(self.closure)
 
     def is_interior(self, v):
         return v in self.interior_index

@@ -4,6 +4,11 @@ Everything is dense double precision with direct methods; instances are
 desk-scale (at most a few thousand vertices).  The generalized problem
 K v = lambda M v with diagonal positive M is reduced to standard form by the
 M^{-1/2} scaling.
+
+A graph's stiffness matrix is assembled once, from its edge arrays, and kept
+read-only on the graph, so every caller that asks for it shares one array.
+An eigensolve diagonalizes the whole matrix but post-processes (orients,
+checks residuals of, returns) only the eigenpairs its caller asks for.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +27,12 @@ class SymMatrix:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError("SymMatrix needs a square array")
-        upper = np.triu(a)
-        self.a = upper + np.triu(a, 1).T
-        self.a.setflags(write=False)
+        # mirror in place, row by row: a build holds only the input and a copy
+        for i in range(1, a.shape[0]):
+            a[i, :i] = a[:i, i]
+        a += 0.0  # stores -0.0 as +0.0
+        a.setflags(write=False)
+        self.a = a
         self.dim = a.shape[0]
 
     def __repr__(self):
@@ -35,18 +43,38 @@ def stiffness_matrix(graph, order=None):
     """Stiffness K of a graph: K_xy = -w(x,y), K_xx = sum_y w(x,y).
 
     This is the matrix of m * L; quadratic form f^T K f equals the energy.
-    `order` defaults to graph.vertices.
+    `order` (a permutation of graph.vertices) defaults to graph.vertices.
+
+    The matrix in vertex order is assembled once per graph and stored on the
+    graph; later calls return that same read-only SymMatrix.  An `order`
+    gives a permuted copy of it, never a second assembly.
     """
-    order = tuple(order) if order is not None else graph.vertices
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    K = getattr(graph, "_stiffness", None)
+    if K is None:
+        K = graph._stiffness = _assemble(graph)
+    if order is None:
+        return K
+    perm = [graph.index[v] for v in order]
+    if sorted(perm) != list(range(K.dim)):
+        raise InputError("order must be a permutation of the graph's vertices")
+    return SymMatrix(K.a[np.ix_(perm, perm)])
+
+
+def _assemble(graph):
+    idx = graph.index
+    n = len(graph.vertices)
+    ends = np.array([(idx[u], idx[v]) for u, v, _ in graph.edges],
+                    dtype=np.intp).reshape(-1, 2)
+    w = np.array([w for _, _, w in graph.edges], dtype=float)
     k = np.zeros((n, n))
-    for u, v, w in graph.edges:
-        i, j = idx[u], idx[v]
-        k[i, j] -= w
-        k[j, i] -= w
-        k[i, i] += w
-        k[j, j] += w
+    k[ends[:, 0], ends[:, 1]] = -w
+    k[ends[:, 1], ends[:, 0]] = -w
+    # each degree sums its edges in edge order: the rows of `ends` interleave
+    # [i0, j0, i1, j1, ...], which keeps every diagonal entry bit-identical
+    # to adding the edges one at a time
+    deg = np.zeros(n)
+    np.add.at(deg, ends.ravel(), np.repeat(w, 2))
+    k[np.diag_indices(n)] = deg
     return SymMatrix(k)
 
 
@@ -105,11 +133,14 @@ def _residual(k, m, eigenvalues, vectors):
     return worst
 
 
-def sym_eig_generalized(K, mass, vertex_order=None):
-    """All eigenpairs of K v = lambda M v, M = diag(mass) > 0, ascending.
+def sym_eig_generalized(K, mass, vertex_order=None, count=None):
+    """The `count` lowest eigenpairs of K v = lambda M v, M = diag(mass) > 0.
 
-    Vectors are M-orthonormal with a deterministic sign; residual_norm is the
-    worst scaled eigen-residual over the returned pairs.
+    count defaults to all n pairs.  The whole matrix is diagonalized either
+    way, so the returned eigenvalues do not depend on count; only the first
+    count pairs are oriented, checked and returned.  Vectors are
+    M-orthonormal with a deterministic sign; residual_norm is the worst
+    scaled eigen-residual over the returned pairs.
     """
     k = K.a
     m = np.asarray(mass, dtype=float)
@@ -117,11 +148,15 @@ def sym_eig_generalized(K, mass, vertex_order=None):
         raise InputError("non-finite entries in eigenproblem")
     if np.any(m <= 0):
         raise InputError("mass matrix must be strictly positive")
+    count = len(m) if count is None else count
+    if not 0 <= count <= len(m):
+        raise InputError("count must be in 0..%d" % len(m))
     d = 1.0 / np.sqrt(m)
     s = d[:, None] * k * d[None, :]
     s = 0.5 * (s + s.T)
     w, u = np.linalg.eigh(s)
-    vectors = _fix_signs(d[:, None] * u)
+    w = w[:count]
+    vectors = _fix_signs(d[:, None] * u[:, :count])
     return SpectralResult(
         eigenvalues=w,
         vectors=vectors,
@@ -165,45 +200,3 @@ def schur_complement(K, eliminate):
         raise SingularMatrixError("eliminated block is not SPD") from exc
     s = krr - ker.T @ scipy.linalg.cho_solve((c, low), ker, check_finite=False)
     return SymMatrix(0.5 * (s + s.T))
-
-
-def jacobi_eigenvalues(a, tol=1e-13, max_sweeps=60):
-    """Cyclic Jacobi eigenvalues of a dense symmetric matrix, ascending.
-
-    Independent cross-check oracle for the eigh route; intended for dim <= 12.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0:1, 0].copy()
-    scale = np.abs(a).max() or 1.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) <= tol * scale:
-                    continue
-                # classic 2x2 rotation zeroing a[p, q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-        if off <= tol * scale:
-            break
-    return np.sort(np.diag(a))
-
-
-def jacobi_generalized_eigenvalues(K, mass, tol=1e-13):
-    """Generalized variant of the Jacobi oracle via the same diagonal scaling."""
-    m = np.asarray(mass, dtype=float)
-    d = 1.0 / np.sqrt(m)
-    a = K.a if isinstance(K, SymMatrix) else np.asarray(K)
-    return jacobi_eigenvalues(d[:, None] * a * d[None, :], tol=tol)

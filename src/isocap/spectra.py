@@ -6,13 +6,13 @@ of rescaled graphs G^(k) are an independent verification route whose first
 non-trivial eigenvalue converges to the same quantities.
 """
 
-from collections import deque
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .graph_core import make_domain
+from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
 from .linear_core import (
     SpectralResult,
@@ -62,14 +62,44 @@ def default_schedule(max_power=14):
     return WeightSchedule(tuple(2**p for p in range(max_power + 1)))
 
 
-def _slice(result, count):
-    result.eigenvalues = result.eigenvalues[:count]
-    result.vectors = result.vectors[:, :count]
-    if result.fields:
-        result.fields = result.fields[:count]
-    return result
+def _finite(fn):
+    """Run a spectral computation with numpy's floating-point warnings off,
+    then reject a result that holds a non-finite number.
+
+    Masses and weights at extreme scales (say 1e-300..1e300) overflow in the
+    eigen solve or in a harmonic extension.  This is the one check for every
+    function of this module: eigenpairs, residuals, DtN forms and extended
+    fields.  It raises an InputError that names the step, instead of a
+    RuntimeWarning on stderr and inf or nan in the result.
+    """
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            result = fn(*args, **kwargs)
+        if not all(np.isfinite(x).all() for x in _numbers(result)):
+            raise InputError("non-finite values in %s" % fn.__name__)
+        return result
+
+    return checked
 
 
+def _numbers(result):
+    if isinstance(result, list):
+        for r in result:
+            yield from _numbers(r)
+    elif isinstance(result, dict):
+        yield np.fromiter(result.values(), float, len(result))
+    elif isinstance(result, SpectralResult):
+        yield result.eigenvalues
+        yield result.vectors
+        yield result.residual_norm
+        for f in result.fields:
+            yield from _numbers(f)
+    elif isinstance(result, DtnOperator):
+        yield result.form.a
+
+
+@_finite
 def dirichlet_spectrum(graph, interior, count=None):
     """First eigenvalues of K_II v = lambda M_II v (zero boundary values).
 
@@ -82,15 +112,17 @@ def dirichlet_spectrum(graph, interior, count=None):
         raise InputError("count must be in 1..|interior|")
     k = stiffness_matrix(domain.induced).a[:n, :n]
     mass = np.array([graph.mass[v] for v in domain.interior])
-    res = sym_eig_generalized(SymMatrix(k), mass, vertex_order=domain.interior)
+    res = sym_eig_generalized(SymMatrix(k), mass, vertex_order=domain.interior,
+                              count=count)
     res.fields = [
         {v: (float(res.vectors[domain.interior_index[v], j]) if v in domain.interior_index else 0.0)
          for v in domain.closure}
         for j in range(count)
     ]
-    return _slice(res, count)
+    return res
 
 
+@_finite
 def neumann_spectrum(domain, count=None):
     """Eigenvalues of L f = lambda f on Omega with zero normal derivative.
 
@@ -115,7 +147,8 @@ def neumann_spectrum(domain, count=None):
     else:
         khat = kii
     mass = np.array([domain.graph.mass[v] for v in domain.interior])
-    res = sym_eig_generalized(SymMatrix(khat), mass, vertex_order=domain.interior)
+    res = sym_eig_generalized(SymMatrix(khat), mass, vertex_order=domain.interior,
+                              count=count)
     fields = []
     for j in range(count):
         v = res.vectors[:, j]
@@ -127,9 +160,10 @@ def neumann_spectrum(domain, count=None):
                 f[z] = float(fb[domain.boundary_index[z]])
         fields.append(f)
     res.fields = fields
-    return _slice(res, count)
+    return res
 
 
+@_finite
 def dtn_operator(domain):
     """Lambda_Omega as a matrix: Schur complement onto the boundary."""
     if not domain.boundary:
@@ -140,6 +174,7 @@ def dtn_operator(domain):
     return DtnOperator(boundary=domain.boundary, form=form, mass=mass)
 
 
+@_finite
 def harmonic_extension(domain, boundary_values):
     """Extend boundary data into Omega harmonically (w.r.t. G_Omega)."""
     n = len(domain.interior)
@@ -153,6 +188,7 @@ def harmonic_extension(domain, boundary_values):
     return out
 
 
+@_finite
 def steklov_spectrum(domain, count=None):
     """Steklov eigenvalues: form v = sigma M_B v; sigma_0 = 0.
 
@@ -167,16 +203,18 @@ def steklov_spectrum(domain, count=None):
         raise InputError("a non-trivial Steklov eigenvalue needs |boundary| >= 2")
     if count < 1:
         raise InputError("count must be positive")
-    res = sym_eig_generalized(op.form, op.mass, vertex_order=domain.boundary)
+    res = sym_eig_generalized(op.form, op.mass, vertex_order=domain.boundary,
+                              count=count)
     res.fields = [
         harmonic_extension(
             domain, {z: res.vectors[i, j] for i, z in enumerate(domain.boundary)}
         )
         for j in range(count)
     ]
-    return _slice(res, count)
+    return res
 
 
+@_finite
 def vanishing_weight_spectrum(domain, mode, schedule=None, count=2):
     """Spectra of the rescaled graphs G^(k) along a schedule.
 
@@ -202,11 +240,12 @@ def vanishing_weight_spectrum(domain, mode, schedule=None, count=2):
             mass[:n] /= kk
         else:
             mass[n:] /= kk
-        res = sym_eig_generalized(k, mass, vertex_order=domain.closure)
-        results.append(_slice(res, count))
+        results.append(sym_eig_generalized(k, mass, vertex_order=domain.closure,
+                                           count=count))
     return results
 
 
+@_finite
 def grounded_dtn_spectrum(domain, W, count=None):
     """Eigenvalues of the DtN operator Lambda_W on W cap deltaU.
 
@@ -231,7 +270,7 @@ def grounded_dtn_spectrum(domain, W, count=None):
     kw = k[np.ix_(pos, pos)]  # diagonal keeps weights of edges leaving W
     form = schur_complement(SymMatrix(kw), range(len(w_int)))
     mass = np.array([domain.graph.mass[z] for z in w_bnd])
-    res = sym_eig_generalized(form, mass, vertex_order=tuple(w_bnd))
+    res = sym_eig_generalized(form, mass, vertex_order=tuple(w_bnd), count=count)
     fields = []
     for j in range(count):
         v = res.vectors[:, j]
@@ -243,22 +282,10 @@ def grounded_dtn_spectrum(domain, W, count=None):
                 f[x] = float(u[i])
         fields.append(f)
     res.fields = fields
-    return _slice(res, count)
+    return res
 
 
-def _connected(graph):
-    start = graph.vertices[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y, _ in graph.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(graph.vertices)
-
-
+@_finite
 def hm_dtn_spectrum(graph, omega, count=None):
     """The variant DtN operator S_Omega: full-graph harmonic extension.
 
@@ -269,7 +296,7 @@ def hm_dtn_spectrum(graph, omega, count=None):
     oset = set(omega)
     if not oset or len(oset) == len(graph.vertices):
         raise InputError("Omega must be a proper nonempty subset")
-    if not _connected(graph):
+    if not is_connected(graph):
         raise DomainError("graph is not connected")
     keep = [v for v in graph.vertices if v in oset]
     drop = [v for v in graph.vertices if v not in oset]
@@ -283,7 +310,7 @@ def hm_dtn_spectrum(graph, omega, count=None):
     kw = k[np.ix_(pos, pos)]
     form = schur_complement(SymMatrix(kw), range(n, len(order)))
     mass = np.array([graph.mass[v] for v in keep])
-    res = sym_eig_generalized(form, mass, vertex_order=tuple(keep))
+    res = sym_eig_generalized(form, mass, vertex_order=tuple(keep), count=count)
     fields = []
     kee = kw[n:, n:]
     keo = kw[n:, :n]
@@ -296,4 +323,4 @@ def hm_dtn_spectrum(graph, omega, count=None):
                 f[x] = float(u[i])
         fields.append(f)
     res.fields = fields
-    return _slice(res, count)
+    return res

@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from isocap import INFINITE, BoundReport, InputError
+from isocap import INFINITE, BoundReport, InputError, SingularMatrixError
 from isocap.cli_io import (EXIT_BUDGET, EXIT_FAILED, EXIT_INPUT, EXIT_OK,
-                           emit_graph, parse_family_spec, parse_graph,
+                           _parser, emit_graph, parse_family_spec, parse_graph,
                            run_command, to_json)
 from isocap.infinite_families import t3_example
 
@@ -222,6 +223,71 @@ def test_non_finite_report_is_an_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT
     assert doc["error"]["kind"] == "input"
     assert "non-finite" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "steklov"],
+                                  ["spectrum", "steklov", "-k", "1"],
+                                  ["verify", "steklov_1"]])
+def test_overflow_is_an_input_error_without_warnings(capsys, tmp_path, argv):
+    path = tmp_path / "hostile.graph"
+    path.write_text(HOSTILE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(argv + [str(path)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == EXIT_INPUT
+    assert doc["error"]["kind"] == "input"
+    assert "non-finite" in doc["error"]["message"]
+    assert "harmonic_extension" in doc["error"]["message"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("exc", [SingularMatrixError("pivot 0 is not positive"),
+                                 np.linalg.LinAlgError("Singular matrix")])
+def test_numerical_failure_is_a_numerical_error(capsys, t3_file, monkeypatch, exc):
+    import isocap.cli_io as cli
+
+    def failing_check(*a, **kw):
+        raise exc
+
+    monkeypatch.setattr(cli, "check", failing_check)
+    code, doc = run_json(capsys, ["verify", "steklov_1", t3_file])
+    assert code == EXIT_INPUT
+    assert doc["error"] == {"kind": "numerical", "message": str(exc)}
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, line5, t3_file):
+    assert _parser() is _parser()
+    sequence = [
+        ["spectrum", "steklov", line5],
+        ["alpha", "zzz", t3_file],                 # bad choice
+        ["cap", line5],                            # missing -A
+        ["cap", "-A", "2", line5],
+        ["--help"],
+        ["alpha", "s", "--seed", "3", t3_file],
+        ["spectrum", "steklov", "-k", "1", line5],
+        ["spectrum", "steklov", line5],            # no -k: every eigenvalue
+        ["alpha", "s", t3_file],                   # no --seed
+    ]
+
+    def run_all(fresh):
+        runs = []
+        for argv in sequence:
+            if fresh:
+                _parser.cache_clear()
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        return runs
+
+    fresh = run_all(fresh=True)
+    assert run_all(fresh=False) == fresh
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_INPUT, EXIT_INPUT,
+                                              EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+                                              EXIT_OK, EXIT_OK]
+    assert len(json.loads(fresh[6][1])["results"][0]["eigenvalues"]) == 1
+    assert len(json.loads(fresh[7][1])["results"][0]["eigenvalues"]) == 2
 
 
 def test_usage_errors_return_input_code(capsys):

@@ -5,13 +5,102 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap import (SingularMatrixError, SymMatrix, WeightedGraph,
-                    mass_vector, schur_complement, solve_spd,
+from isocap import (InputError, SingularMatrixError, SymMatrix,
+                    WeightedGraph, mass_vector, schur_complement, solve_spd,
                     stiffness_matrix, sym_eig_generalized)
 from isocap.infinite_families import path_graph
-from isocap.linear_core import jacobi_eigenvalues, jacobi_generalized_eigenvalues
+from isocap.linear_core import _fix_signs
 
 TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracles: independent reference routes, kept here because only tests use them
+
+def jacobi_eigenvalues(a, tol=1e-13, max_sweeps=60):
+    """Cyclic Jacobi eigenvalues of a dense symmetric matrix, ascending.
+
+    Independent cross-check oracle for the eigh route; intended for dim <= 12.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a[0:1, 0].copy()
+    scale = np.abs(a).max() or 1.0
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off = max(off, abs(a[p, q]))
+                if abs(a[p, q]) <= tol * scale:
+                    continue
+                # classic 2x2 rotation zeroing a[p, q]
+                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+        if off <= tol * scale:
+            break
+    return np.sort(np.diag(a))
+
+
+def jacobi_generalized_eigenvalues(K, mass, tol=1e-13):
+    """Generalized variant of the Jacobi oracle via the same diagonal scaling."""
+    m = np.asarray(mass, dtype=float)
+    d = 1.0 / np.sqrt(m)
+    a = K.a if isinstance(K, SymMatrix) else np.asarray(K)
+    return jacobi_eigenvalues(d[:, None] * a * d[None, :], tol=tol)
+
+
+def loop_stiffness(graph, order=None):
+    """Edge-by-edge reference assembly; stiffness_matrix must match it bit
+    for bit."""
+    order = tuple(order) if order is not None else graph.vertices
+    idx = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    k = np.zeros((n, n))
+    for u, v, w in graph.edges:
+        i, j = idx[u], idx[v]
+        k[i, j] -= w
+        k[j, i] -= w
+        k[i, i] += w
+        k[j, j] += w
+    return SymMatrix(k)
+
+
+def per_pair_residual(k, m, eigenvalues, vectors):
+    """Reference formula: worst scaled eigen-residual over every given pair."""
+    kn = np.linalg.norm(k, "fro")
+    worst = 0.0
+    for j, lam in enumerate(eigenvalues):
+        v = vectors[:, j]
+        mv = m * v
+        num = np.linalg.norm(k @ v - lam * mv)
+        den = kn * np.linalg.norm(v) + abs(lam) * np.linalg.norm(mv)
+        if den:
+            worst = max(worst, num / den)
+    return worst
+
+
+def random_graph(rng, n, decades):
+    """Connected graph on n vertices, edges in shuffled order, weights
+    log-uniform over 10^-decades..10^decades."""
+    pairs = [(rng.integers(i), i) for i in range(1, n)]
+    pairs += [(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.3 and (i, j) not in pairs]
+    pairs = [pairs[t] for t in rng.permutation(len(pairs))]
+    pairs = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+    vertices = [int(v) for v in rng.permutation(n)]
+    weights = 10.0 ** rng.uniform(-decades, decades, size=len(pairs))
+    return WeightedGraph(vertices, {v: 1.0 for v in vertices},
+                         [(int(i), int(j), w) for (i, j), w in zip(pairs, weights)])
 
 
 def test_stiffness_quadratic_form_is_energy():
@@ -29,6 +118,56 @@ def test_stiffness_respects_order():
     K = stiffness_matrix(g, order=(2, 0, 1))
     expect = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
     assert np.allclose(K.a, expect)
+
+
+def test_stiffness_is_bit_equal_to_the_edge_loop():
+    # narrow weights make the diagonal sums depend on the order of addition
+    rng = np.random.default_rng(2024)
+    for trial in range(100):
+        g = random_graph(rng, int(rng.integers(2, 12)), (150, 1)[trial % 2])
+        assert np.array_equal(stiffness_matrix(g).a, loop_stiffness(g).a)
+        for _ in range(3):
+            order = [g.vertices[t] for t in rng.permutation(len(g.vertices))]
+            assert np.array_equal(stiffness_matrix(g, order=order).a,
+                                  loop_stiffness(g, order=order).a)
+
+
+def test_stiffness_is_cached_and_read_only():
+    g = path_graph(4)
+    K = stiffness_matrix(g)
+    assert stiffness_matrix(g) is K
+    assert not K.a.flags.writeable
+    with pytest.raises(ValueError):
+        K.a[0, 0] = 1.0
+    # a permuted copy leaves the cached matrix as it was
+    stiffness_matrix(g, order=tuple(reversed(g.vertices)))
+    assert stiffness_matrix(g) is K
+    assert np.array_equal(K.a, loop_stiffness(g).a)
+    with pytest.raises(InputError):
+        stiffness_matrix(g, order=g.vertices[1:])
+
+
+def test_eig_count_post_processes_only_the_requested_pairs():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(9, 9))
+    K = SymMatrix(a @ a.T + 9 * np.eye(9))
+    m = np.exp(rng.normal(size=9))
+    full = sym_eig_generalized(K, m)
+    one = sym_eig_generalized(K, m, count=1)
+    assert one.eigenvalues.shape == (1,) and one.vectors.shape == (9, 1)
+    assert np.array_equal(one.eigenvalues, full.eigenvalues[:1])
+    assert np.array_equal(one.vectors, full.vectors[:, :1])
+    assert one.residual_norm == per_pair_residual(K.a, m, full.eigenvalues[:1],
+                                                  full.vectors[:, :1])
+    # the default count keeps the residual over all pairs
+    d = 1.0 / np.sqrt(m)
+    s = d[:, None] * K.a * d[None, :]
+    w, u = np.linalg.eigh(0.5 * (s + s.T))
+    vectors = _fix_signs(d[:, None] * u)
+    assert full.residual_norm == per_pair_residual(K.a, m, w, vectors)
+    assert sym_eig_generalized(K, m, count=9).residual_norm == full.residual_norm
+    with pytest.raises(InputError):
+        sym_eig_generalized(K, m, count=10)
 
 
 def test_path_dirichlet_eigenvalues_closed_form():
