@@ -19,8 +19,8 @@ from .linear_core import solve_spd, stiffness_matrix
 class CapacityResult:
     value: float
     potential: dict
-    source: frozenset
-    sink: frozenset
+    source: tuple
+    sink: tuple
 
 
 @dataclass
@@ -65,13 +65,15 @@ def equilibrium_potential(domain, A, B):
 
 
 def cap(domain, A, B):
-    """Cap_Omega(A, B) with its equilibrium potential."""
+    """Cap_Omega(A, B) with its equilibrium potential; source and sink are
+    listed in closure order, so reports do not depend on hashing."""
     f = equilibrium_potential(domain, A, B)
+    A, B = set(A), set(B)
     return CapacityResult(
         value=energy(domain, f, f),
         potential=f,
-        source=frozenset(A),
-        sink=frozenset(B),
+        source=tuple(v for v in domain.closure if v in A),
+        sink=tuple(v for v in domain.closure if v in B),
     )
 
 

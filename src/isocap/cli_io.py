@@ -39,11 +39,10 @@ from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
 from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import WeightedGraph, energy, make_domain
 from .infinite_families import FamilySpec, default_source, generate_steps
-from .infinity import INFINITE, is_infinite
+from .infinity import is_infinite
 from .linear_core import SpectralResult
-from .spectra import (dirichlet_spectrum, grounded_dtn_spectrum,
-                      hm_dtn_spectrum, neumann_spectrum, steklov_spectrum)
-from .verify import BoundReport, EqualityReport, check
+from .spectra import DOMAIN_SPECTRA
+from .verify import K_THEOREMS, REGISTRY, THEOREMS, BoundReport, EqualityReport, check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -268,11 +267,10 @@ def project(result, name=None):
     raise InputError("unreportable result %r" % (result,))
 
 
-def document(source, results, graph=None, domain=None, diagnostics=None):
+def document(source, results, domain=None, diagnostics=None):
     inst = {"source": source}
-    if graph is not None:
-        inst["vertices"] = len(graph.vertices)
     if domain is not None:
+        inst["vertices"] = len(domain.graph.vertices)
         inst["interior_size"] = len(domain.interior)
         inst["boundary_size"] = len(domain.boundary)
     return {
@@ -354,6 +352,11 @@ def _need_domain(graph, omega, path):
     return make_domain(graph, omega)
 
 
+def _load_domain(path):
+    graph, omega = _load(path)
+    return _need_domain(graph, omega, path)
+
+
 def _split_ids(text):
     ids = tuple(t for t in text.split(",") if t)
     if not ids:
@@ -362,18 +365,9 @@ def _split_ids(text):
 
 
 def _cmd_spectrum(args):
-    graph, omega = _load(args.file)
-    domain = _need_domain(graph, omega, args.file)
-    count = args.k
-    if args.mode == "dirichlet":
-        spec = dirichlet_spectrum(graph, domain.interior, count=count)
-    elif args.mode == "neumann":
-        spec = neumann_spectrum(domain, count=count)
-    elif args.mode == "steklov":
-        spec = steklov_spectrum(domain, count=count)
-    else:
-        spec = hm_dtn_spectrum(graph, domain.interior, count=count)
-    doc = document(args.file, [project(spec, name=args.mode)], graph, domain,
+    domain = _load_domain(args.file)
+    spec = DOMAIN_SPECTRA[args.mode](domain, domain.interior, args.k)
+    doc = document(args.file, [project(spec, name=args.mode)], domain,
                    {"residuals": [spec.residual_norm]})
     return doc, EXIT_OK
 
@@ -394,44 +388,43 @@ def _cmd_cap(args):
             interior = [v for v in graph.vertices if v not in set(B)]
             domain = make_domain(graph, interior)
             result = cap(domain, A, domain.boundary)
-    doc = document(args.file, [project(result)], graph, domain)
+    doc = document(args.file, [project(result)], domain)
     return doc, EXIT_OK
 
 
+# alpha variant -> (report name, evaluation on (domain, args, budget))
+_ALPHAS = {
+    "d": ("alpha_dirichlet", lambda domain, args, budget: alpha_dirichlet(
+        domain, budget=budget, heuristic=args.heuristic, shuffle_seed=args.seed)),
+    "n": ("alpha_neumann", lambda domain, args, budget: alpha_neumann(
+        domain, budget=budget, heuristic=args.heuristic, shuffle_seed=args.seed)),
+    "s": ("alpha_steklov", lambda domain, args, budget: alpha_steklov(
+        domain, budget=budget, heuristic=args.heuristic, shuffle_seed=args.seed)),
+    "ds": ("alpha_ds", lambda domain, args, budget: alpha_ds(
+        domain, _split_ids(args.window) if args.window else domain.closure,
+        budget=budget, shuffle_seed=args.seed)),
+}
+
+
 def _cmd_alpha(args):
-    graph, omega = _load(args.file)
-    domain = _need_domain(graph, omega, args.file)
+    domain = _load_domain(args.file)
     budget = _budget(args)
-    if args.which == "d":
-        res, name = alpha_dirichlet(domain, budget=budget, heuristic=args.heuristic,
-                                    shuffle_seed=args.seed), "alpha_dirichlet"
-    elif args.which == "n":
-        res, name = alpha_neumann(domain, budget=budget, heuristic=args.heuristic,
-                                  shuffle_seed=args.seed), "alpha_neumann"
-    elif args.which == "s":
-        res, name = alpha_steklov(domain, budget=budget, heuristic=args.heuristic,
-                                  shuffle_seed=args.seed), "alpha_steklov"
-    else:
-        window = _split_ids(args.window) if args.window else domain.closure
-        res, name = alpha_ds(domain, window, budget=budget,
-                             shuffle_seed=args.seed), "alpha_ds"
+    name, evaluate = _ALPHAS[args.which]
+    res = evaluate(domain, args, budget)
     diag = {"enumeration_counts": [res.evaluations],
             "budgets": {"single": budget.single, "pair": budget.pair},
             "heuristic_flags": [res.heuristic]}
-    doc = document(args.file, [project(res, name=name)], graph, domain, diag)
+    doc = document(args.file, [project(res, name=name)], domain, diag)
     return doc, EXIT_OK
 
 
 def _cmd_gamma(args):
-    graph, omega = _load(args.file)
-    domain = _need_domain(graph, omega, args.file)
+    domain = _load_domain(args.file)
     budget = _budget(args)
-    results = []
-    counts = []
     if args.which == "d":
         window = _split_ids(args.window) if args.window else domain.interior
-        a = gamma_tilde_dirichlet(graph, window, args.k, budget=budget)
-        b = gamma_k_dirichlet(graph, window, args.k, budget=budget)
+        a = gamma_tilde_dirichlet(domain.graph, window, args.k, budget=budget)
+        b = gamma_k_dirichlet(domain.graph, window, args.k, budget=budget)
         results = [project(a, "gamma_tilde_dirichlet"), project(b, "gamma_k_dirichlet")]
         counts = [a.evaluations, b.evaluations]
     else:
@@ -441,18 +434,17 @@ def _cmd_gamma(args):
         counts = [a.evaluations]
     diag = {"enumeration_counts": counts,
             "budgets": {"tuples": budget.tuples, "part_cap": budget.part_cap}}
-    doc = document(args.file, results, graph, domain, diag)
+    doc = document(args.file, results, domain, diag)
     return doc, EXIT_OK
 
 
 def _cmd_kappa(args):
-    graph, omega = _load(args.file)
-    domain = _need_domain(graph, omega, args.file)
+    domain = _load_domain(args.file)
     budget = _budget(args)
     res = kappa_steklov(domain, args.k, budget=budget)
     diag = {"enumeration_counts": [res.evaluations],
             "budgets": {"tuples": budget.tuples, "part_cap": budget.part_cap}}
-    doc = document(args.file, [project(res, "kappa_steklov")], graph, domain, diag)
+    doc = document(args.file, [project(res, "kappa_steklov")], domain, diag)
     return doc, EXIT_OK
 
 
@@ -480,10 +472,9 @@ def _cmd_verify(args):
     else:
         if not args.file:
             raise InputError("verify needs a graph file or --family")
-        graph, omega = _load(args.file)
-        domain = _need_domain(graph, omega, args.file)
+        domain = _load_domain(args.file)
         report = check(name, domain, k=k, budget=budget, heuristic=args.heuristic)
-        doc = document(args.file, [project(report)], graph, domain)
+        doc = document(args.file, [project(report)], domain)
     return doc, EXIT_OK if report.passed() else EXIT_FAILED
 
 
@@ -503,16 +494,10 @@ def _cmd_family(args):
             res = alpha_dirichlet_limit(steps, budget=budget, heuristic=args.heuristic)
             results = [project(res, "alpha_dirichlet_limit")]
     else:
-        values = []
-        for step in steps:
-            if grounded:
-                spectrum = grounded_dtn_spectrum(step.domain, step.W, count=1)
-                values.append(INFINITE if is_infinite(spectrum)
-                              else spectrum.eigenvalues[0])
-            else:
-                values.append(dirichlet_spectrum(step.graph, step.W,
-                                                 count=1).eigenvalues[0])
-        seq = {"indices": [s.index for s in steps], "values": values}
+        # the eigenvalue side of the matching bottom-of-spectrum theorem
+        bottom = REGISTRY["dtn_bottom" if grounded else "bottom"].eigenvalue
+        seq = {"indices": [s.index for s in steps],
+               "values": [bottom(s, None) for s in steps]}
         results = [project(seq, "sigma_bottom" if grounded else "lambda_bottom")]
     doc = document("family:" + args.family, results,
                    diagnostics={"steps": [s.index for s in steps]})
@@ -520,8 +505,7 @@ def _cmd_family(args):
 
 
 def _cmd_coarea(args):
-    graph, omega = _load(args.file)
-    domain = _need_domain(graph, omega, args.file)
+    domain = _load_domain(args.file)
     field = {}
     for item in args.field.split(","):
         if "=" not in item:
@@ -536,7 +520,7 @@ def _cmd_coarea(args):
     holds = value <= 2.0 * quad + 1e-12 * max(1.0, abs(quad))
     results = [{"type": "coarea", "value": value, "energy": quad,
                 "bound": 2.0 * quad, "holds": holds}]
-    return document(args.file, results, graph, domain), EXIT_OK
+    return document(args.file, results, domain), EXIT_OK
 
 
 @functools.cache
@@ -558,7 +542,7 @@ def _parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[common])
-    p.add_argument("mode", choices=("dirichlet", "neumann", "steklov", "hm"))
+    p.add_argument("mode", choices=tuple(DOMAIN_SPECTRA))
     p.add_argument("-k", type=int, default=None, help="number of eigenvalues")
     p.add_argument("file")
     p.set_defaults(run=_cmd_spectrum)
@@ -570,7 +554,7 @@ def _parser():
     p.set_defaults(run=_cmd_cap)
 
     p = sub.add_parser("alpha", parents=[common])
-    p.add_argument("which", choices=("d", "n", "s", "ds"))
+    p.add_argument("which", choices=tuple(_ALPHAS))
     p.add_argument("-Y", dest="window", default=None,
                    help="window for the ds variant (default: closure)")
     p.add_argument("file")
@@ -590,7 +574,8 @@ def _parser():
     p.set_defaults(run=_cmd_kappa)
 
     p = sub.add_parser("verify", parents=[common])
-    p.add_argument("theorem")
+    p.add_argument("theorem", help="one of %s; the k-indexed %s take -k or the form id(k)"
+                   % (", ".join(THEOREMS), ", ".join(K_THEOREMS)))
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--family", default=None)
     p.add_argument("--steps", default=None)

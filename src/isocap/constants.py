@@ -5,7 +5,9 @@ mass; pair constants (alpha_N, alpha_S, beta_S) minimize a two-set capacity
 over the smaller mass; tuple constants (gamma-tilde, Gamma_k, kappa, beta_k+1)
 are min-max packings of disjoint parts.  All enumerators are exhaustive within
 the budget and reduce by (value, lexicographic witness), so results do not
-depend on evaluation order or chunking.
+depend on evaluation order or chunking.  The public enumerators run under
+spectra._finite: no floating-point warnings, and a value that is not finite
+(other than INFINITE) is an InputError.
 """
 
 import itertools
@@ -16,7 +18,8 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .infinity import INFINITE, is_infinite
 from .linear_core import stiffness_matrix
-from .spectra import dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum, steklov_spectrum
+from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
+                      steklov_spectrum)
 
 _CHUNK = 4096
 
@@ -311,6 +314,7 @@ def _alpha_d_raw(graph, subset, budget, heuristic, rng):
     return ConstantResult(val, _ids(order, slots), n)
 
 
+@_finite
 def alpha_dirichlet(domain, budget=None, heuristic=False, shuffle_seed=None):
     """alpha_D(Omega) = min over nonempty A in Omega of Cap_Omega(A)/m(A).
 
@@ -336,6 +340,7 @@ def _pair_constant(k_amb, order, universe, masses, budget, heuristic, rng, field
     return ConstantResult(val, (_ids(order, sa), _ids(order, sb)), n)
 
 
+@_finite
 def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
     """alpha_N(Omega): pairs of disjoint nonempty subsets of Omega, capacity
     within G_Omega (boundary vertices stay free)."""
@@ -355,6 +360,7 @@ def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
     )
 
 
+@_finite
 def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
     """alpha_S(Omega): pairs of disjoint nonempty boundary subsets, capacity
     within G_Omega."""
@@ -375,6 +381,7 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
     )
 
 
+@_finite
 def alpha_ds(domain, Y, budget=None, shuffle_seed=None):
     """alpha_DS for Y inside the domain: min over nonempty A in Y cap dOmega
     of Cap_Omega(A, boundary-of-Y-in-G_Omega)/m(A).
@@ -414,6 +421,7 @@ def alpha_ds(domain, Y, budget=None, shuffle_seed=None):
     return ConstantResult(val, tuple(inner[i] for i in slots), n)
 
 
+@_finite
 def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
     """beta_S(Omega): pair constant with full-graph capacities (no edges
     removed, everything outside the pair free)."""
@@ -536,6 +544,7 @@ def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
     return ConstantResult(opt, witness, len(parts))
 
 
+@_finite
 def gamma_tilde_dirichlet(graph, W, k, budget=None):
     """min over disjoint k-tuples of parts of W of the max first Dirichlet
     eigenvalue of each part (ambient grounding outside the part)."""
@@ -555,6 +564,7 @@ def gamma_tilde_dirichlet(graph, W, k, budget=None):
     return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
 
 
+@_finite
 def gamma_k_dirichlet(graph, W, k, budget=None):
     """Gamma_k^D over W: min-max of alpha_D(part) over disjoint k-tuples."""
     budget = budget or DEFAULT_BUDGET
@@ -600,6 +610,7 @@ def _ds_objective(k_amb, boundary_slots, masses):
     return objective
 
 
+@_finite
 def kappa_steklov(domain, k, budget=None):
     """kappa_{k+1}: min-max of alpha_DS^Omega(part) over disjoint
     (k+1)-tuples of nonempty subsets of the closure."""
@@ -614,6 +625,7 @@ def kappa_steklov(domain, k, budget=None):
     return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
 
 
+@_finite
 def gamma_k_steklov(domain, W, k, budget=None):
     """Gamma_k^S(W) inside a truncated infinite domain: min-max of
     alpha_DS(part) over disjoint k-tuples of subsets of W."""
@@ -630,6 +642,7 @@ def gamma_k_steklov(domain, W, k, budget=None):
     return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
 
 
+@_finite
 def beta_tuple(graph, omega, k, budget=None):
     """beta_{k+1}: min-max over disjoint (k+1)-tuples of subsets of V of
     inf_{A in part cap Omega} Cap(A, V minus part)/m(A)."""
@@ -693,6 +706,7 @@ def _limit_report(indices, values, monotone, heuristic=False):
     )
 
 
+@_finite
 def alpha_dirichlet_limit(family, budget=None, heuristic=False):
     """Per-step alpha_D(W_i) along an exhaustion; non-increasing, and the
     last value estimates alpha_D of the infinite graph."""
@@ -710,6 +724,7 @@ def alpha_dirichlet_limit(family, budget=None, heuristic=False):
     return _limit_report(indices, values, monotone, heuristic=used)
 
 
+@_finite
 def alpha_steklov_limit(family, budget=None):
     """Per-step alpha_DS(W_i) along an exhaustion of the closure of an
     infinite U; the non-increasing values estimate alpha_S(U)."""
@@ -725,6 +740,7 @@ def alpha_steklov_limit(family, budget=None):
     return _limit_report(indices, values, monotone)
 
 
+@_finite
 def gamma_k_dirichlet_limit(family, k, budget=None):
     """Per-step Gamma_k^D(W_i); non-increasing along nested steps."""
     budget = budget or DEFAULT_BUDGET

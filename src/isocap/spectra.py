@@ -6,6 +6,7 @@ of rescaled graphs G^(k) are an independent verification route whose first
 non-trivial eigenvalue converges to the same quantities.
 """
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -15,7 +16,6 @@ from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
 from .linear_core import (
-    SpectralResult,
     SymMatrix,
     schur_complement,
     solve_spd,
@@ -63,14 +63,15 @@ def default_schedule(max_power=14):
 
 
 def _finite(fn):
-    """Run a spectral computation with numpy's floating-point warnings off,
-    then reject a result that holds a non-finite number.
+    """Run a computation with numpy's floating-point warnings off, then
+    reject a result that holds a non-finite number.
 
     Masses and weights at extreme scales (say 1e-300..1e300) overflow in the
-    eigen solve or in a harmonic extension.  This is the one check for every
-    function of this module: eigenpairs, residuals, DtN forms and extended
-    fields.  It raises an InputError that names the step, instead of a
-    RuntimeWarning on stderr and inf or nan in the result.
+    eigen solve, in a harmonic extension or in an enumerator's batched
+    solves.  This is the one check for every function of this module
+    (eigenpairs, residuals, DtN forms and extended fields) and for the
+    public enumerators of constants.  It raises an InputError that names the
+    step, instead of a RuntimeWarning on stderr and inf or nan in the result.
     """
     @functools.wraps(fn)
     def checked(*args, **kwargs):
@@ -84,19 +85,21 @@ def _finite(fn):
 
 
 def _numbers(result):
-    if isinstance(result, list):
+    """The float arrays and floats a result holds, through lists, dict
+    values, dataclass fields and SymMatrix entries.  Counts, the INFINITE
+    sentinel and the tuples that hold vertex ids are skipped."""
+    if isinstance(result, (float, np.ndarray)):
+        yield result
+    elif isinstance(result, list):
         for r in result:
             yield from _numbers(r)
-    elif isinstance(result, dict):
+    elif isinstance(result, dict):  # an eigenfunction: vertex -> float
         yield np.fromiter(result.values(), float, len(result))
-    elif isinstance(result, SpectralResult):
-        yield result.eigenvalues
-        yield result.vectors
-        yield result.residual_norm
-        for f in result.fields:
-            yield from _numbers(f)
-    elif isinstance(result, DtnOperator):
-        yield result.form.a
+    elif isinstance(result, SymMatrix):
+        yield result.a
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            yield from _numbers(getattr(result, f.name))
 
 
 @_finite
@@ -324,3 +327,14 @@ def hm_dtn_spectrum(graph, omega, count=None):
         fields.append(f)
     res.fields = fields
     return res
+
+
+# The spectra of a marked domain by name (the CLI's spectrum modes), called as
+# (domain, V, count): Dirichlet on V and the variant DtN keeping V; the
+# Neumann and Steklov problems are fixed by the domain and ignore V.
+DOMAIN_SPECTRA = {
+    "dirichlet": lambda domain, V, count: dirichlet_spectrum(domain.graph, V, count=count),
+    "neumann": lambda domain, V, count: neumann_spectrum(domain, count=count),
+    "steklov": lambda domain, V, count: steklov_spectrum(domain, count=count),
+    "hm": lambda domain, V, count: hm_dtn_spectrum(domain.graph, V, count=count),
+}

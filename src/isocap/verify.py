@@ -1,39 +1,65 @@
 """Two-sided eigenvalue bound checks and the equality-case test.
 
-Each branch of check() evaluates one inequality pair on one instance: the
-eigenvalue side through the solvers in spectra, the constant side through the
-enumerators in constants, then compares with the exact bracket factors.  The
-k-indexed brackets have an unspecified universal constant on the lower side;
-those lower bounds are recorded as an empirical ratio, never asserted.
+Each theorem is one entry of REGISTRY: an eigenvalue side evaluated by the
+solvers in spectra, a constant side evaluated by the enumerators in
+constants, and the exact bracket factors of lower * constant <= eigenvalue
+<= upper * constant.  The k-indexed brackets have an unspecified universal
+constant on the lower side; those lower bounds are recorded as an empirical
+ratio, never asserted.
 
 Inequality comparisons use additive slack 1e-9 * max(1, |eigenvalue|) to
 absorb solver residuals.  Equality detection uses 1e-8 relative.
 """
 
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import (alpha_dirichlet, alpha_ds, alpha_neumann,
-                        alpha_steklov, alpha_steklov_limit, beta_steklov,
-                        beta_tuple, gamma_k_steklov, gamma_tilde_dirichlet,
-                        kappa_steklov)
+from .constants import (_monotone_scan, alpha_dirichlet, alpha_ds,
+                        alpha_neumann, alpha_steklov, beta_steklov, beta_tuple,
+                        gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .errors import InputError
 from .graph_core import SteklovDomain, WeightedGraph, make_domain
 from .infinite_families import FamilyStep
-from .spectra import (dirichlet_spectrum, dtn_operator, grounded_dtn_spectrum,
-                      hm_dtn_spectrum, neumann_spectrum, steklov_spectrum)
+from .spectra import (DOMAIN_SPECTRA, dirichlet_spectrum, dtn_operator,
+                      grounded_dtn_spectrum, steklov_spectrum)
 from .infinity import INFINITE, is_infinite
 
-FINITE_THEOREMS = ("dirichlet_1", "neumann_1", "steklov_1", "hm_steklov_1")
-K_THEOREMS = ("higher_dirichlet", "higher_steklov_finite",
-              "higher_steklov_infinite", "hm_higher")
-THEOREMS = FINITE_THEOREMS + ("bottom", "dtn_bottom") + K_THEOREMS
+DOMAIN = "a marked domain"
+STEPS = "a family step sequence"
 
-_ConstEval = namedtuple("_ConstEval", "value witness")
+
+@dataclass(frozen=True)
+class Theorem:
+    """One bracket lower * constant <= eigenvalue <= upper * constant.
+
+    On a marked domain (kind DOMAIN) the eigenvalue is number first + k - 1
+    (k = 1 when the theorem takes none) of DOMAIN_SPECTRA[spectrum] posed on
+    the vertex set vertices(domain, W), and constant(domain, that set, k,
+    budget, heuristic) is the other side; precondition is the error when the
+    set is too small to hold that eigenvalue.  On family steps (kind STEPS)
+    eigenvalue(step, k) and constant(step, k, budget, heuristic) are taken at
+    every step and the report on the last one; monotone enforces constants
+    that do not increase, every_step asserts the upper bound at each step.
+    lower None marks a k-indexed theorem, whose lower side carries an
+    unspecified constant: empirical_c = eigenvalue * k^6 / constant is
+    recorded instead of a lower check.
+    """
+
+    id: str
+    kind: str
+    lower: Optional[float]
+    upper: float
+    constant: Callable
+    spectrum: Optional[str] = None
+    vertices: Optional[Callable] = None
+    first: int = 0
+    precondition: Optional[str] = None
+    eigenvalue: Optional[Callable] = None
+    monotone: bool = False
+    every_step: bool = False
 
 
 @dataclass
@@ -79,21 +105,18 @@ def _ratio(eig, const):
     return eig / const
 
 
-def _report(theorem_id, eig, res, lo_factor, hi_factor, k=None, sequences=None):
+def _report(theorem, k, eig, res, sequences=None):
     const = res.value
     slack = _slack(eig)
-    upper = _scale(const, hi_factor)
-    if lo_factor is None:
-        lower, lower_ok = None, None
-        emp = None
-        if k is not None and not is_infinite(eig) and not is_infinite(const) and const > 0:
-            emp = eig * k ** 6 / const
-    else:
-        lower = _scale(const, lo_factor)
+    upper = _scale(const, theorem.upper)
+    lower = lower_ok = emp = None
+    if theorem.lower is not None:
+        lower = _scale(const, theorem.lower)
         lower_ok = _leq(lower, eig, slack)
-        emp = None
+    elif not is_infinite(eig) and not is_infinite(const) and const > 0:
+        emp = eig * k ** 6 / const
     return BoundReport(
-        theorem_id=theorem_id,
+        theorem_id=theorem.id if k is None else "%s(%d)" % (theorem.id, k),
         eigenvalue=eig,
         constant=const,
         lower_bound=lower,
@@ -107,162 +130,117 @@ def _report(theorem_id, eig, res, lo_factor, hi_factor, k=None, sequences=None):
     )
 
 
-def _want_domain(instance, theorem_id):
-    if not isinstance(instance, SteklovDomain):
-        raise InputError("%s expects a marked domain" % theorem_id)
-    return instance
+def _on_domain(theorem, domain, k, budget, heuristic, W):
+    if not isinstance(domain, SteklovDomain):
+        raise InputError("%s expects %s" % (theorem.id, DOMAIN))
+    vertices = theorem.vertices(domain, W)
+    number = theorem.first + (k or 1) - 1
+    if len(vertices) <= number:
+        raise InputError(theorem.precondition)
+    spectrum = DOMAIN_SPECTRA[theorem.spectrum](domain, vertices, number + 1)
+    res = theorem.constant(domain, vertices, k, budget, heuristic)
+    return _report(theorem, k, spectrum.eigenvalues[number], res)
 
 
-def _want_steps(instance, theorem_id):
+def _on_steps(theorem, instance, k, budget, heuristic, W):
     try:
         steps = list(instance)
     except TypeError:
-        raise InputError("%s expects a family step sequence" % theorem_id)
+        steps = None
     if not steps or not all(isinstance(s, FamilyStep) for s in steps):
-        raise InputError("%s expects a family step sequence" % theorem_id)
-    return steps
-
-
-def _check_dirichlet_1(domain, budget, heuristic):
-    eig = dirichlet_spectrum(domain.graph, domain.interior, count=1).eigenvalues[0]
-    res = alpha_dirichlet(domain, budget=budget, heuristic=heuristic)
-    return _report("dirichlet_1", eig, res, 0.25, 1.0)
-
-
-def _check_neumann_1(domain, budget, heuristic):
-    if len(domain.interior) < 2:
-        raise InputError("first nonzero Neumann eigenvalue needs |Omega| >= 2")
-    eig = neumann_spectrum(domain, count=2).eigenvalues[1]
-    res = alpha_neumann(domain, budget=budget, heuristic=heuristic)
-    return _report("neumann_1", eig, res, 0.125, 2.0)
-
-
-def _check_steklov_1(domain, budget, heuristic):
-    if len(domain.boundary) < 2:
-        raise InputError("first nonzero boundary eigenvalue needs |dOmega| >= 2")
-    eig = steklov_spectrum(domain, count=2).eigenvalues[1]
-    res = alpha_steklov(domain, budget=budget, heuristic=heuristic)
-    return _report("steklov_1", eig, res, 0.125, 2.0)
-
-
-def _check_hm_steklov_1(domain, budget, heuristic):
-    if len(domain.interior) < 2:
-        raise InputError("first nonzero eigenvalue needs |Omega| >= 2")
-    eig = hm_dtn_spectrum(domain.graph, domain.interior, count=2).eigenvalues[1]
-    res = beta_steklov(domain.graph, domain.interior, budget=budget, heuristic=heuristic)
-    return _report("hm_steklov_1", eig, res, 0.125, 2.0)
-
-
-def _check_bottom(steps, budget, heuristic):
-    idx, eigs, consts = [], [], []
-    last = None
+        raise InputError("%s expects %s" % (theorem.id, STEPS))
+    eigs, results = [], []
     for step in steps:
-        marked = make_domain(step.graph, step.W)
-        eigs.append(dirichlet_spectrum(step.graph, step.W, count=1).eigenvalues[0])
-        last = alpha_dirichlet(marked, budget=budget, heuristic=heuristic)
-        consts.append(last.value)
-        idx.append(step.index)
-    seq = {"index": idx, "eigenvalues": eigs, "constants": consts}
-    return _report("bottom", eigs[-1], last, 0.25, 1.0, sequences=seq)
+        eigs.append(theorem.eigenvalue(step, k))
+        results.append(theorem.constant(step, k, budget, heuristic))
+    consts = [res.value for res in results]
+    if theorem.monotone:
+        _monotone_scan(consts, enforce=True)
+    report = _report(theorem, k, eigs[-1], results[-1], sequences={
+        "index": [s.index for s in steps], "eigenvalues": eigs, "constants": consts})
+    if theorem.every_step:
+        report.upper_ok = report.upper_ok and all(
+            _leq(e, _scale(c, theorem.upper), _slack(e)) for e, c in zip(eigs, consts))
+    return report
 
 
-def _check_dtn_bottom(steps, budget, heuristic):
-    idx, eigs = [], []
-    for step in steps:
-        spec = grounded_dtn_spectrum(step.domain, step.W, count=1)
-        eigs.append(spec if is_infinite(spec) else spec.eigenvalues[0])
-        idx.append(step.index)
-    limit = alpha_steklov_limit(steps, budget=budget)
-    last = alpha_ds(steps[-1].domain, steps[-1].W, budget=budget)
-    seq = {"index": idx, "eigenvalues": eigs, "constants": list(limit.values)}
-    return _report("dtn_bottom", eigs[-1],
-                   _ConstEval(limit.limit_estimate, last.witness),
-                   0.25, 1.0, sequences=seq)
+def _interior(domain, W):
+    return domain.interior
 
 
-def _grounded_k(domain, W, k):
-    spec = grounded_dtn_spectrum(domain, W)
+def _boundary(domain, W):
+    return domain.boundary
+
+
+def _window(domain, W):
+    return tuple(W) if W is not None else domain.interior
+
+
+def _grounded(step, k, count=None):
+    spec = grounded_dtn_spectrum(step.domain, step.W, count=count)
     if is_infinite(spec) or len(spec.eigenvalues) < k:
         return INFINITE
     return spec.eigenvalues[k - 1]
 
 
-def _check_higher_dirichlet(domain, k, budget, W=None):
-    window = tuple(W) if W is not None else domain.interior
-    if len(window) < k:
-        raise InputError("k-th window eigenvalue needs |W| >= k")
-    eig = dirichlet_spectrum(domain.graph, window, count=k).eigenvalues[k - 1]
-    res = gamma_tilde_dirichlet(domain.graph, window, k, budget=budget)
-    return _report("higher_dirichlet(%d)" % k, eig, res, None, 2.0, k=k)
+REGISTRY = {theorem.id: theorem for theorem in (
+    Theorem("dirichlet_1", DOMAIN, 0.25, 1.0, spectrum="dirichlet", vertices=_interior,
+            constant=lambda d, V, k, b, h: alpha_dirichlet(d, budget=b, heuristic=h),
+            precondition="first Dirichlet eigenvalue needs |Omega| >= 1"),
+    Theorem("neumann_1", DOMAIN, 0.125, 2.0, spectrum="neumann", vertices=_interior, first=1,
+            constant=lambda d, V, k, b, h: alpha_neumann(d, budget=b, heuristic=h),
+            precondition="first nonzero Neumann eigenvalue needs |Omega| >= 2"),
+    Theorem("steklov_1", DOMAIN, 0.125, 2.0, spectrum="steklov", vertices=_boundary, first=1,
+            constant=lambda d, V, k, b, h: alpha_steklov(d, budget=b, heuristic=h),
+            precondition="first nonzero boundary eigenvalue needs |dOmega| >= 2"),
+    Theorem("hm_steklov_1", DOMAIN, 0.125, 2.0, spectrum="hm", vertices=_interior, first=1,
+            constant=lambda d, V, k, b, h: beta_steklov(d.graph, V, budget=b, heuristic=h),
+            precondition="first nonzero eigenvalue needs |Omega| >= 2"),
+    Theorem("bottom", STEPS, 0.25, 1.0,
+            eigenvalue=lambda s, k: dirichlet_spectrum(s.graph, s.W, count=1).eigenvalues[0],
+            constant=lambda s, k, b, h: alpha_dirichlet(make_domain(s.graph, s.W),
+                                                        budget=b, heuristic=h)),
+    Theorem("dtn_bottom", STEPS, 0.25, 1.0, monotone=True,
+            eigenvalue=lambda s, k: _grounded(s, 1, count=1),
+            constant=lambda s, k, b, h: alpha_ds(s.domain, s.W, budget=b)),
+    Theorem("higher_dirichlet", DOMAIN, None, 2.0, spectrum="dirichlet", vertices=_window,
+            constant=lambda d, V, k, b, h: gamma_tilde_dirichlet(d.graph, V, k, budget=b),
+            precondition="k-th window eigenvalue needs |W| >= k"),
+    Theorem("higher_steklov_finite", DOMAIN, None, 2.0, spectrum="steklov",
+            vertices=_boundary, first=1,
+            constant=lambda d, V, k, b, h: kappa_steklov(d, k, budget=b),
+            precondition="k-th boundary eigenvalue needs |dOmega| >= k+1"),
+    Theorem("higher_steklov_infinite", STEPS, None, 2.0, every_step=True,
+            eigenvalue=_grounded,
+            constant=lambda s, k, b, h: gamma_k_steklov(s.domain, s.W, k, budget=b)),
+    Theorem("hm_higher", DOMAIN, None, 2.0, spectrum="hm", vertices=_interior, first=1,
+            constant=lambda d, V, k, b, h: beta_tuple(d.graph, V, k, budget=b),
+            precondition="k-th eigenvalue needs |Omega| >= k+1"),
+)}
 
-
-def _check_higher_steklov_finite(domain, k, budget):
-    if len(domain.boundary) < k + 1:
-        raise InputError("k-th boundary eigenvalue needs |dOmega| >= k+1")
-    eig = steklov_spectrum(domain, count=k + 1).eigenvalues[k]
-    res = kappa_steklov(domain, k, budget=budget)
-    return _report("higher_steklov_finite(%d)" % k, eig, res, None, 2.0, k=k)
-
-
-def _check_higher_steklov_infinite(steps, k, budget):
-    idx, eigs, consts = [], [], []
-    last = None
-    for step in steps:
-        eig = _grounded_k(step.domain, step.W, k)
-        last = gamma_k_steklov(step.domain, step.W, k, budget=budget)
-        idx.append(step.index)
-        eigs.append(eig)
-        consts.append(last.value)
-    report = _report("higher_steklov_infinite(%d)" % k, eigs[-1], last,
-                     None, 2.0, k=k,
-                     sequences={"index": idx, "eigenvalues": eigs, "constants": consts})
-    # the bracket must hold at every step, not just the last snapshot
-    ok = all(_leq(e, _scale(c, 2.0), _slack(e)) for e, c in zip(eigs, consts))
-    report.upper_ok = report.upper_ok and ok
-    return report
-
-
-def _check_hm_higher(domain, k, budget):
-    if len(domain.interior) < k + 1:
-        raise InputError("k-th eigenvalue needs |Omega| >= k+1")
-    eig = hm_dtn_spectrum(domain.graph, domain.interior, count=k + 1).eigenvalues[k]
-    res = beta_tuple(domain.graph, domain.interior, k, budget=budget)
-    return _report("hm_higher(%d)" % k, eig, res, None, 2.0, k=k)
+THEOREMS = tuple(REGISTRY)
+K_THEOREMS = tuple(t.id for t in REGISTRY.values() if t.lower is None)
+FINITE_THEOREMS = tuple(t.id for t in REGISTRY.values()
+                        if t.kind == DOMAIN and t.lower is not None)
 
 
 def check(theorem_id, instance, k=None, budget=None, heuristic=False, W=None):
     """Evaluate both sides of one named inequality on one instance.
 
-    Finite theorems take a marked domain; `bottom`, `dtn_bottom` and
-    `higher_steklov_infinite` take a sequence of family steps.  The k-indexed
-    branches require k >= 1.
+    Theorems of kind DOMAIN take a marked domain, those of kind STEPS a
+    sequence of family steps; the k-indexed ones (K_THEOREMS) require
+    k >= 1, and W is the window of higher_dirichlet (default Omega).
     """
     if theorem_id not in THEOREMS:
         raise InputError("unknown theorem %r; known: %s" % (theorem_id, ", ".join(THEOREMS)))
-    if theorem_id in K_THEOREMS:
+    theorem = REGISTRY[theorem_id]
+    if theorem.lower is None:
         if k is None or k < 1:
             raise InputError("%s needs k >= 1" % theorem_id)
     elif k is not None:
         raise InputError("%s takes no k" % theorem_id)
-    if theorem_id == "dirichlet_1":
-        return _check_dirichlet_1(_want_domain(instance, theorem_id), budget, heuristic)
-    if theorem_id == "neumann_1":
-        return _check_neumann_1(_want_domain(instance, theorem_id), budget, heuristic)
-    if theorem_id == "steklov_1":
-        return _check_steklov_1(_want_domain(instance, theorem_id), budget, heuristic)
-    if theorem_id == "hm_steklov_1":
-        return _check_hm_steklov_1(_want_domain(instance, theorem_id), budget, heuristic)
-    if theorem_id == "bottom":
-        return _check_bottom(_want_steps(instance, theorem_id), budget, heuristic)
-    if theorem_id == "dtn_bottom":
-        return _check_dtn_bottom(_want_steps(instance, theorem_id), budget, heuristic)
-    if theorem_id == "higher_dirichlet":
-        return _check_higher_dirichlet(_want_domain(instance, theorem_id), k, budget, W=W)
-    if theorem_id == "higher_steklov_finite":
-        return _check_higher_steklov_finite(_want_domain(instance, theorem_id), k, budget)
-    if theorem_id == "higher_steklov_infinite":
-        return _check_higher_steklov_infinite(_want_steps(instance, theorem_id), k, budget)
-    return _check_hm_higher(_want_domain(instance, theorem_id), k, budget)
+    evaluate = _on_domain if theorem.kind == DOMAIN else _on_steps
+    return evaluate(theorem, instance, k, budget, heuristic, W)
 
 
 @dataclass

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import isocap
 from isocap import INFINITE, BoundReport, InputError, SingularMatrixError
 from isocap.cli_io import (EXIT_BUDGET, EXIT_FAILED, EXIT_INPUT, EXIT_OK,
                            _parser, emit_graph, parse_family_spec, parse_graph,
-                           run_command, to_json)
-from isocap.infinite_families import t3_example
+                           project, run_command, to_json)
+from isocap.infinite_families import generate_steps, t3_example
+from isocap.verify import K_THEOREMS, REGISTRY, STEPS, THEOREMS, check
 
 LINE5 = """# five-edge segment
 v 0 1
@@ -308,3 +313,95 @@ def test_output_is_deterministic(capsys, t3_file):
     assert first == second
     doc = json.loads(first)
     assert doc["instance"]["source"].endswith("t3.graph")
+
+
+def test_enumerator_overflow_is_reported_without_warnings(capsys, tmp_path):
+    hostile = tmp_path / "hostile.graph"
+    hostile.write_text(HOSTILE)
+    # every mass and weight tiny or huge: alpha_D itself overflows to inf
+    tiny = tmp_path / "tiny.graph"
+    tiny.write_text("v a 1e-300\nv b 1e-300\nv c 1e-300\n"
+                    "e a b 1e300\ne b c 1e300\nomega b\n")
+    cases = [(["kappa", "-k", "1", str(hostile)], "numerical", "Singular matrix"),
+             (["gamma", "s", "-k", "2", str(hostile)], "numerical", "Singular matrix"),
+             (["alpha", "d", str(tiny)], "input",
+              "non-finite values in alpha_dirichlet")]
+    for argv, kind, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT, argv
+        assert json.loads(captured.out)["error"] == {"kind": kind, "message": message}
+        assert captured.err == ""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    line5 = tmp_path / "line5.graph"
+    line5.write_text(LINE5)
+    t3 = tmp_path / "t3.graph"
+    t3.write_text(t3_text())
+    line5, t3 = str(line5), str(t3)
+    family = ["--family", "binary_tree:quotient", "--steps", "1..6"]
+    argvs = (
+        [["spectrum", mode, line5] for mode in ("dirichlet", "neumann", "steklov", "hm")]
+        + [["cap", "-A", "2", line5], ["cap", "-A", "1,2", "-B", "0,5", line5]]
+        + [["alpha", which, t3] for which in ("d", "n", "s", "ds")]
+        + [["gamma", "d", "-k", "2", t3], ["gamma", "s", "-k", "2", t3],
+           ["kappa", "-k", "2", t3]]
+        + [["verify", "steklov_1", t3], ["verify", "dtn_bottom"] + family]
+        + [["family", "binary_tree:quotient", "--steps", "1..6", "--emit", emit]
+           for emit in ("alpha", "cap", "sigma")]
+        + [["coarea", line5, "--field", "0=0,1=1,2=2,3=1,4=0,5=0"]]
+    )
+    script = ("import json, sys\n"
+              "from isocap.cli_io import run_command\n"
+              "for argv in json.load(sys.stdin):\n"
+              "    print('exit', run_command(argv))\n")
+    src = os.path.dirname(os.path.dirname(isocap.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(argvs),
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("exit %d\n" % EXIT_OK) == len(argvs)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def _parity_cases():
+    """(CLI theorem word, library id, k, instance kind) for every registry id:
+    the k-indexed ones at k = 1 and 2, written as id(k)."""
+    for theorem in THEOREMS:
+        kind = REGISTRY[theorem].kind
+        if theorem in K_THEOREMS:
+            for k in (1, 2):
+                yield "%s(%d)" % (theorem, k), theorem, k, kind
+        else:
+            yield theorem, theorem, None, kind
+
+
+@pytest.mark.parametrize("word,theorem,k,kind", list(_parity_cases()))
+def test_verify_cli_matches_the_library(capsys, t3_file, word, theorem, k, kind):
+    if kind == STEPS:
+        argv = ["verify", word, "--family", "binary_tree:quotient", "--steps", "1..6"]
+        instance = generate_steps(parse_family_spec("binary_tree:quotient"), range(1, 7))
+    else:
+        argv = ["verify", word, t3_file]
+        graph, omega = parse_graph(t3_text())
+        instance = isocap.make_domain(graph, omega)
+    code = run_command(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    report = to_json(project(check(theorem, instance, k=k)))
+    assert '"results": [%s]' % report in out
+
+
+def test_unknown_theorem_lists_every_id(capsys, t3_file):
+    code, doc = run_json(capsys, ["verify", "nonsense", t3_file])
+    assert code == EXIT_INPUT
+    assert doc["error"]["kind"] == "input"
+    message = doc["error"]["message"]
+    assert message.startswith("unknown theorem 'nonsense'")
+    assert message.endswith(", ".join(THEOREMS))

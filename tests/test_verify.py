@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from isocap import (Budget, InputError, WeightedGraph, is_infinite,
                     make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
                                       t3_example)
-from isocap.verify import (FINITE_THEOREMS, K_THEOREMS, check,
+from isocap.verify import (FINITE_THEOREMS, K_THEOREMS, THEOREMS, check,
                            check_equality_case, random_connected_graph,
                            random_domain)
 
@@ -182,3 +185,11 @@ def test_random_generators_respect_ranges():
         assert len(dom.closure) <= 9
         assert len(dom.interior) >= 2
         assert 2 <= len(dom.boundary) <= 4
+
+
+def test_readme_lists_the_registry_ids():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    paragraph = text[text.index("Theorem ids for"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    assert sorted(re.findall(r"`([a-z][a-z0-9_]*)`", paragraph)) == sorted(THEOREMS)
