@@ -21,9 +21,8 @@ from .infinity import INFINITE, is_infinite
 from .graph_core import (SteklovDomain, WeightedGraph, energy, green_residual,
                          laplacian_apply, make_domain, normal_derivative,
                          vertex_boundary)
-from .linear_core import (SpectralResult, SymMatrix, mass_vector,
-                          schur_complement, solve_spd, stiffness_matrix,
-                          sym_eig_generalized)
+from .linear_core import (SpectralResult, schur_complement, solve_spd,
+                          stiffness_matrix, sym_eig_generalized)
 from .capacity import (CapacityResult, CapacitySequence, cap, cap_exhaustion,
                        cap_to_boundary, capacity_by_descent, coarea_value,
                        equilibrium_potential)

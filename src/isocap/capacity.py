@@ -56,7 +56,7 @@ def equilibrium_potential(domain, A, B):
     pinned[b_idx] = True
     free = np.flatnonzero(~pinned)
     if free.size:
-        k = stiffness_matrix(domain.induced).a
+        k = stiffness_matrix(domain.induced)
         b = -k[np.ix_(free, a_idx)].sum(axis=1)
         f[free] = solve_spd(k[np.ix_(free, free)], b)
     # exact minimizer obeys the maximum principle; clip float noise

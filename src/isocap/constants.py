@@ -295,7 +295,7 @@ def _ids(order, slots):
 def _alpha_d_raw(graph, subset, budget, heuristic, rng):
     """alpha_D of a subset against its own vertex boundary, ambient rows."""
     order = [v for v in graph.vertices if v in set(subset)]
-    k = stiffness_matrix(graph).a
+    k = stiffness_matrix(graph)
     pos = [graph.index[v] for v in order]
     k_amb = k[np.ix_(pos, pos)]
     universe = list(range(len(order)))
@@ -348,7 +348,7 @@ def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
     if len(domain.interior) < 2:
         raise InputError("alpha_N needs |Omega| >= 2")
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
-    k_amb = stiffness_matrix(domain.induced).a
+    k_amb = stiffness_matrix(domain.induced)
     n = len(domain.interior)
     masses = [domain.graph.mass[v] for v in domain.interior]
 
@@ -368,7 +368,7 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
     if len(domain.boundary) < 2:
         raise InputError("alpha_S needs |delta Omega| >= 2")
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
-    k_amb = stiffness_matrix(domain.induced).a
+    k_amb = stiffness_matrix(domain.induced)
     n = len(domain.interior)
     universe = list(range(n, n + len(domain.boundary)))
     masses = [domain.graph.mass[v] for v in domain.boundary]
@@ -411,7 +411,7 @@ def alpha_ds(domain, Y, budget=None, shuffle_seed=None):
             % (len(inner), budget.single)
         )
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
-    k = stiffness_matrix(domain.induced).a
+    k = stiffness_matrix(domain.induced)
     pos = [domain.closure_index[v] for v in order]
     k_amb = k[np.ix_(pos, pos)]
     slot = {v: i for i, v in enumerate(order)}
@@ -434,7 +434,7 @@ def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
         raise InputError("Omega must be a proper subset")
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     order = [v for v in graph.vertices if v in oset]
-    k_amb = stiffness_matrix(graph).a
+    k_amb = stiffness_matrix(graph)
     universe = [graph.index[v] for v in order]
     masses = [graph.mass[v] for v in order]
 
@@ -551,7 +551,7 @@ def gamma_tilde_dirichlet(graph, W, k, budget=None):
     budget = budget or DEFAULT_BUDGET
     graph.check_vertices(W, "W")
     order = [v for v in graph.vertices if v in set(W)]
-    kmat = stiffness_matrix(graph).a
+    kmat = stiffness_matrix(graph)
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
 
@@ -570,7 +570,7 @@ def gamma_k_dirichlet(graph, W, k, budget=None):
     budget = budget or DEFAULT_BUDGET
     graph.check_vertices(W, "W")
     order = [v for v in graph.vertices if v in set(W)]
-    kmat = stiffness_matrix(graph).a
+    kmat = stiffness_matrix(graph)
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
     objective = _ds_objective(kmat[np.ix_(pos, pos)], range(len(order)), masses)
@@ -618,7 +618,7 @@ def kappa_steklov(domain, k, budget=None):
     if not 1 <= k <= len(domain.boundary) - 1:
         raise InputError("k must be in 1..|boundary|-1")
     order = list(domain.closure)
-    kmat = stiffness_matrix(domain.induced).a
+    kmat = stiffness_matrix(domain.induced)
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = [domain.closure_index[v] for v in domain.boundary]
     objective = _ds_objective(kmat, bnd, masses)
@@ -633,7 +633,7 @@ def gamma_k_steklov(domain, W, k, budget=None):
     domain.induced.check_vertices(W, "W")
     wset = set(W)
     order = [v for v in domain.closure if v in wset]
-    kmat = stiffness_matrix(domain.induced).a
+    kmat = stiffness_matrix(domain.induced)
     pos = np.array([domain.closure_index[v] for v in order])
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = [i for i, v in enumerate(order) if v in domain.boundary_index]
@@ -652,7 +652,7 @@ def beta_tuple(graph, omega, k, budget=None):
     if not 1 <= k <= len(oset) - 1:
         raise InputError("k must be in 1..|Omega|-1")
     order = list(graph.vertices)
-    kmat = stiffness_matrix(graph).a
+    kmat = stiffness_matrix(graph)
     masses = np.array([graph.mass[v] for v in order])
     in_omega = [graph.index[v] for v in oset]
     objective = _ds_objective(kmat, in_omega, masses)

@@ -20,8 +20,8 @@ class WeightedGraph:
     edges: iterable of (u, v, weight) with positive weight, no self-loops,
     no parallel edges, no isolated vertices.
 
-    linear_core.stiffness_matrix stores the graph's stiffness on the
-    instance the first time it is asked for.
+    linear_core.stiffness_matrix stores the graph's stiffness, a read-only
+    ndarray in vertex order, on the instance the first time it is asked for.
     """
 
     def __init__(self, vertices, mass, edges):

@@ -5,10 +5,13 @@ desk-scale (at most a few thousand vertices).  The generalized problem
 K v = lambda M v with diagonal positive M is reduced to standard form by the
 M^{-1/2} scaling.
 
-A graph's stiffness matrix is assembled once, from its edge arrays, and kept
-read-only on the graph, so every caller that asks for it shares one array.
-An eigensolve diagonalizes the whole matrix but post-processes (orients,
-checks residuals of, returns) only the eigenpairs its caller asks for.
+Every operator is a plain float ndarray whose symmetry is exact by
+construction: a graph's stiffness matrix, its slices and the Schur
+complements below.  The stiffness is assembled once, from the graph's edge
+arrays, and kept read-only on the graph, so every caller that asks for it
+shares one array.  An eigensolve diagonalizes the whole matrix but
+post-processes (orients, checks residuals of, returns) only the eigenpairs
+its caller asks for.
 """
 
 from dataclasses import dataclass, field
@@ -19,45 +22,18 @@ import scipy.linalg
 from .errors import InputError, SingularMatrixError
 
 
-class SymMatrix:
-    """Dense symmetric matrix; symmetry is exact by construction (the lower
-    triangle is mirrored from the upper on build)."""
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("SymMatrix needs a square array")
-        # mirror in place, row by row: a build holds only the input and a copy
-        for i in range(1, a.shape[0]):
-            a[i, :i] = a[:i, i]
-        a += 0.0  # stores -0.0 as +0.0
-        a.setflags(write=False)
-        self.a = a
-        self.dim = a.shape[0]
-
-    def __repr__(self):
-        return "SymMatrix(dim=%d)" % self.dim
-
-
-def stiffness_matrix(graph, order=None):
-    """Stiffness K of a graph: K_xy = -w(x,y), K_xx = sum_y w(x,y).
+def stiffness_matrix(graph):
+    """Stiffness K of a graph in vertex order: K_xy = -w(x,y),
+    K_xx = sum_y w(x,y).
 
     This is the matrix of m * L; quadratic form f^T K f equals the energy.
-    `order` (a permutation of graph.vertices) defaults to graph.vertices.
-
-    The matrix in vertex order is assembled once per graph and stored on the
-    graph; later calls return that same read-only SymMatrix.  An `order`
-    gives a permuted copy of it, never a second assembly.
+    It is assembled once per graph and stored on the graph; every call
+    returns that same read-only array.
     """
     K = getattr(graph, "_stiffness", None)
     if K is None:
         K = graph._stiffness = _assemble(graph)
-    if order is None:
-        return K
-    perm = [graph.index[v] for v in order]
-    if sorted(perm) != list(range(K.dim)):
-        raise InputError("order must be a permutation of the graph's vertices")
-    return SymMatrix(K.a[np.ix_(perm, perm)])
+    return K
 
 
 def _assemble(graph):
@@ -75,12 +51,8 @@ def _assemble(graph):
     deg = np.zeros(n)
     np.add.at(deg, ends.ravel(), np.repeat(w, 2))
     k[np.diag_indices(n)] = deg
-    return SymMatrix(k)
-
-
-def mass_vector(graph, order=None):
-    order = tuple(order) if order is not None else graph.vertices
-    return np.array([graph.mass[v] for v in order])
+    k.setflags(write=False)
+    return k
 
 
 @dataclass
@@ -120,6 +92,12 @@ def _fix_signs(vectors):
 def _residual(k, m, eigenvalues, vectors):
     if len(eigenvalues) == 0:
         return 0.0
+    # K and the eigenvalues over 2^e, the power of two just above max|K|:
+    # exact in binary floating point, so the ratios below keep every bit,
+    # and ||K||_F stays finite however large the entries are
+    e = np.frexp(np.abs(k).max())[1]
+    k = np.ldexp(k, -e)
+    eigenvalues = np.ldexp(eigenvalues, -e)
     kn = np.linalg.norm(k, "fro")
     worst = 0.0
     for j, lam in enumerate(eigenvalues):
@@ -142,9 +120,8 @@ def sym_eig_generalized(K, mass, vertex_order=None, count=None):
     M-orthonormal with a deterministic sign; residual_norm is the worst
     scaled eigen-residual over the returned pairs.
     """
-    k = K.a
     m = np.asarray(mass, dtype=float)
-    if not np.all(np.isfinite(k)) or not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(K)) or not np.all(np.isfinite(m)):
         raise InputError("non-finite entries in eigenproblem")
     if np.any(m <= 0):
         raise InputError("mass matrix must be strictly positive")
@@ -152,7 +129,7 @@ def sym_eig_generalized(K, mass, vertex_order=None, count=None):
     if not 0 <= count <= len(m):
         raise InputError("count must be in 0..%d" % len(m))
     d = 1.0 / np.sqrt(m)
-    s = d[:, None] * k * d[None, :]
+    s = d[:, None] * K * d[None, :]
     s = 0.5 * (s + s.T)
     w, u = np.linalg.eigh(s)
     w = w[:count]
@@ -161,16 +138,15 @@ def sym_eig_generalized(K, mass, vertex_order=None, count=None):
         eigenvalues=w,
         vectors=vectors,
         mass=m,
-        residual_norm=_residual(k, m, w, vectors),
+        residual_norm=_residual(K, m, w, vectors),
         vertex_order=tuple(vertex_order) if vertex_order is not None else None,
     )
 
 
 def solve_spd(K, b):
     """Solve K x = b for symmetric positive definite K by Cholesky."""
-    a = K.a if isinstance(K, SymMatrix) else np.asarray(K)
     try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=False)
+        c, low = scipy.linalg.cho_factor(K, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     return scipy.linalg.cho_solve((c, low), b, check_finite=False)
@@ -180,23 +156,25 @@ def schur_complement(K, eliminate):
     """K_RR - K_RE (K_EE)^{-1} K_ER on the retained indices (original order).
 
     The eliminated principal block must be SPD; PSD input gives PSD output
-    with preserved zero row sums (harmonic extension keeps constants).
+    with preserved zero row sums (harmonic extension keeps constants).  With
+    nothing to eliminate, K itself is returned.
     """
-    a = K.a
-    n = K.dim
+    n = K.shape[0]
     elim = sorted(set(eliminate))
     for i in elim:
         if not 0 <= i < n:
             raise InputError("eliminate index %d out of range" % i)
     if not elim:
-        return SymMatrix(a)
-    keep = [i for i in range(n) if i not in set(elim)]
-    kee = a[np.ix_(elim, elim)]
-    ker = a[np.ix_(elim, keep)]
-    krr = a[np.ix_(keep, keep)]
+        return K
+    dropped = np.zeros(n, dtype=bool)
+    dropped[elim] = True
+    keep = np.flatnonzero(~dropped)
+    kee = K[np.ix_(elim, elim)]
+    ker = K[np.ix_(elim, keep)]
+    krr = K[np.ix_(keep, keep)]
     try:
         c, low = scipy.linalg.cho_factor(kee, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("eliminated block is not SPD") from exc
     s = krr - ker.T @ scipy.linalg.cho_solve((c, low), ker, check_finite=False)
-    return SymMatrix(0.5 * (s + s.T))
+    return 0.5 * (s + s.T)

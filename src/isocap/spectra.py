@@ -16,7 +16,6 @@ from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
 from .linear_core import (
-    SymMatrix,
     schur_complement,
     solve_spd,
     stiffness_matrix,
@@ -33,12 +32,12 @@ class DtnOperator:
     """
 
     boundary: tuple
-    form: SymMatrix
+    form: np.ndarray
     mass: np.ndarray
 
     def apply(self, f):
         vec = np.array([f[z] for z in self.boundary])
-        out = self.form.a @ vec
+        out = self.form @ vec
         return {z: float(out[i]) for i, z in enumerate(self.boundary)}
 
 
@@ -86,8 +85,8 @@ def _finite(fn):
 
 def _numbers(result):
     """The float arrays and floats a result holds, through lists, dict
-    values, dataclass fields and SymMatrix entries.  Counts, the INFINITE
-    sentinel and the tuples that hold vertex ids are skipped."""
+    values and dataclass fields (a DtN form is one array).  Counts, the
+    INFINITE sentinel and the tuples that hold vertex ids are skipped."""
     if isinstance(result, (float, np.ndarray)):
         yield result
     elif isinstance(result, list):
@@ -95,8 +94,6 @@ def _numbers(result):
             yield from _numbers(r)
     elif isinstance(result, dict):  # an eigenfunction: vertex -> float
         yield np.fromiter(result.values(), float, len(result))
-    elif isinstance(result, SymMatrix):
-        yield result.a
     elif dataclasses.is_dataclass(result):
         for f in dataclasses.fields(result):
             yield from _numbers(getattr(result, f.name))
@@ -113,10 +110,9 @@ def dirichlet_spectrum(graph, interior, count=None):
     count = n if count is None else count
     if not 1 <= count <= n:
         raise InputError("count must be in 1..|interior|")
-    k = stiffness_matrix(domain.induced).a[:n, :n]
+    k = stiffness_matrix(domain.induced)[:n, :n]
     mass = np.array([graph.mass[v] for v in domain.interior])
-    res = sym_eig_generalized(SymMatrix(k), mass, vertex_order=domain.interior,
-                              count=count)
+    res = sym_eig_generalized(k, mass, vertex_order=domain.interior, count=count)
     res.fields = [
         {v: (float(res.vectors[domain.interior_index[v], j]) if v in domain.interior_index else 0.0)
          for v in domain.closure}
@@ -141,17 +137,18 @@ def neumann_spectrum(domain, count=None):
         raise InputError("a non-trivial Neumann eigenvalue needs |Omega| >= 2")
     if count < 1:
         raise InputError("count must be positive")
-    k = stiffness_matrix(domain.induced).a
+    k = stiffness_matrix(domain.induced)
     kii = k[:n, :n]
     if domain.boundary:
         kib = k[:n, n:]
         dbb = np.diag(k[n:, n:])  # diagonal: boundary-boundary edges are removed
         khat = kii - (kib / dbb[None, :]) @ kib.T
+        # the product is not always bit-symmetric: mirror its upper triangle
+        khat = np.triu(khat) + np.triu(khat, 1).T
     else:
         khat = kii
     mass = np.array([domain.graph.mass[v] for v in domain.interior])
-    res = sym_eig_generalized(SymMatrix(khat), mass, vertex_order=domain.interior,
-                              count=count)
+    res = sym_eig_generalized(khat, mass, vertex_order=domain.interior, count=count)
     fields = []
     for j in range(count):
         v = res.vectors[:, j]
@@ -181,7 +178,7 @@ def dtn_operator(domain):
 def harmonic_extension(domain, boundary_values):
     """Extend boundary data into Omega harmonically (w.r.t. G_Omega)."""
     n = len(domain.interior)
-    k = stiffness_matrix(domain.induced).a
+    k = stiffness_matrix(domain.induced)
     vec = np.array([boundary_values[z] for z in domain.boundary])
     out = {z: float(boundary_values[z]) for z in domain.boundary}
     if n:
@@ -267,11 +264,11 @@ def grounded_dtn_spectrum(domain, W, count=None):
     count = dim if count is None else count
     if not 1 <= count <= dim:
         raise InputError("count must be in 1..|W cap boundary|")
-    k = stiffness_matrix(domain.induced).a
+    k = stiffness_matrix(domain.induced)
     order = w_int + w_bnd
     pos = [domain.closure_index[v] for v in order]
     kw = k[np.ix_(pos, pos)]  # diagonal keeps weights of edges leaving W
-    form = schur_complement(SymMatrix(kw), range(len(w_int)))
+    form = schur_complement(kw, range(len(w_int)))
     mass = np.array([domain.graph.mass[z] for z in w_bnd])
     res = sym_eig_generalized(form, mass, vertex_order=tuple(w_bnd), count=count)
     fields = []
@@ -307,11 +304,11 @@ def hm_dtn_spectrum(graph, omega, count=None):
     count = n if count is None else count
     if not 1 <= count <= n:
         raise InputError("count must be in 1..|Omega|")
-    k = stiffness_matrix(graph).a
+    k = stiffness_matrix(graph)
     order = keep + drop
     pos = [graph.index[v] for v in order]
     kw = k[np.ix_(pos, pos)]
-    form = schur_complement(SymMatrix(kw), range(n, len(order)))
+    form = schur_complement(kw, range(n, len(order)))
     mass = np.array([graph.mass[v] for v in keep])
     res = sym_eig_generalized(form, mass, vertex_order=tuple(keep), count=count)
     fields = []

@@ -305,7 +305,7 @@ def check_equality_case(domain, budget=None):
         coef, *_ = np.linalg.lstsq(basis, pats.T, rcond=None)
         resid = np.linalg.norm(basis @ coef - pats.T, axis=0)
         norms = np.linalg.norm(pats, axis=1)
-        form = dtn_operator(domain).form.a
+        form = dtn_operator(domain).form
         # pattern rows are already in lexicographic order
         for j in np.nonzero(resid <= 1e-7 * norms)[0]:
             t = pats[j]

@@ -146,7 +146,7 @@ def ref_ds_objective(k_amb, boundary_slots, masses):
 
 def ref_kappa(domain, k, budget):
     order = list(domain.closure)
-    kmat = stiffness_matrix(domain.induced).a
+    kmat = stiffness_matrix(domain.induced)
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {domain.closure_index[v] for v in domain.boundary}
     objective = ref_ds_objective(kmat, bnd, masses)
@@ -155,7 +155,7 @@ def ref_kappa(domain, k, budget):
 
 def ref_beta_tuple(graph, omega, k, budget):
     order = list(graph.vertices)
-    kmat = stiffness_matrix(graph).a
+    kmat = stiffness_matrix(graph)
     masses = np.array([graph.mass[v] for v in order])
     objective = ref_ds_objective(kmat, {graph.index[v] for v in omega}, masses)
     return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
@@ -163,7 +163,7 @@ def ref_beta_tuple(graph, omega, k, budget):
 
 def ref_gamma_k_steklov(domain, W, k, budget):
     order = [v for v in domain.closure if v in set(W)]
-    kmat = stiffness_matrix(domain.induced).a
+    kmat = stiffness_matrix(domain.induced)
     pos = np.array([domain.closure_index[v] for v in order])
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {i for i, v in enumerate(order) if v in domain.boundary_index}
@@ -173,7 +173,7 @@ def ref_gamma_k_steklov(domain, W, k, budget):
 
 def _window(graph, W):
     order = [v for v in graph.vertices if v in set(W)]
-    kmat = stiffness_matrix(graph).a
+    kmat = stiffness_matrix(graph)
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
     return order, kmat, pos, masses
@@ -252,7 +252,7 @@ RANDOM = [random_domain(np.random.default_rng(40 + i), max_closure=9)
 
 def single_inputs(dom):
     """(k_amb, universe, masses) as alpha_dirichlet passes them."""
-    k = stiffness_matrix(dom.graph).a
+    k = stiffness_matrix(dom.graph)
     pos = [dom.graph.index[v] for v in dom.interior]
     masses = [dom.graph.mass[v] for v in dom.interior]
     return k[np.ix_(pos, pos)], list(range(len(pos))), masses
@@ -262,7 +262,7 @@ def pair_inputs(dom):
     """(k_amb, universe, masses) as alpha_steklov passes them."""
     n = len(dom.interior)
     masses = [dom.graph.mass[v] for v in dom.boundary]
-    return (stiffness_matrix(dom.induced).a,
+    return (stiffness_matrix(dom.induced),
             list(range(n, n + len(dom.boundary))), masses)
 
 
@@ -309,7 +309,7 @@ def test_min_pair_neumann_universe_matches_reference():
     for dom in TIED_SINGLE + RANDOM[:8]:
         if len(dom.interior) < 2:
             continue
-        k_amb = stiffness_matrix(dom.induced).a
+        k_amb = stiffness_matrix(dom.induced)
         masses = [dom.graph.mass[v] for v in dom.interior]
         args = (k_amb, list(range(len(dom.interior))), masses)
         _same(_min_pair(*args), ref_min_pair(*args))

@@ -8,6 +8,7 @@ from isocap import (INFINITE, InputError, WeightedGraph, WeightSchedule,
                     energy, grounded_dtn_spectrum, harmonic_extension,
                     hm_dtn_spectrum, is_infinite, make_domain,
                     neumann_spectrum, normal_derivative, steklov_spectrum,
+                    stiffness_matrix, sym_eig_generalized,
                     vanishing_weight_spectrum)
 from isocap.infinite_families import (FamilySpec, generate, line_domain,
                                       t3_example)
@@ -188,3 +189,25 @@ def test_schedule_validation():
     with pytest.raises(InputError):
         WeightSchedule(())
     assert default_schedule(3).k_values == (1, 2, 4, 8)
+
+
+def test_neumann_eigenproblem_is_the_mirrored_elimination():
+    # K_II - K_IB K_BB^{-1} K_BI is often not bit-symmetric; the spectrum is
+    # that of its upper triangle mirrored onto the lower one
+    asymmetric = 0
+    for seed in range(40):
+        domain = random_domain(np.random.default_rng(seed))
+        n = len(domain.interior)
+        k = stiffness_matrix(domain.induced)
+        kib = k[:n, n:]
+        khat = k[:n, :n] - (kib / np.diag(k[n:, n:])[None, :]) @ kib.T
+        if np.array_equal(khat, khat.T):
+            continue
+        asymmetric += 1
+        mass = np.array([domain.graph.mass[v] for v in domain.interior])
+        want = sym_eig_generalized(np.triu(khat) + np.triu(khat, 1).T, mass)
+        got = neumann_spectrum(domain)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert got.residual_norm == want.residual_norm
+    assert asymmetric >= 10
