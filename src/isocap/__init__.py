@@ -34,8 +34,7 @@ from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
                         alpha_dirichlet_limit, alpha_ds, alpha_neumann,
                         alpha_steklov, alpha_steklov_limit, beta_constants,
                         beta_steklov, beta_tuple, gamma_k_dirichlet,
-                        gamma_k_dirichlet_limit, gamma_k_steklov,
-                        gamma_tilde_dirichlet, kappa_steklov)
+                        gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .infinite_families import (FamilySpec, FamilyStep, default_source,
                                 generate, generate_steps,
                                 half_space_capacity_bound,

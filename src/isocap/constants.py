@@ -10,6 +10,7 @@ spectra._finite: no floating-point warnings, and a value that is not finite
 (other than INFINITE) is an InputError.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,6 +23,12 @@ from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spec
                       steklov_spectrum)
 
 _CHUNK = 4096
+# Unions x splits of a _min_pair chunk from which _split_forms takes the
+# hypercube kernel instead of the einsum.  Timed on every chunk shape of one
+# round of the enum_ties and enum_generic benchmark workloads (1 BLAS thread,
+# 2-core x86-64), the kernel wins on all shapes above about 6,000 and on none
+# below about 2,300, and the summed time is least from 3,072.
+_CUBE_MIN = 3072
 
 
 @dataclass
@@ -137,6 +144,61 @@ def _first_tied_split(part, t_in_a, tied, key_type):
     return tuple(i for i in row[:u] if i >= 0), tuple(i for i in row[u:] if i >= 0)
 
 
+@functools.lru_cache(maxsize=16)  # all u <= 16 (the pair budget): about 9 MB
+def _split_table(u):
+    """The splits of a u-slot union with slot 0 in A and B nonempty, shared
+    read-only: the (2**(u-1) - 1, u) float table t (1.0 for A; row r puts
+    slot j + 1 in A when bit j of r is set), its boolean copy, and for each
+    slot pair (s, q) in row-major order the index of the splits holding
+    both slots on the hypercube view of _cube_forms."""
+    bits = np.arange((1 << (u - 1)) - 1)
+    t = np.zeros((len(bits), u))
+    t[:, 0] = 1.0
+    for j in range(u - 1):
+        t[:, j + 1] = (bits >> j) & 1
+    t_in_a = t > 0
+    t.flags.writeable = t_in_a.flags.writeable = False
+    cube = []
+    for s, q in itertools.product(range(u), repeat=2):
+        index = [slice(None)] * (u - 1)
+        for j in (s, q):
+            if j:  # slot 0 is in every A; slot j is axis u - 1 - j
+                index[u - 1 - j] = 1
+        cube.append(tuple(index))
+    return t, t_in_a, tuple(cube)
+
+
+def _cube_forms(s_u, cube):
+    """The split forms of _split_forms on the split hypercube.
+
+    The split axis, plus the unused all-A split, is viewed as (2,) * (u - 1)
+    with the union axis last and contiguous; each Schur entry (s, q), in
+    row-major order, is added in place onto the splits that hold both slots.
+    That is the einsum's sum with its zero terms left out (it keeps about a
+    quarter of them), and for finite entries adding a zero changes no bit."""
+    n, u, _ = s_u.shape
+    out = np.zeros((1 << (u - 1), n))
+    view = out.reshape((2,) * (u - 1) + (n,))
+    entries = np.ascontiguousarray(s_u.transpose(1, 2, 0)).reshape(u * u, n)
+    for index, entry in zip(cube, entries):
+        sub = view[index]
+        np.add(sub, entry, out=sub)
+    return out[:-1].T
+
+
+def _split_forms(t, s_u, cube):
+    """quad[n, r] = t[r] @ s_u[n] @ t[r] for the 0/1 split rows t of
+    _split_table, bit for bit as np.einsum("ps,nst,pt->np", t, s_u, t).
+
+    Route: the hypercube kernel takes a chunk from _CUBE_MIN unions x splits
+    up, where its u * u vector adds beat the einsum; smaller chunks, and any
+    chunk with a non-finite Schur entry (where 0 * inf gives the einsum its
+    NaN pattern), take the einsum."""
+    if len(s_u) * len(t) < _CUBE_MIN or not np.isfinite(s_u).all():
+        return np.einsum("ps,nst,pt->np", t, s_u, t)
+    return _cube_forms(s_u, cube)
+
+
 def _min_single(k_amb, universe, masses, rng=None):
     """Exact min over nonempty A of grounded-energy(A)/mass(A).
 
@@ -146,7 +208,8 @@ def _min_single(k_amb, universe, masses, rng=None):
     equality), the lexicographically smallest slot tuple.  Each chunk picks
     its smallest tied row in numpy and offers it once to the running best;
     a shuffled pass performs identical per-candidate arithmetic, so values
-    and witnesses match exactly.
+    and witnesses match exactly.  Raises InputError when no value is a
+    number.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
@@ -171,6 +234,8 @@ def _min_single(k_amb, universe, masses, rng=None):
             tied = part[vals == vmin]
             if len(tied):
                 best = _better(best, float(vmin), tuple(_lex_first(tied).tolist()))
+    if best is None:
+        raise InputError("non-finite values in every subset")
     return best[0], best[1], examined
 
 
@@ -184,6 +249,15 @@ def _min_pair(k_amb, universe, masses, rng=None):
     minimal-value splits, the smallest (A, B) pair of slot tuples in Python
     tuple order; each chunk picks its smallest tied split in numpy
     (_first_tied_split) and offers only that one to the running best.
+
+    Evaluation order: a split's form is the sum, from 0.0, of the Schur
+    entries of A x A in row-major slot order, which is what
+    np.einsum("ps,nst,pt->np") computes with the zero terms of B dropped.
+    Route (_split_forms): a chunk of at least _CUBE_MIN unions x splits
+    whose Schur entries are all finite is summed on the split hypercube,
+    any other chunk by the einsum; both give the same bits.  Raises
+    InputError when no split value is a number (every Schur block
+    overflowed).
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
@@ -196,17 +270,11 @@ def _min_pair(k_amb, universe, masses, rng=None):
     if rng is not None:
         rng.shuffle(sizes)
     for u in sizes:
-        # splits with slot 0 of the union in A, B nonempty
-        bits = np.arange(1 << (u - 1))
-        t = np.zeros((len(bits) - 1, u))
-        t[:, 0] = 1.0
-        for j in range(u - 1):
-            t[:, j + 1] = (bits[:-1] >> j) & 1
-        t_in_a = t > 0
+        t, t_in_a, cube = _split_table(u)
         combos = np.array(list(itertools.combinations(range(p), u)), dtype=int)
         if rng is not None:
             combos = combos[rng.permutation(len(combos))]
-        chunk = max(1, min(_CHUNK, (1 << 22) // max(1, len(bits))))
+        chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
         for lo in range(0, len(combos), chunk):
             part = combos[lo : lo + chunk]
             rows = universe[part]
@@ -220,7 +288,7 @@ def _min_pair(k_amb, universe, masses, rng=None):
                 s_u = kuu - kue @ x
             else:
                 s_u = kuu
-            quad = np.einsum("ps,nst,pt->np", t, s_u, t)
+            quad = _split_forms(t, s_u, cube)
             m_u = masses[part]
             m_a = np.einsum("ps,ns->np", t, m_u)
             m_b = m_u.sum(axis=1)[:, None] - m_a
@@ -230,6 +298,8 @@ def _min_pair(k_amb, universe, masses, rng=None):
             if not np.isnan(vmin):  # else no entry equals vmin
                 key = _first_tied_split(part, t_in_a, vals == vmin, key_type)
                 best = _better(best, float(vmin), key)
+    if best is None:
+        raise InputError("non-finite values in every pair split")
     return best[0], best[1], examined
 
 
@@ -736,20 +806,5 @@ def alpha_steklov_limit(family, budget=None):
     for step in steps:
         indices.append(step.index)
         values.append(alpha_ds(step.domain, step.W, budget).value)
-    monotone = _monotone_scan(values, enforce=True)
-    return _limit_report(indices, values, monotone)
-
-
-@_finite
-def gamma_k_dirichlet_limit(family, k, budget=None):
-    """Per-step Gamma_k^D(W_i); non-increasing along nested steps."""
-    budget = budget or DEFAULT_BUDGET
-    steps = list(family)
-    if not steps:
-        raise InputError("no exhaustion steps")
-    indices, values = [], []
-    for step in steps:
-        indices.append(step.index)
-        values.append(gamma_k_dirichlet(step.graph, step.W, k, budget).value)
     monotone = _monotone_scan(values, enforce=True)
     return _limit_report(indices, values, monotone)

@@ -336,6 +336,32 @@ def test_enumerator_overflow_is_reported_without_warnings(capsys, tmp_path):
         assert captured.err == ""
 
 
+# the degree of a overflows, so every alpha_S split value is NaN
+NAN_SPLITS = """v a 1
+v b1 1
+v b2 1
+v c 1
+e a b1 1e308
+e a b2 1e308
+e b1 c 1
+e b2 c 1
+omega b1 b2
+"""
+
+
+def test_pair_constant_without_a_finite_split_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "nan_splits.graph"
+    path.write_text(NAN_SPLITS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["alpha", "s", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert json.loads(captured.out)["error"] == {
+        "kind": "input", "message": "non-finite values in every pair split"}
+    assert captured.err == ""
+
+
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     line5 = tmp_path / "line5.graph"
     line5.write_text(LINE5)

@@ -12,11 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
-from isocap import (INFINITE, Budget, WeightedGraph, beta_tuple,
+import isocap.constants as constants
+from isocap import (INFINITE, Budget, InputError, WeightedGraph, beta_tuple,
                     gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
                     kappa_steklov, make_domain)
-from isocap.constants import (_CHUNK, DEFAULT_BUDGET, _better, _min_pair,
-                              _min_single, _min_tuple)
+from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better,
+                              _cube_forms, _min_pair, _min_single, _min_tuple,
+                              _split_forms, _split_table)
 from isocap.linear_core import stiffness_matrix
 from isocap.verify import _sign_patterns, random_domain
 
@@ -243,11 +245,25 @@ def two_level_tree(c, leaves):
     return make_domain(_unit_graph(n, edges), interior)
 
 
+def random_star(p, rng):
+    """Centre 0 and boundary leaves 1..p, weights and masses log-uniform
+    over e^-3..e^3."""
+    verts = list(range(p + 1))
+    mass = dict(zip(verts, np.exp(rng.uniform(-3, 3, p + 1)).tolist()))
+    weights = np.exp(rng.uniform(-3, 3, p)).tolist()
+    g = WeightedGraph(verts, mass, [(0, v, weights[v - 1]) for v in range(1, p + 1)])
+    return make_domain(g, [0])
+
+
 TIED = [unit_star(p) for p in range(3, 10)] + [
     two_level_tree(c, l) for c, l in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]]
 TIED_SINGLE = [unit_star(p, leaves_inside=True) for p in range(3, 10)]
 RANDOM = [random_domain(np.random.default_rng(40 + i), max_closure=9)
           for i in range(20)]
+# universes whose larger unions reach the split hypercube of _split_forms;
+# the unit star's exact ties go through it too
+CUBE = [unit_star(10)] + [random_star(p, np.random.default_rng(60 + p))
+                          for p in (10, 11, 12)]
 
 
 def single_inputs(dom):
@@ -292,16 +308,32 @@ def test_min_single_matches_reference(seed):
     assert 1 in most_tied
 
 
+def _count_cube_calls(monkeypatch):
+    calls = []
+
+    def counted(s_u, cube):
+        calls.append(len(s_u))
+        return _cube_forms(s_u, cube)
+
+    monkeypatch.setattr(constants, "_cube_forms", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_min_pair_matches_reference(seed):
-    most_tied = []
-    for dom in TIED + RANDOM:
+def test_min_pair_matches_reference(seed, monkeypatch):
+    calls = _count_cube_calls(monkeypatch)
+    most_tied, cubed = [], []
+    for dom in TIED + RANDOM + CUBE:
         args = pair_inputs(dom)
         want = ref_min_pair(*args, rng=_rng(seed))
+        before = len(calls)
         _same(_min_pair(*args, rng=_rng(seed)), want)
         most_tied.append(want[3])
+        cubed.append(len(calls) > before)
     assert min(most_tied[: len(TIED)]) > 1
     assert 1 in most_tied
+    assert all(cubed[-len(CUBE):])
+    assert most_tied[-len(CUBE)] > 1  # the unit star: ties through the cube
 
 
 def test_min_pair_neumann_universe_matches_reference():
@@ -313,6 +345,79 @@ def test_min_pair_neumann_universe_matches_reference():
         masses = [dom.graph.mass[v] for v in dom.interior]
         args = (k_amb, list(range(len(dom.interior))), masses)
         _same(_min_pair(*args), ref_min_pair(*args))
+
+
+def test_min_single_and_min_pair_reject_all_nan_values():
+    k_amb = np.full((3, 3), np.nan)
+    with np.errstate(all="ignore"):
+        with pytest.raises(InputError, match="every subset"):
+            _min_single(k_amb, [0, 1, 2], [1.0, 1.0, 1.0])
+        with pytest.raises(InputError, match="every pair split"):
+            _min_pair(k_amb, [0, 1, 2], [1.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# split forms: hypercube kernel against the einsum
+
+
+def _einsum_forms(t, s_u):
+    return np.einsum("ps,nst,pt->np", t, s_u, t)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _schur_entries(rng, n, u):
+    """Non-symmetric entries over e^-30..e^30 with both signs and some
+    signed zeros, so that any other order of the adds changes the sums."""
+    s_u = rng.standard_normal((n, u, u)) * np.exp(rng.uniform(-30, 30, (n, u, u)))
+    s_u[rng.random((n, u, u)) < 0.05] = 0.0
+    s_u[rng.random((n, u, u)) < 0.05] = -0.0
+    return s_u
+
+
+@pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
+def test_cube_forms_are_bit_equal_to_the_einsum(u):
+    rng = np.random.default_rng(u)
+    t, t_in_a, cube = _split_table(u)
+    assert np.array_equal(t_in_a, t > 0) and not t.flags.writeable
+    chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
+    sizes = [1, 2, 5]
+    if u <= 9:  # the chunk _min_pair uses, while the einsum stays cheap
+        sizes.append(chunk)
+    for n in sizes:
+        s_u = _schur_entries(rng, n, u)
+        got = _cube_forms(s_u, cube)
+        assert got.shape == (n, len(t))
+        assert np.array_equal(_bits(got), _bits(_einsum_forms(t, s_u))), (u, n)
+
+
+@pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
+def test_split_forms_route_on_both_sides_of_the_threshold(u, monkeypatch):
+    calls = _count_cube_calls(monkeypatch)
+    rng = np.random.default_rng(100 + u)
+    t, _, cube = _split_table(u)
+    below, above = (_CUBE_MIN - 1) // len(t), -(-_CUBE_MIN // len(t))
+    for n, cubed in ((below, False), (above, True)):
+        if n == 0:
+            continue
+        s_u = _schur_entries(rng, n, u)
+        before = len(calls)
+        got = _split_forms(t, s_u, cube)
+        assert (len(calls) > before) == cubed
+        assert np.array_equal(_bits(got), _bits(_einsum_forms(t, s_u))), (u, n)
+    # a non-finite Schur entry keeps the einsum and its NaN pattern (0 * inf)
+    s_u = _schur_entries(rng, above, u)
+    s_u[0, 0, u - 1] = np.inf
+    s_u[-1, u - 1, 0] = np.nan
+    before = len(calls)
+    with np.errstate(invalid="ignore"):
+        got = _split_forms(t, s_u, cube)
+        want = _einsum_forms(t, s_u)
+    assert len(calls) == before
+    assert np.isnan(got).any()
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------
