@@ -6,9 +6,12 @@ G_Omega = (closure, E(Omega, closure), w, m): edges with both endpoints in
 the vertex boundary are removed.
 """
 
+import math
 from collections import deque
 
 from .errors import DomainError, InputError
+
+_INF = math.inf
 
 
 class WeightedGraph:
@@ -16,51 +19,69 @@ class WeightedGraph:
 
     vertices: iterable of ids (declaration order is kept and is the dense
     index order used by the matrix modules).
-    mass: id -> positive mass.
-    edges: iterable of (u, v, weight) with positive weight, no self-loops,
-    no parallel edges, no isolated vertices.
+    mass: id -> positive finite mass.
+    edges: iterable of (u, v, weight) with positive finite weight, no
+    self-loops, no parallel edges, no isolated vertices.
+    Malformed input raises InputError for its first fault, looked for in
+    this order: duplicate ids, masses in vertex order, edges in the order
+    given, isolated vertices, and last an infinite mass or weight.
 
     linear_core.stiffness_matrix stores the graph's stiffness, a read-only
     ndarray in vertex order, on the instance the first time it is asked for.
     """
 
     def __init__(self, vertices, mass, edges):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.vertices = vertices = tuple(vertices)
+        n = len(vertices)
+        self.index = index = dict(zip(vertices, range(n)))
+        if len(index) != n:
             raise InputError("duplicate vertex ids")
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.mass = {}
-        for v in self.vertices:
+        self.mass = masses = {}
+        for v in vertices:
             if v not in mass:
                 raise InputError("missing mass for vertex %r" % (v,))
-            mv = float(mass[v])
+            mv = masses[v] = float(mass[v])
             if not mv > 0:
                 raise InputError("mass of %r must be positive, got %r" % (v, mass[v]))
-            self.mass[v] = mv
+        # endpoints as dense positions: a parallel edge is a repeated i * n + j
         seen = set()
-        adj = {v: [] for v in self.vertices}
+        adj = [[] for _ in vertices]
         normalized = []
+        infinite = None
         for u, v, w in edges:
-            if u not in self.index or v not in self.index:
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None:
                 raise InputError("edge (%r, %r) has an undeclared endpoint" % (u, v))
-            if u == v:
+            if i == j:
                 raise InputError("self-loop at %r" % (u,))
             w = float(w)
-            if not w > 0:
-                raise InputError("weight of (%r, %r) must be positive" % (u, v))
-            if self.index[u] > self.index[v]:
-                u, v = v, u
-            if (u, v) in seen:
+            if not 0 < w < _INF:
+                if not w > 0:
+                    raise InputError("weight of (%r, %r) must be positive" % (u, v))
+                infinite = infinite or (u, v, w)
+            if i > j:
+                u, v, i, j = v, u, j, i
+            key = i * n + j
+            if key in seen:
                 raise InputError("parallel edge (%r, %r)" % (u, v))
-            seen.add((u, v))
+            seen.add(key)
             normalized.append((u, v, w))
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+            adj[i].append((v, w))
+            adj[j].append((u, w))
+        if not all(adj):
+            raise InputError("isolated vertex %r" % (vertices[adj.index([])],))
+        # infinities pass every check above; they are rejected last, so any
+        # other fault of the same input is still the one reported
+        if _INF in masses.values():
+            v = next(v for v, mv in masses.items() if mv == _INF)
+            raise InputError("mass of %r must be a positive finite number, got %r"
+                             % (v, mass[v]))
+        if infinite:
+            raise InputError("weight of (%r, %r) must be a positive finite number, "
+                             "got %r" % infinite)
         self.edges = tuple(normalized)
-        self.adjacency = {v: tuple(nbrs) for v, nbrs in adj.items()}
-        for v in self.vertices:
-            if not self.adjacency[v]:
-                raise InputError("isolated vertex %r" % (v,))
+        self.adjacency = dict(zip(vertices, map(tuple, adj)))
 
     def mass_of(self, subset):
         return sum(self.mass[v] for v in subset)

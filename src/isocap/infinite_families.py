@@ -12,9 +12,20 @@ tree collapses to a weighted path indexed by generation, and lattice boxes
 collapse to orbits of coordinate permutations and sign flips.  The reduced
 models carry aggregated masses and edge multiplicities, so capacities of
 symmetric sets and bottom eigenvalues transfer exactly.
+
+A spec's mass and weight rules are called once per vertex and once per edge
+of the full (unreduced) snapshot.  A reduced model's mass or weight is the
+left-to-right float sum, from 0.0, of its members' rule values, in the order
+a loop over the full snapshot's points (then edges) meets them.  With the
+default unit rules a tree generation's totals are its exact counts, so the
+reduced tree costs O(depth) rather than O(2^depth).
 """
 
+import functools
 import itertools
+import math
+import operator
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -94,48 +105,89 @@ def t3_example():
     return graph, make_domain(graph, ("x1", "x2", "x3", "x4"))
 
 
-def _tree_level(label):
-    # label 1 sits at generation 0; generation j >= 1 holds labels 2^(j-1)+1 .. 2^j
-    return 0 if label == 1 else (label - 1).bit_length()
+def _rule_values(rule, *columns):
+    """Iterator of float(rule(*args)) over the argument tuples the columns
+    zip to, calling the rule in that order; 1.0 for each without a rule."""
+    if rule is None:
+        return itertools.repeat(1.0, len(columns[0]))
+    return map(float, map(rule, *columns))
+
+
+def _left_sum(values, start=0.0):
+    # the left-to-right float sum the quotients are defined by; builtin sum()
+    # compensates on Python >= 3.12 and would change the bits
+    return functools.reduce(operator.add, values, start)
+
+
+def _full_graph(spec, vertices, us, vs):
+    """The graph on `vertices` with edges (us[k], vs[k]); one rule call per
+    vertex, then one per edge, in the order given."""
+    masses = dict(zip(vertices, _rule_values(spec.mass_rule, vertices)))
+    weights = _rule_values(spec.weight_rule, us, vs)
+    return WeightedGraph(vertices, masses, list(zip(us, vs, weights)))
 
 
 def _binary_tree_step(spec, i):
     if i < 1:
         raise InputError("tree step needs i >= 1")
+    if i >= sys.float_info.max_exp:
+        raise InputError("tree step needs i < %d: deeper generations overflow "
+                         "a float" % sys.float_info.max_exp)
     top = 2 ** (i + 1)
     # stem 1-2, then label k has children 2k-1 and 2k
-    full_edges = [(1, 2)] + [(k, 2 * k - 1) for k in range(2, 2 ** i + 1)] \
-        + [(k, 2 * k) for k in range(2, 2 ** i + 1)]
     if spec.quotient:
-        masses = {}
-        for k in range(1, top + 1):
-            lvl = _tree_level(k)
-            masses[lvl] = masses.get(lvl, 0.0) + spec.mass(k)
-        weights = {}
-        for a, b in full_edges:
-            lvl = _tree_level(a)
-            weights[lvl] = weights.get(lvl, 0.0) + spec.weight(a, b)
+        # label 1 is generation 0; generation j >= 1 holds labels
+        # 2^(j-1)+1 .. 2^j.  Generation j's weight sums its edges to odd
+        # children, then those to even children.
+        gens = [range(1, 2)] + [range(2 ** (j - 1) + 1, 2 ** j + 1) for j in range(1, i + 2)]
+        if spec.mass_rule is None:
+            masses = [1.0] + [2.0 ** (j - 1) for j in range(1, i + 2)]
+        else:
+            masses = [_left_sum(_rule_values(spec.mass_rule, g)) for g in gens]
+        if spec.weight_rule is None:
+            weights = [2.0 ** j for j in range(i + 1)]
+        else:
+            rule, parents = spec.weight_rule, gens[1:i + 1]
+            stem = _left_sum(_rule_values(rule, [1], [2]))
+            odd = [_left_sum(_rule_values(rule, g, range(2 * g.start - 1, 2 * g.stop - 1, 2)))
+                   for g in parents]
+            weights = [stem] + [
+                _left_sum(_rule_values(rule, g, range(2 * g.start, 2 * g.stop, 2)), total)
+                for g, total in zip(parents, odd)]
         vertices = list(range(i + 2))
         edges = [(j, j + 1, weights[j]) for j in range(i + 1)]
-        graph = WeightedGraph(vertices, masses, edges)
+        graph = WeightedGraph(vertices, dict(zip(vertices, masses)), edges)
         domain = make_domain(graph, range(1, i + 2))
         return FamilyStep(i, graph, domain, tuple(range(i + 1)), (i + 1,))
-    vertices = list(range(1, top + 1))
-    masses = {v: spec.mass(v) for v in vertices}
-    edges = [(a, b, spec.weight(a, b)) for a, b in full_edges]
-    graph = WeightedGraph(vertices, masses, edges)
+    inner = range(2, 2 ** i + 1)
+    us = [1, *inner, *inner]
+    vs = [2, *range(3, top, 2), *range(4, top + 1, 2)]
+    graph = _full_graph(spec, range(1, top + 1), us, vs)
     domain = make_domain(graph, range(2, top + 1))
     window = tuple(range(1, 2 ** i + 1))
     sink = tuple(range(2 ** i + 1, top + 1))
     return FamilyStep(i, graph, domain, window, sink)
 
 
-def _orbit(point):
-    return tuple(sorted(abs(c) for c in point))
+def _lattice(ranges):
+    """Points of the box of integer ranges, their coordinates, and the pairs
+    (k, k + stride) of +1 neighbours.
+
+    The points come from one itertools.product, so they are in lexicographic
+    order and point k sits at flat index k.  The pairs are listed by point,
+    then by axis: the order of a per-point loop over the axes.
+    """
+    shape = tuple(len(r) for r in ranges)
+    points = list(itertools.product(*ranges))
+    pos = np.indices(shape).reshape(len(shape), -1).T
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(len(shape))])
+    src, axis = np.nonzero(pos < np.array(shape) - 1)
+    coords = pos + [r.start for r in ranges]
+    return points, coords, src, src + strides[axis]
 
 
-def _box_points(dim, radius):
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
+def _picks(items, flat):
+    return list(map(items.__getitem__, flat.tolist()))
 
 
 def _lattice_box_step(spec, r):
@@ -143,37 +195,33 @@ def _lattice_box_step(spec, r):
         raise InputError("box step needs r >= 1")
     dim = spec.dim
     outer = r + 1
-    if spec.quotient:
-        masses = {}
-        weights = {}
-        for x in _box_points(dim, outer):
-            ox = _orbit(x)
-            masses[ox] = masses.get(ox, 0.0) + spec.mass(x)
-            for axis in range(dim):
-                if x[axis] + 1 > outer:
-                    continue
-                y = x[:axis] + (x[axis] + 1,) + x[axis + 1:]
-                oy = _orbit(y)
-                if ox == oy:
-                    continue
-                key = (ox, oy) if ox < oy else (oy, ox)
-                weights[key] = weights.get(key, 0.0) + spec.weight(x, y)
-        vertices = sorted(masses)
-        edges = [(a, b, w) for (a, b), w in sorted(weights.items())]
-        graph = WeightedGraph(vertices, masses, edges)
-        window = tuple(v for v in vertices if v[-1] <= r)
-    else:
-        vertices = sorted(_box_points(dim, outer))
-        masses = {x: spec.mass(x) for x in vertices}
-        edges = []
-        for x in vertices:
-            for axis in range(dim):
-                if x[axis] + 1 > outer:
-                    continue
-                y = x[:axis] + (x[axis] + 1,) + x[axis + 1:]
-                edges.append((x, y, spec.weight(x, y)))
-        graph = WeightedGraph(vertices, masses, edges)
-        window = tuple(x for x in vertices if max(abs(c) for c in x) <= r)
+    points, coords, src, dst = _lattice([range(-outer, outer + 1)] * dim)
+    if not spec.quotient:
+        graph = _full_graph(spec, points, _picks(points, src), _picks(points, dst))
+        window = tuple(itertools.compress(points, (np.abs(coords).max(axis=1) <= r).tolist()))
+        domain = make_domain(graph, window)
+        return FamilyStep(r, graph, domain, window, domain.boundary)
+    # an orbit is the sorted |coordinates|; read as base-(outer+1) digits it
+    # is an integer whose order is the order of the orbit tuples
+    digits = np.sort(np.abs(coords), axis=1)
+    _, first, orbit = np.unique(digits @ (outer + 1) ** np.arange(dim - 1, -1, -1),
+                                return_index=True, return_inverse=True)
+    orbits = list(map(tuple, digits[first].tolist()))
+    masses = np.zeros(len(orbits))
+    np.add.at(masses, orbit, list(_rule_values(spec.mass_rule, points)))
+    # each total takes its terms in point order, as a loop over the points
+    # would; a +1 step changes one |coordinate|, so no edge joins an orbit to
+    # itself
+    lo = np.minimum(orbit[src], orbit[dst])
+    hi = np.maximum(orbit[src], orbit[dst])
+    keys, pair = np.unique(lo * len(orbits) + hi, return_inverse=True)
+    weights = np.zeros(len(keys))
+    np.add.at(weights, pair, list(_rule_values(spec.weight_rule, _picks(points, src),
+                                               _picks(points, dst))))
+    a, b = np.divmod(keys, len(orbits))
+    edges = list(zip(_picks(orbits, a), _picks(orbits, b), weights.tolist()))
+    graph = WeightedGraph(orbits, dict(zip(orbits, masses.tolist())), edges)
+    window = tuple(v for v in orbits if v[-1] <= r)
     domain = make_domain(graph, window)
     return FamilyStep(r, graph, domain, window, domain.boundary)
 
@@ -183,24 +231,22 @@ def _half_space_step(spec, R):
         raise InputError("slab step needs R >= 1")
     dim = spec.dim
     outer = R + 1
-    lateral = range(-outer, outer + 1)
-    vertices = sorted(itertools.product(*([lateral] * (dim - 1) + [range(outer + 1)])))
-    masses = {x: spec.mass(x) for x in vertices}
-    edges = []
-    for x in vertices:
-        for axis in range(dim):
-            if x[axis] + 1 > outer:
-                continue
-            y = x[:axis] + (x[axis] + 1,) + x[axis + 1:]
-            edges.append((x, y, spec.weight(x, y)))
-    graph = WeightedGraph(vertices, masses, edges)
-    interior = [x for x in vertices if x[-1] >= 1]
-    domain = make_domain(graph, interior)
-    window = tuple(x for x in vertices if max(abs(c) for c in x) <= R)
-    wset = set(window)
-    adjacency = domain.induced.adjacency
-    sink = tuple(v for v in domain.closure
-                 if v not in wset and any(y in wset for y, _ in adjacency[v]))
+    points, coords, src, dst = _lattice([range(-outer, outer + 1)] * (dim - 1)
+                                        + [range(outer + 1)])
+    graph = _full_graph(spec, points, _picks(points, src), _picks(points, dst))
+    inside = coords[:, -1] >= 1
+    domain = make_domain(graph, list(itertools.compress(points, inside.tolist())))
+    in_w = np.abs(coords).max(axis=1) <= R
+    window = tuple(itertools.compress(points, in_w.tolist()))
+    # the sink: closure vertices outside W with a neighbour in W along an
+    # edge of G_Omega, i.e. one with an interior endpoint
+    kept = inside[src] | inside[dst]
+    near = np.zeros(len(points), dtype=bool)
+    near[src[kept & in_w[dst]]] = True
+    near[dst[kept & in_w[src]]] = True
+    closure = np.fromiter(map(graph.index.__getitem__, domain.closure), np.intp,
+                          len(domain.closure))
+    sink = tuple(itertools.compress(domain.closure, (near & ~in_w)[closure].tolist()))
     return FamilyStep(R, graph, domain, window, sink)
 
 
@@ -217,6 +263,13 @@ def generate(spec, step=None):
     Trees are indexed by generation depth, boxes and slabs by window radius,
     paths by segment length.  The t3 example has a single snapshot and
     ignores the index.
+
+    The spec's rules are called once per vertex and once per edge of the
+    full snapshot, quotient or not; each quotient mass or weight is the
+    left-to-right sum, from 0.0, of its members' values in point order (for
+    tree weights: edges to odd children, then to even ones).  A quotient
+    tree with the default unit rules costs O(step): its generation totals
+    are the exact counts 2^(j-1) and 2^j.
     """
     if spec.kind == "t3":
         graph, domain = t3_example()
@@ -272,7 +325,7 @@ def half_space_test_field(N, r0, R):
     floor = (r0 / (R + 1.0)) ** (N - 2)
     out = {}
     lateral = range(-(R + 1), R + 2)
-    for x in sorted(itertools.product(*([lateral] * (N - 1) + [range(R + 2)]))):
+    for x in itertools.product(*([lateral] * (N - 1) + [range(R + 2)])):
         rad = max(abs(c) for c in x)
         raw = 1.0 if rad <= r0 else (r0 / rad) ** (N - 2)
         out[x] = max(0.0, (raw - floor) / (1.0 - floor))

@@ -29,7 +29,52 @@ def test_edges_normalized_by_declaration_order():
     assert g.adjacency["a"] == (("b", 2.0),)
 
 
-@pytest.mark.parametrize("bad", [
+# ---------------------------------------------------------------------------
+# oracle: the one-edge-at-a-time constructor, kept here because only tests use it
+
+def loop_graph(vertices, mass, edges):
+    """Reference construction; returns (vertices, index, mass, edges,
+    adjacency), which WeightedGraph must reproduce, and raises the same first
+    InputError on malformed input."""
+    vertices = tuple(vertices)
+    if len(set(vertices)) != len(vertices):
+        raise InputError("duplicate vertex ids")
+    index = {v: i for i, v in enumerate(vertices)}
+    masses = {}
+    for v in vertices:
+        if v not in mass:
+            raise InputError("missing mass for vertex %r" % (v,))
+        mv = float(mass[v])
+        if not mv > 0:
+            raise InputError("mass of %r must be positive, got %r" % (v, mass[v]))
+        masses[v] = mv
+    seen = set()
+    adj = {v: [] for v in vertices}
+    normalized = []
+    for u, v, w in edges:
+        if u not in index or v not in index:
+            raise InputError("edge (%r, %r) has an undeclared endpoint" % (u, v))
+        if u == v:
+            raise InputError("self-loop at %r" % (u,))
+        w = float(w)
+        if not w > 0:
+            raise InputError("weight of (%r, %r) must be positive" % (u, v))
+        if index[u] > index[v]:
+            u, v = v, u
+        if (u, v) in seen:
+            raise InputError("parallel edge (%r, %r)" % (u, v))
+        seen.add((u, v))
+        normalized.append((u, v, w))
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    adjacency = {v: tuple(nbrs) for v, nbrs in adj.items()}
+    for v in vertices:
+        if not adjacency[v]:
+            raise InputError("isolated vertex %r" % (v,))
+    return vertices, index, masses, tuple(normalized), adjacency
+
+
+MALFORMED = [
     dict(vertices=[0, 0], mass={0: 1}, edges=[]),
     dict(vertices=[0, 1], mass={0: 1}, edges=[(0, 1, 1)]),
     dict(vertices=[0, 1], mass={0: 1, 1: -2}, edges=[(0, 1, 1)]),
@@ -38,10 +83,85 @@ def test_edges_normalized_by_declaration_order():
     dict(vertices=[0, 1], mass={0: 1, 1: 1}, edges=[(0, 1, 0.0)]),
     dict(vertices=[0, 1], mass={0: 1, 1: 1}, edges=[(0, 1, 1), (1, 0, 2)]),
     dict(vertices=[0, 1, 2], mass={0: 1, 1: 1, 2: 1}, edges=[(0, 1, 1)]),
-])
+    dict(vertices=[0, 1], mass={0: 1, 1: 1}, edges=[(1, 0, 1), (0, 1, 2)]),
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
 def test_construction_rejects(bad):
     with pytest.raises(InputError):
         WeightedGraph(**bad)
+
+
+def _first_error(build, case):
+    with pytest.raises(InputError) as err:
+        build(**case)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", MALFORMED + [
+    # several faults at once: the first in declaration order is reported
+    dict(vertices="abc", mass={"a": 1, "b": 0, "c": 1},
+         edges=[("a", "z", 1), ("b", "c", 1)]),
+    dict(vertices="abc", mass={"a": 1, "b": 1, "c": 1},
+         edges=[("a", "b", 1), ("b", "a", 1), ("c", "c", 1)]),
+    dict(vertices="abc", mass={"a": 1, "b": 1, "c": 1},
+         edges=[("a", "b", -1), ("b", "a", 1)]),
+    dict(vertices="abcd", mass={"a": 1, "b": 1, "c": 1, "d": 1},
+         edges=[("a", "b", 1), ("c", "a", 1), ("b", "a", 2), ("c", "x", 1)]),
+    dict(vertices=[(0, 1), (1, 0), (1, 1)], mass={(0, 1): 1, (1, 0): 1, (1, 1): 1},
+         edges=[((1, 1), (0, 1), 1), ((0, 1), (1, 1), float("nan"))]),
+])
+def test_construction_reports_the_oracle_first_error(case):
+    assert _first_error(WeightedGraph, case) == _first_error(loop_graph, case)
+
+
+def test_construction_matches_the_edge_loop():
+    rng = np.random.default_rng(7)
+    labels = [lambda k: k, lambda k: "v%d" % k, lambda k: (k % 3, k // 3)]
+    for trial in range(100):
+        n = int(rng.integers(2, 14))
+        name = labels[trial % 3]
+        pairs = [(int(rng.integers(i)), i) for i in range(1, n)]
+        pairs += [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.3 and (i, j) not in pairs]
+        pairs = [pairs[t] for t in rng.permutation(len(pairs))]
+        pairs = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+        vertices = [name(int(k)) for k in rng.permutation(n)]
+        mass = {name(k): float(10.0 ** rng.uniform(-3, 3)) for k in range(n)}
+        edges = [(name(i), name(j), float(10.0 ** rng.uniform(-3, 3))) for i, j in pairs]
+        g = WeightedGraph(vertices, mass, edges)
+        assert (g.vertices, g.index, g.mass, g.edges, g.adjacency) == \
+            loop_graph(vertices, mass, edges)
+        assert list(g.index) == list(g.vertices)
+        assert list(g.adjacency) == list(g.vertices)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "inf", -float("inf")])
+def test_masses_must_be_positive_finite(bad):
+    edges = [("a", "b", 1.0), ("b", "c", 1.0)]
+    with pytest.raises(InputError, match="mass of 'b' must be"):
+        WeightedGraph("abc", {"a": 1, "b": bad, "c": 1}, edges)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "inf", -float("inf")])
+def test_weights_must_be_positive_finite(bad):
+    with pytest.raises(InputError, match=r"weight of \('c', 'b'\) must be"):
+        WeightedGraph("abc", {v: 1 for v in "abc"}, [("a", "b", 1.0), ("c", "b", bad)])
+
+
+def test_infinities_are_reported_after_the_other_faults():
+    # the parallel edge is what the edge loop reports; the infinity comes last
+    with pytest.raises(InputError, match="parallel edge"):
+        WeightedGraph("ab", {"a": float("inf"), "b": 1}, [("a", "b", 1), ("b", "a", 1)])
+    with pytest.raises(InputError, match=r"mass of 'a' must be a positive finite number, "
+                                         r"got inf"):
+        WeightedGraph("abc", {"a": float("inf"), "b": 1, "c": 1},
+                      [("a", "b", float("inf")), ("b", "c", 1)])
+    with pytest.raises(InputError, match=r"weight of \('b', 'a'\) must be a positive "
+                                         r"finite number, got inf"):
+        WeightedGraph("abc", {v: 1 for v in "abc"},
+                      [("b", "a", float("inf")), ("b", "c", float("inf"))])
 
 
 def test_vertex_boundary_path():

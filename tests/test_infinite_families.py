@@ -1,11 +1,16 @@
 import itertools
+import math
+import time
 
 import pytest
 
-from isocap import (InputError, cap, cap_exhaustion, dirichlet_spectrum,
-                    energy, grounded_dtn_spectrum)
-from isocap.infinite_families import (FamilySpec, default_source, generate,
-                                      generate_steps, half_space_capacity_bound,
+from isocap import (InputError, WeightedGraph, cap, cap_exhaustion,
+                    dirichlet_spectrum, energy, grounded_dtn_spectrum,
+                    make_domain)
+from isocap.cli_io import parse_family_spec
+from isocap.infinite_families import (FamilySpec, FamilyStep, default_source,
+                                      generate, generate_steps,
+                                      half_space_capacity_bound,
                                       half_space_test_field, line_domain,
                                       path_graph, t3_example)
 
@@ -16,6 +21,227 @@ HALF_SPACE_R30 = {
     8: 0.43675597113874387,
 }
 HALF_SPACE_R40_R0_2 = 0.94217284532680612
+
+
+# ---------------------------------------------------------------------------
+# oracles: the point-by-point builders, kept here because only tests use them;
+# generate() must reproduce their snapshots bit for bit
+
+def _tree_level(label):
+    # label 1 sits at generation 0; generation j >= 1 holds labels 2^(j-1)+1 .. 2^j
+    return 0 if label == 1 else (label - 1).bit_length()
+
+
+def oracle_tree_step(spec, i):
+    top = 2 ** (i + 1)
+    # stem 1-2, then label k has children 2k-1 and 2k
+    full_edges = [(1, 2)] + [(k, 2 * k - 1) for k in range(2, 2 ** i + 1)] \
+        + [(k, 2 * k) for k in range(2, 2 ** i + 1)]
+    if spec.quotient:
+        masses = {}
+        for k in range(1, top + 1):
+            lvl = _tree_level(k)
+            masses[lvl] = masses.get(lvl, 0.0) + spec.mass(k)
+        weights = {}
+        for a, b in full_edges:
+            lvl = _tree_level(a)
+            weights[lvl] = weights.get(lvl, 0.0) + spec.weight(a, b)
+        vertices = list(range(i + 2))
+        edges = [(j, j + 1, weights[j]) for j in range(i + 1)]
+        graph = WeightedGraph(vertices, masses, edges)
+        domain = make_domain(graph, range(1, i + 2))
+        return FamilyStep(i, graph, domain, tuple(range(i + 1)), (i + 1,))
+    vertices = list(range(1, top + 1))
+    masses = {v: spec.mass(v) for v in vertices}
+    edges = [(a, b, spec.weight(a, b)) for a, b in full_edges]
+    graph = WeightedGraph(vertices, masses, edges)
+    domain = make_domain(graph, range(2, top + 1))
+    window = tuple(range(1, 2 ** i + 1))
+    sink = tuple(range(2 ** i + 1, top + 1))
+    return FamilyStep(i, graph, domain, window, sink)
+
+
+def _orbit(point):
+    return tuple(sorted(abs(c) for c in point))
+
+
+def _axis_neighbours(x, outer):
+    for axis in range(len(x)):
+        if x[axis] + 1 <= outer:
+            yield x[:axis] + (x[axis] + 1,) + x[axis + 1:]
+
+
+def oracle_box_step(spec, r):
+    dim = spec.dim
+    outer = r + 1
+    points = sorted(itertools.product(range(-outer, outer + 1), repeat=dim))
+    if spec.quotient:
+        masses = {}
+        weights = {}
+        for x in points:
+            ox = _orbit(x)
+            masses[ox] = masses.get(ox, 0.0) + spec.mass(x)
+            for y in _axis_neighbours(x, outer):
+                oy = _orbit(y)
+                if ox == oy:
+                    continue
+                key = (ox, oy) if ox < oy else (oy, ox)
+                weights[key] = weights.get(key, 0.0) + spec.weight(x, y)
+        vertices = sorted(masses)
+        edges = [(a, b, w) for (a, b), w in sorted(weights.items())]
+        graph = WeightedGraph(vertices, masses, edges)
+        window = tuple(v for v in vertices if v[-1] <= r)
+    else:
+        masses = {x: spec.mass(x) for x in points}
+        edges = [(x, y, spec.weight(x, y)) for x in points
+                 for y in _axis_neighbours(x, outer)]
+        graph = WeightedGraph(points, masses, edges)
+        window = tuple(x for x in points if max(abs(c) for c in x) <= r)
+    domain = make_domain(graph, window)
+    return FamilyStep(r, graph, domain, window, domain.boundary)
+
+
+def oracle_slab_step(spec, R):
+    dim = spec.dim
+    outer = R + 1
+    lateral = range(-outer, outer + 1)
+    points = sorted(itertools.product(*([lateral] * (dim - 1) + [range(outer + 1)])))
+    masses = {x: spec.mass(x) for x in points}
+    edges = [(x, y, spec.weight(x, y)) for x in points for y in _axis_neighbours(x, outer)]
+    graph = WeightedGraph(points, masses, edges)
+    domain = make_domain(graph, [x for x in points if x[-1] >= 1])
+    window = tuple(x for x in points if max(abs(c) for c in x) <= R)
+    wset = set(window)
+    adjacency = domain.induced.adjacency
+    sink = tuple(v for v in domain.closure
+                 if v not in wset and any(y in wset for y, _ in adjacency[v]))
+    return FamilyStep(R, graph, domain, window, sink)
+
+
+ORACLES = {"binary_tree": oracle_tree_step, "lattice_box": oracle_box_step,
+           "half_space": oracle_slab_step}
+
+
+def snapshot_bits(step):
+    """Every field of a snapshot, floats as hex strings (bit-exact)."""
+    g, d = step.graph, step.domain
+
+    def edge_bits(edges):
+        return [(u, v, w.hex()) for u, v, w in edges]
+    return dict(index=step.index, vertices=g.vertices,
+                mass=[g.mass[v].hex() for v in g.vertices],
+                edges=edge_bits(g.edges), W=step.W, sink=step.sink,
+                interior=d.interior, boundary=d.boundary, closure=d.closure,
+                induced=edge_bits(d.induced.edges))
+
+
+def _position(v):
+    return v if isinstance(v, int) else sum((k + 2) * c for k, c in enumerate(v))
+
+
+# unit weights and masses; a constant; position-dependent and non-dyadic,
+# odd under x -> -x and asymmetric in (u, v), so that reversing the order of
+# a quotient sum (which maps an orbit onto its negation) shows in its bits
+RULES = {
+    "unit": (None, None),
+    "constant": (lambda v: 0.3, lambda u, v: 1.7),
+    "position": (lambda v: math.exp(2.0 * math.sin(_position(v))),
+                 lambda u, v: math.exp(math.sin(_position(u) + 2 * _position(v)))),
+}
+
+# (spec text, last step): every kind and option, dims 1-4
+PARITY_SPECS = [("binary_tree", 8), ("binary_tree:quotient", 16)] + [
+    (text % dim, last)
+    for dim, last in ((1, 8), (2, 8), (3, 4), (4, 2))
+    for text in ("lattice_box:%d", "lattice_box:%d:quotient", "half_space:%d")
+] + [("lattice_box:2:quotient:summable", 6), ("lattice_box:3:summable", 3)]
+
+
+class CountingRules:
+    def __init__(self, mass_rule, weight_rule):
+        self.mass_calls = self.weight_calls = 0
+        self._mass, self._weight = mass_rule, weight_rule
+
+    def mass(self, v):
+        self.mass_calls += 1
+        return self._mass(v)
+
+    def weight(self, u, v):
+        self.weight_calls += 1
+        return self._weight(u, v)
+
+
+def _with_rules(spec, mass_rule, weight_rule):
+    # a spec's own (summable) mass rule is kept
+    return FamilySpec(spec.kind, dim=spec.dim, quotient=spec.quotient,
+                      mass_rule=spec.mass_rule or mass_rule, weight_rule=weight_rule)
+
+
+@pytest.mark.parametrize("rules", RULES)
+@pytest.mark.parametrize("text,last", PARITY_SPECS)
+def test_snapshots_are_bit_equal_to_the_oracle(text, last, rules):
+    spec = _with_rules(parse_family_spec(text), *RULES[rules])
+    oracle = ORACLES[spec.kind]
+    for i in range(1, last + 1):
+        assert snapshot_bits(generate(spec, i)) == snapshot_bits(oracle(spec, i))
+
+
+@pytest.mark.parametrize("text,last", PARITY_SPECS)
+def test_rule_calls_match_the_oracle(text, last):
+    spec = parse_family_spec(text)
+    for i in range(1, min(last, 6) + 1):
+        counts = []
+        for build in (generate, ORACLES[spec.kind]):
+            rules = CountingRules(*RULES["position"])
+            build(_with_rules(spec, rules.mass, rules.weight), i)
+            counts.append((rules.mass_calls, rules.weight_calls))
+        assert counts[0] == counts[1]
+
+
+def test_rule_calls_per_tree_step():
+    # once per vertex and once per edge of the full tree, quotient or not
+    for quotient in (False, True):
+        for i in range(1, 9):
+            rules = CountingRules(*RULES["position"])
+            generate(FamilySpec("binary_tree", quotient=quotient, mass_rule=rules.mass,
+                                weight_rule=rules.weight), i)
+            assert (rules.mass_calls, rules.weight_calls) == (2 ** (i + 1), 2 ** (i + 1) - 1)
+
+
+def test_box_quotient_calls_the_rules_on_the_full_box():
+    # a +1 step changes one |coordinate| by one, so no edge stays inside an
+    # orbit: every edge of the full box is a call
+    for dim in (1, 2, 3):
+        for r in (1, 2, 3):
+            side = 2 * r + 3
+            rules = CountingRules(*RULES["position"])
+            generate(FamilySpec("lattice_box", dim=dim, quotient=True,
+                                mass_rule=rules.mass, weight_rule=rules.weight), r)
+            assert rules.mass_calls == side ** dim
+            assert rules.weight_calls == dim * (side - 1) * side ** (dim - 1)
+
+
+def test_deep_tree_quotient_is_cheap_and_exact():
+    start = time.perf_counter()
+    step = generate(FamilySpec("binary_tree", quotient=True), 60)
+    assert time.perf_counter() - start < 1.0
+    masses = [step.graph.mass[j] for j in step.graph.vertices]
+    assert masses == [1.0] + [2.0 ** (j - 1) for j in range(1, 62)]
+    assert [w for _, _, w in step.graph.edges] == [2.0 ** j for j in range(61)]
+    assert step.W == tuple(range(61)) and step.sink == (61,)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_rules_are_rejected(bad):
+    for kind in ("binary_tree", "lattice_box", "half_space"):
+        with pytest.raises(InputError, match="mass of .* must be"):
+            generate(FamilySpec(kind, dim=2, mass_rule=lambda v: bad), 2)
+        with pytest.raises(InputError, match="weight of .* must be"):
+            generate(FamilySpec(kind, dim=2, weight_rule=lambda u, v: bad), 2)
+    with pytest.raises(InputError, match="mass of .* must be"):
+        generate(FamilySpec("lattice_box", dim=2, quotient=True, mass_rule=lambda v: bad), 2)
+    with pytest.raises(InputError, match="must be"):
+        generate(FamilySpec("binary_tree", quotient=True, weight_rule=lambda u, v: bad), 2)
 
 
 def test_spec_validation():
