@@ -385,7 +385,8 @@ def _cmd_cap(args):
             result = cap(domain, A, B)
         else:
             # free complement: ground exactly the named sink
-            interior = [v for v in graph.vertices if v not in set(B)]
+            sink = set(B)
+            interior = [v for v in graph.vertices if v not in sink]
             domain = make_domain(graph, interior)
             result = cap(domain, A, domain.boundary)
     doc = document(args.file, [project(result)], domain)

@@ -29,6 +29,10 @@ _CHUNK = 4096
 # 2-core x86-64), the kernel wins on all shapes above about 6,000 and on none
 # below about 2,300, and the summed time is least from 3,072.
 _CUBE_MIN = 3072
+# Elements (rows x d_amb^2) of one batched solve of _heuristic_single's
+# candidates: 8 MB of float64, which bounds each of its gathered blocks; a
+# candidate larger than the budget is solved alone, as it would be unbatched.
+_SOLVE_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -305,7 +309,8 @@ def _min_pair(k_amb, universe, masses, rng=None):
 
 def _pair_value(k_amb, a_rows, b_rows):
     """Cap(A, B) for one explicit pair: ground B, then one grounded solve."""
-    keep = [i for i in range(k_amb.shape[0]) if i not in set(b_rows)]
+    drop = set(b_rows)
+    keep = [i for i in range(k_amb.shape[0]) if i not in drop]
     sub = k_amb[np.ix_(keep, keep)]
     remap = {r: i for i, r in enumerate(keep)}
     return _grounded_value(sub, [remap[r] for r in a_rows])
@@ -321,18 +326,37 @@ def _levels(vec):
 
 def _heuristic_single(k_amb, universe, masses, field):
     """Certified upper bound from superlevel sets of a guiding field plus
-    singletons; each candidate is still evaluated exactly."""
+    singletons; each candidate is still evaluated exactly.
+
+    Candidates of one size share a batched _grounded_values solve, in chunks
+    of at most _SOLVE_ELEMENTS // d_amb^2 rows (at least one); each row is
+    the arithmetic of a solve on its own.  The running best then takes the
+    values in candidate order, as a one-at-a-time loop would.
+    """
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
     vec = np.asarray(field, dtype=float)
     if vec.sum() < 0:
         vec = -vec
-    cands = _levels(vec) + [(i,) for i in range(len(universe))]
+    cands = list(dict.fromkeys(_levels(vec) + [(i,) for i in range(len(universe))]))
+    by_size = {}
+    for c, slots in enumerate(cands):
+        by_size.setdefault(len(slots), []).append(c)
+    d_amb = k_amb.shape[0]
+    step = max(1, _SOLVE_ELEMENTS // d_amb ** 2)
+    vals = [None] * len(cands)
+    for members in by_size.values():
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            part = np.array([cands[c] for c in chunk], dtype=int)
+            rows = universe[part]
+            got = _grounded_values(k_amb, rows, _complement(rows, d_amb))
+            for c, val in zip(chunk, got / masses[part].sum(axis=1)):
+                vals[c] = val
     best = None
-    for slots in dict.fromkeys(cands):
-        val = _grounded_value(k_amb, universe[list(slots)]) / masses[list(slots)].sum()
+    for slots, val in zip(cands, vals):
         best = _better(best, val, slots)
-    return best[0], best[1], len(dict.fromkeys(cands))
+    return best[0], best[1], len(cands)
 
 
 def _heuristic_pair(k_amb, universe, masses, field):
@@ -364,7 +388,8 @@ def _ids(order, slots):
 
 def _alpha_d_raw(graph, subset, budget, heuristic, rng):
     """alpha_D of a subset against its own vertex boundary, ambient rows."""
-    order = [v for v in graph.vertices if v in set(subset)]
+    inside = set(subset)
+    order = [v for v in graph.vertices if v in inside]
     k = stiffness_matrix(graph)
     pos = [graph.index[v] for v in order]
     k_amb = k[np.ix_(pos, pos)]
@@ -620,7 +645,8 @@ def gamma_tilde_dirichlet(graph, W, k, budget=None):
     eigenvalue of each part (ambient grounding outside the part)."""
     budget = budget or DEFAULT_BUDGET
     graph.check_vertices(W, "W")
-    order = [v for v in graph.vertices if v in set(W)]
+    wset = set(W)
+    order = [v for v in graph.vertices if v in wset]
     kmat = stiffness_matrix(graph)
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
@@ -639,7 +665,8 @@ def gamma_k_dirichlet(graph, W, k, budget=None):
     """Gamma_k^D over W: min-max of alpha_D(part) over disjoint k-tuples."""
     budget = budget or DEFAULT_BUDGET
     graph.check_vertices(W, "W")
-    order = [v for v in graph.vertices if v in set(W)]
+    wset = set(W)
+    order = [v for v in graph.vertices if v in wset]
     kmat = stiffness_matrix(graph)
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])

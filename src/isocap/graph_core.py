@@ -4,14 +4,18 @@ A graph is G = (V, E, w, m): simple, undirected, positive edge weights w and
 vertex masses m.  For an interior set Omega the working subgraph is
 G_Omega = (closure, E(Omega, closure), w, m): edges with both endpoints in
 the vertex boundary are removed.
+
+Validate once, derive by index: the WeightedGraph constructor checks its
+input in one pass and keeps each edge as a pair of dense positions with its
+float weight.  Domains, G_Omega, connectivity and linear_core's stiffness
+assembly work on those pairs; G_Omega is never validated again.
 """
 
-import math
-from collections import deque
+import functools
 
 from .errors import DomainError, InputError
 
-_INF = math.inf
+_INF = float("inf")
 
 
 class WeightedGraph:
@@ -26,17 +30,24 @@ class WeightedGraph:
     this order: duplicate ids, masses in vertex order, edges in the order
     given, isolated vertices, and last an infinite mass or weight.
 
-    linear_core.stiffness_matrix stores the graph's stiffness, a read-only
-    ndarray in vertex order, on the instance the first time it is asked for.
+    Fields: vertices (tuple), index (id -> dense position), mass (id ->
+    float, in vertex order), pairs (one (i, j) tuple of dense positions per
+    edge, i < j, in the order the edges were given) and weights (the float
+    weights, aligned with pairs).  `edges`, the (u, v, weight) triples with
+    u before v in vertex order, and `adjacency`, id -> ((neighbour, weight),
+    ...) in edge order, are tuples built from pairs and weights the first
+    time they are read.  linear_core.stiffness_matrix stores the graph's
+    stiffness, a read-only ndarray in vertex order, on the instance the
+    first time it is asked for.
     """
 
     def __init__(self, vertices, mass, edges):
-        self.vertices = vertices = tuple(vertices)
+        vertices = tuple(vertices)
         n = len(vertices)
-        self.index = index = dict(zip(vertices, range(n)))
+        index = dict(zip(vertices, range(n)))
         if len(index) != n:
             raise InputError("duplicate vertex ids")
-        self.mass = masses = {}
+        masses = {}
         for v in vertices:
             if v not in mass:
                 raise InputError("missing mass for vertex %r" % (v,))
@@ -45,8 +56,9 @@ class WeightedGraph:
                 raise InputError("mass of %r must be positive, got %r" % (v, mass[v]))
         # endpoints as dense positions: a parallel edge is a repeated i * n + j
         seen = set()
-        adj = [[] for _ in vertices]
-        normalized = []
+        touched = bytearray(n)
+        pairs = []
+        weights = []
         infinite = None
         for u, v, w in edges:
             i = index.get(u)
@@ -66,11 +78,11 @@ class WeightedGraph:
             if key in seen:
                 raise InputError("parallel edge (%r, %r)" % (u, v))
             seen.add(key)
-            normalized.append((u, v, w))
-            adj[i].append((v, w))
-            adj[j].append((u, w))
-        if not all(adj):
-            raise InputError("isolated vertex %r" % (vertices[adj.index([])],))
+            pairs.append((i, j))
+            weights.append(w)
+            touched[i] = touched[j] = 1
+        if not all(touched):
+            raise InputError("isolated vertex %r" % (vertices[touched.index(0)],))
         # infinities pass every check above; they are rejected last, so any
         # other fault of the same input is still the one reported
         if _INF in masses.values():
@@ -80,8 +92,30 @@ class WeightedGraph:
         if infinite:
             raise InputError("weight of (%r, %r) must be a positive finite number, "
                              "got %r" % infinite)
-        self.edges = tuple(normalized)
-        self.adjacency = dict(zip(vertices, map(tuple, adj)))
+        self._set(vertices, index, masses, tuple(pairs), tuple(weights))
+
+    def _set(self, vertices, index, mass, pairs, weights):
+        """The one builder: every graph, validated or derived, is these five
+        fields; edges and adjacency follow from them."""
+        self.vertices = vertices
+        self.index = index
+        self.mass = mass
+        self.pairs = pairs
+        self.weights = weights
+
+    @functools.cached_property
+    def edges(self):
+        vs = self.vertices
+        return tuple((vs[i], vs[j], w) for (i, j), w in zip(self.pairs, self.weights))
+
+    @functools.cached_property
+    def adjacency(self):
+        vs = self.vertices
+        adj = [[] for _ in vs]
+        for (i, j), w in zip(self.pairs, self.weights):
+            adj[i].append((vs[j], w))
+            adj[j].append((vs[i], w))
+        return dict(zip(vs, map(tuple, adj)))
 
     def mass_of(self, subset):
         return sum(self.mass[v] for v in subset)
@@ -110,30 +144,63 @@ class WeightedGraph:
         return "WeightedGraph(|V|=%d, |E|=%d)" % (len(self.vertices), len(self.edges))
 
 
+def _derived(vertices, index, mass, pairs, weights):
+    """A WeightedGraph from parts of a graph that was already validated:
+    no check runs, and the constructor is not called."""
+    graph = WeightedGraph.__new__(WeightedGraph)
+    graph._set(vertices, index, mass, pairs, weights)
+    return graph
+
+
+def _connected(n, pairs):
+    """Whether the n positions joined by the (i, j) pairs form one component
+    (depth-first from position 0)."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in pairs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for y in nbrs[stack.pop()]:
+            if not seen[y]:
+                seen[y] = 1
+                reached += 1
+                stack.append(y)
+    return reached == n
+
+
 def is_connected(graph):
-    """Whether every vertex is reachable from the first (breadth-first)."""
-    start = graph.vertices[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y, _ in graph.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(graph.vertices)
+    """Whether every vertex is reachable from the first."""
+    return _connected(len(graph.vertices), graph.pairs)
+
+
+def _roles(graph, interior):
+    """Per dense position of graph: 1 for the interior, 2 for its vertex
+    boundary, 0 elsewhere.  The interior is read once, in its own order; its
+    first unknown vertex raises."""
+    index = graph.index
+    role = bytearray(len(graph.vertices))
+    for v in interior:
+        i = index.get(v)
+        if i is None:
+            raise InputError("unknown vertex %r in interior" % (v,))
+        role[i] = 1
+    for i, j in graph.pairs:
+        if role[i] == 1:
+            if not role[j]:
+                role[j] = 2
+        elif role[j] == 1:
+            role[i] = 2
+    return role
 
 
 def vertex_boundary(graph, interior):
     """{y not in interior : y ~ x for some interior x}."""
-    graph.check_vertices(interior, "interior")
-    inside = set(interior)
-    out = set()
-    for x in inside:
-        for y, _ in graph.adjacency[x]:
-            if y not in inside:
-                out.add(y)
-    return set(out)
+    vs = graph.vertices
+    return {vs[p] for p, r in enumerate(_roles(graph, interior)) if r == 2}
 
 
 class SteklovDomain:
@@ -147,30 +214,42 @@ class SteklovDomain:
                  `induced`, so stiffness blocks split as [interior|boundary])
       induced    G_Omega: edges between boundary vertices removed
       interior_index / boundary_index / closure_index  id -> dense position
+
+    Everything is derived from the ambient graph's integer pairs: G_Omega
+    keeps the edges with an interior endpoint, in ambient edge order,
+    renumbered to closure positions, and is not validated again.  The
+    interior may be any iterable; it is read once.  Raises InputError for an
+    empty interior, then for its first unknown vertex, and DomainError when
+    the closure is not connected in G_Omega.
     """
 
     def __init__(self, graph, interior):
+        interior = tuple(interior)
         if not interior:
             raise InputError("empty interior")
-        graph.check_vertices(interior, "interior")
-        inside = set(interior)
+        role = _roles(graph, interior)
+        vs = graph.vertices
+        inner = [p for p, r in enumerate(role) if r == 1]
+        outer = [p for p, r in enumerate(role) if r == 2]
+        local = dict(zip(inner + outer, range(len(inner) + len(outer))))
+        pairs = []
+        weights = []
+        for (i, j), w in zip(graph.pairs, graph.weights):
+            if role[i] == 1 or role[j] == 1:
+                a, b = local[i], local[j]
+                pairs.append((a, b) if a < b else (b, a))
+                weights.append(w)
         self.graph = graph
-        self.interior = tuple(v for v in graph.vertices if v in inside)
-        bset = vertex_boundary(graph, self.interior)
-        self.boundary = tuple(v for v in graph.vertices if v in bset)
-        self.closure = self.interior + self.boundary
-        kept = [
-            (u, v, w)
-            for u, v, w in graph.edges
-            if u in inside or v in inside
-        ]
-        self.induced = WeightedGraph(
-            self.closure, {v: graph.mass[v] for v in self.closure}, kept
-        )
-        self.interior_index = {v: i for i, v in enumerate(self.interior)}
-        self.boundary_index = {v: i for i, v in enumerate(self.boundary)}
-        self.closure_index = {v: i for i, v in enumerate(self.closure)}
-        if not is_connected(self.induced):
+        self.interior = tuple(map(vs.__getitem__, inner))
+        self.boundary = tuple(map(vs.__getitem__, outer))
+        self.closure = closure = self.interior + self.boundary
+        self.closure_index = dict(zip(closure, range(len(closure))))
+        self.interior_index = dict(zip(self.interior, range(len(inner))))
+        self.boundary_index = dict(zip(self.boundary, range(len(outer))))
+        mass = graph.mass
+        self.induced = _derived(closure, self.closure_index,
+                                {v: mass[v] for v in closure}, tuple(pairs), tuple(weights))
+        if not _connected(len(closure), pairs):
             raise DomainError("closure is not connected in the induced graph")
 
     def is_interior(self, v):

@@ -7,13 +7,16 @@ M^{-1/2} scaling.
 
 Every operator is a plain float ndarray whose symmetry is exact by
 construction: a graph's stiffness matrix, its slices and the Schur
-complements below.  The stiffness is assembled once, from the graph's edge
-arrays, and kept read-only on the graph, so every caller that asks for it
-shares one array.  An eigensolve diagonalizes the whole matrix but
-post-processes (orients, checks residuals of, returns) only the eigenpairs
-its caller asks for.
+complements below.  The stiffness is assembled once, from the graph's
+integer endpoint pairs and weights, and kept read-only on the graph, so
+every caller that asks for it shares one array.  An eigensolve diagonalizes
+the whole matrix but post-processes (orients, checks residuals of, returns)
+only the eigenpairs its caller asks for.  A spectrum that extends several
+eigenvectors through one SPD block factors it once (spd_solver).
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,11 @@ def stiffness_matrix(graph):
 
 
 def _assemble(graph):
-    idx = graph.index
     n = len(graph.vertices)
-    ends = np.array([(idx[u], idx[v]) for u, v, _ in graph.edges],
-                    dtype=np.intp).reshape(-1, 2)
-    w = np.array([w for _, _, w in graph.edges], dtype=float)
+    pairs = graph.pairs
+    ends = np.fromiter(itertools.chain.from_iterable(pairs), np.intp,
+                       2 * len(pairs)).reshape(-1, 2)
+    w = np.array(graph.weights, dtype=float)
     k = np.zeros((n, n))
     k[ends[:, 0], ends[:, 1]] = -w
     k[ends[:, 1], ends[:, 0]] = -w
@@ -143,13 +146,19 @@ def sym_eig_generalized(K, mass, vertex_order=None, count=None):
     )
 
 
-def solve_spd(K, b):
-    """Solve K x = b for symmetric positive definite K by Cholesky."""
+def spd_solver(K):
+    """Factor symmetric positive definite K once by Cholesky; returns
+    solve(b) = K^{-1} b.  Each solve gives the bits of solve_spd(K, b)."""
     try:
-        c, low = scipy.linalg.cho_factor(K, check_finite=False)
+        factor = scipy.linalg.cho_factor(K, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    return functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
+
+
+def solve_spd(K, b):
+    """Solve K x = b for symmetric positive definite K by Cholesky."""
+    return spd_solver(K)(b)
 
 
 def schur_complement(K, eliminate):

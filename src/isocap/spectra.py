@@ -17,7 +17,7 @@ from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
 from .linear_core import (
     schur_complement,
-    solve_spd,
+    spd_solver,
     stiffness_matrix,
     sym_eig_generalized,
 )
@@ -76,11 +76,15 @@ def _finite(fn):
     def checked(*args, **kwargs):
         with np.errstate(all="ignore"):
             result = fn(*args, **kwargs)
-        if not all(np.isfinite(x).all() for x in _numbers(result)):
-            raise InputError("non-finite values in %s" % fn.__name__)
+        _check_finite(result, fn.__name__)
         return result
 
     return checked
+
+
+def _check_finite(result, step):
+    if not all(np.isfinite(x).all() for x in _numbers(result)):
+        raise InputError("non-finite values in %s" % step)
 
 
 def _numbers(result):
@@ -174,25 +178,35 @@ def dtn_operator(domain):
     return DtnOperator(boundary=domain.boundary, form=form, mass=mass)
 
 
+def _extender(domain):
+    """harmonic_extension as a map of boundary values, K_II factored once."""
+    n = len(domain.interior)
+    k = stiffness_matrix(domain.induced)
+    solve = spd_solver(k[:n, :n])
+    kib = k[:n, n:]
+
+    def extend(boundary_values):
+        vec = np.array([boundary_values[z] for z in domain.boundary])
+        out = {z: float(boundary_values[z]) for z in domain.boundary}
+        out.update(zip(domain.interior, solve(-kib @ vec).tolist()))
+        return out
+
+    return extend
+
+
 @_finite
 def harmonic_extension(domain, boundary_values):
     """Extend boundary data into Omega harmonically (w.r.t. G_Omega)."""
-    n = len(domain.interior)
-    k = stiffness_matrix(domain.induced)
-    vec = np.array([boundary_values[z] for z in domain.boundary])
-    out = {z: float(boundary_values[z]) for z in domain.boundary}
-    if n:
-        u = solve_spd(k[:n, :n], -k[:n, n:] @ vec)
-        for x in domain.interior:
-            out[x] = float(u[domain.interior_index[x]])
-    return out
+    return _extender(domain)(boundary_values)
 
 
 @_finite
 def steklov_spectrum(domain, count=None):
     """Steklov eigenvalues: form v = sigma M_B v; sigma_0 = 0.
 
-    Eigenfunctions are returned with their harmonic extensions.
+    Eigenfunctions are returned with their harmonic extensions: K_II is
+    factored once, and each field is checked, and named in an error, as
+    harmonic_extension would be.
     """
     op = dtn_operator(domain)
     nb = len(domain.boundary)
@@ -205,12 +219,11 @@ def steklov_spectrum(domain, count=None):
         raise InputError("count must be positive")
     res = sym_eig_generalized(op.form, op.mass, vertex_order=domain.boundary,
                               count=count)
-    res.fields = [
-        harmonic_extension(
-            domain, {z: res.vectors[i, j] for i, z in enumerate(domain.boundary)}
-        )
-        for j in range(count)
-    ]
+    extend = _extender(domain)
+    for j in range(count):
+        f = extend({z: res.vectors[i, j] for i, z in enumerate(domain.boundary)})
+        _check_finite(f, "harmonic_extension")
+        res.fields.append(f)
     return res
 
 
@@ -272,14 +285,13 @@ def grounded_dtn_spectrum(domain, W, count=None):
     mass = np.array([domain.graph.mass[z] for z in w_bnd])
     res = sym_eig_generalized(form, mass, vertex_order=tuple(w_bnd), count=count)
     fields = []
+    m = len(w_int)
+    solve = spd_solver(kw[:m, :m]) if m else None
     for j in range(count):
         v = res.vectors[:, j]
         f = {z: float(v[i]) for i, z in enumerate(w_bnd)}
-        if w_int:
-            kii = kw[: len(w_int), : len(w_int)]
-            u = solve_spd(kii, -kw[: len(w_int), len(w_int):] @ v)
-            for i, x in enumerate(w_int):
-                f[x] = float(u[i])
+        if m:
+            f.update(zip(w_int, solve(-kw[:m, m:] @ v).tolist()))
         fields.append(f)
     res.fields = fields
     return res
@@ -312,15 +324,13 @@ def hm_dtn_spectrum(graph, omega, count=None):
     mass = np.array([graph.mass[v] for v in keep])
     res = sym_eig_generalized(form, mass, vertex_order=tuple(keep), count=count)
     fields = []
-    kee = kw[n:, n:]
     keo = kw[n:, :n]
+    solve = spd_solver(kw[n:, n:]) if drop else None
     for j in range(count):
         v = res.vectors[:, j]
         f = {x: float(v[i]) for i, x in enumerate(keep)}
         if drop:
-            u = solve_spd(kee, -keo @ v)
-            for i, x in enumerate(drop):
-                f[x] = float(u[i])
+            f.update(zip(drop, solve(-keo @ v).tolist()))
         fields.append(f)
     res.fields = fields
     return res

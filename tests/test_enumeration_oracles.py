@@ -14,11 +14,13 @@ import pytest
 
 import isocap.constants as constants
 from isocap import (INFINITE, Budget, InputError, WeightedGraph, beta_tuple,
-                    gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
+                    dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
                     kappa_steklov, make_domain)
 from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better,
-                              _cube_forms, _min_pair, _min_single, _min_tuple,
-                              _split_forms, _split_table)
+                              _cube_forms, _grounded_value, _levels, _min_pair,
+                              _min_single, _min_tuple, _split_forms,
+                              _split_table)
+from isocap.infinite_families import line_domain
 from isocap.linear_core import stiffness_matrix
 from isocap.verify import _sign_patterns, random_domain
 
@@ -128,6 +130,22 @@ def ref_min_pair(k_amb, universe, masses, rng=None):
                 )
                 best = _better(best, float(vmin), key)
     return best[0], best[1], examined, most_tied
+
+
+def ref_heuristic_single(k_amb, universe, masses, field):
+    """Superlevel sets and singletons, one _grounded_value solve each,
+    offered to the running best in candidate order."""
+    universe = np.asarray(universe, dtype=int)
+    masses = np.asarray(masses, dtype=float)
+    vec = np.asarray(field, dtype=float)
+    if vec.sum() < 0:
+        vec = -vec
+    cands = _levels(vec) + [(i,) for i in range(len(universe))]
+    best = None
+    for slots in dict.fromkeys(cands):
+        val = _grounded_value(k_amb, universe[list(slots)]) / masses[list(slots)].sum()
+        best = _better(best, val, slots)
+    return best[0], best[1], len(dict.fromkeys(cands))
 
 
 def per_part(objective):
@@ -461,6 +479,76 @@ def test_parts_without_boundary_slot_are_infinite():
     res = gamma_k_steklov(dom, W, 2)
     assert res.value is INFINITE
     assert _result(res) == _result(ref_gamma_k_steklov(dom, W, 2, DEFAULT_BUDGET))
+
+
+# ---------------------------------------------------------------------------
+# heuristic single-set bound: candidates batched by size
+
+
+def _segment(n, rng):
+    """Interior 1..n-1 of a segment with log-uniform weights and masses."""
+    w = np.exp(rng.uniform(-2, 2, n)).tolist()
+    m = np.exp(rng.uniform(-2, 2, n + 1)).tolist()
+    graph, dom = line_domain(n, weight_rule=lambda u, v: w[u],
+                             mass_rule=lambda v: m[v])
+    return dom
+
+
+def heuristic_inputs():
+    """(k_amb, universe, masses, field) as alpha_dirichlet's heuristic path
+    passes them, plus fields with tied and negative levels."""
+    rng = np.random.default_rng(90)
+    doms = (RANDOM + TIED_SINGLE + [line_domain(40)[1]]
+            + [_segment(n, rng) for n in (40, 150)])
+    for dom in doms:
+        k_amb, universe, masses = single_inputs(dom)
+        p = len(universe)
+        yield k_amb, universe, masses, dirichlet_spectrum(
+            dom.graph, dom.interior, 1).vectors[:, 0]
+        yield k_amb, universe, masses, rng.integers(-2, 3, p).astype(float)
+        yield k_amb, universe, masses, np.ones(p)
+
+
+def _record_batches(monkeypatch):
+    batches = []
+    solve = constants._grounded_values
+
+    def recording(k_amb, combos, free):
+        batches.append((len(combos), k_amb.shape[0]))
+        return solve(k_amb, combos, free)
+
+    monkeypatch.setattr(constants, "_grounded_values", recording)
+    return batches
+
+
+@pytest.mark.parametrize("cap", [None, 3 * 39 ** 2, 1])
+def test_heuristic_single_matches_reference(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(constants, "_SOLVE_ELEMENTS", cap)
+    cap = constants._SOLVE_ELEMENTS
+    cases = list(heuristic_inputs())
+    want = [ref_heuristic_single(*case) for case in cases]
+    batches = _record_batches(monkeypatch)
+    got = [constants._heuristic_single(*case) for case in cases]
+    for g, w in zip(got, want):
+        _same(g, w)
+    # no batch over the element budget, unless it is a single candidate
+    assert all(rows == 1 or rows * d * d <= cap for rows, d in batches)
+    assert sum(rows for rows, _ in batches) == sum(w[2] for w in want)
+    if cap > 1:
+        assert max(rows for rows, _ in batches) > 1
+        assert len(batches) < sum(w[2] for w in want)
+
+
+def test_heuristic_single_ties_take_the_smallest_candidate():
+    # every nonempty leaf set of the unit star ties; the singleton (0,) is
+    # the smallest candidate tuple whatever the field's levels are
+    for dom in TIED_SINGLE:
+        k_amb, universe, masses = single_inputs(dom)
+        field = np.arange(len(universe), 0, -1, dtype=float)
+        got = constants._heuristic_single(k_amb, universe, masses, field)
+        assert got[1] == (0,)
+        _same(got, ref_heuristic_single(k_amb, universe, masses, field))
 
 
 # ---------------------------------------------------------------------------

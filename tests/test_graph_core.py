@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from isocap import (DomainError, InputError, WeightedGraph, energy,
-                    green_residual, laplacian_apply, make_domain,
-                    normal_derivative, vertex_boundary)
+import isocap.infinite_families as infinite_families
+from isocap import (DomainError, FamilySpec, InputError, WeightedGraph, energy,
+                    generate, green_residual, laplacian_apply, make_domain,
+                    normal_derivative, stiffness_matrix, vertex_boundary)
+from isocap.graph_core import is_connected
 from isocap.infinite_families import path_graph, t3_example
 
 
@@ -116,7 +118,9 @@ def test_construction_reports_the_oracle_first_error(case):
     assert _first_error(WeightedGraph, case) == _first_error(loop_graph, case)
 
 
-def test_construction_matches_the_edge_loop():
+def random_inputs():
+    """(vertices, mass, edges) of 100 random connected graphs: integer,
+    string and tuple ids, edges shuffled and given either way round."""
     rng = np.random.default_rng(7)
     labels = [lambda k: k, lambda k: "v%d" % k, lambda k: (k % 3, k // 3)]
     for trial in range(100):
@@ -130,11 +134,20 @@ def test_construction_matches_the_edge_loop():
         vertices = [name(int(k)) for k in rng.permutation(n)]
         mass = {name(k): float(10.0 ** rng.uniform(-3, 3)) for k in range(n)}
         edges = [(name(i), name(j), float(10.0 ** rng.uniform(-3, 3))) for i, j in pairs]
+        yield vertices, mass, edges
+
+
+def test_construction_matches_the_edge_loop():
+    for vertices, mass, edges in random_inputs():
         g = WeightedGraph(vertices, mass, edges)
         assert (g.vertices, g.index, g.mass, g.edges, g.adjacency) == \
             loop_graph(vertices, mass, edges)
         assert list(g.index) == list(g.vertices)
         assert list(g.adjacency) == list(g.vertices)
+        # the integer form the constructor keeps: i < j, in edge order
+        assert g.pairs == tuple((g.index[u], g.index[v]) for u, v, _ in g.edges)
+        assert all(i < j for i, j in g.pairs)
+        assert g.weights == tuple(w for _, _, w in g.edges)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), "inf", -float("inf")])
@@ -207,6 +220,149 @@ def test_t3_shape():
     assert set(dom.boundary) == {"x%d" % k for k in range(5, 11)}
     # leaves hang off distinct interior parents, no boundary-boundary edges
     assert all({u, v} & set(dom.interior) for u, v, _ in dom.induced.edges)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the vertex-id domain construction that sent G_Omega back through
+# the validating constructor, kept here because only tests use it
+
+
+def oracle_domain(graph, interior):
+    """Reference domain fields, or the first error, from vertex ids and sets."""
+    if not interior:
+        raise InputError("empty interior")
+    graph.check_vertices(interior, "interior")
+    inside = set(interior)
+    interior = tuple(v for v in graph.vertices if v in inside)
+    bset = {y for x in inside for y, _ in graph.adjacency[x] if y not in inside}
+    boundary = tuple(v for v in graph.vertices if v in bset)
+    closure = interior + boundary
+    kept = [(u, v, w) for u, v, w in graph.edges if u in inside or v in inside]
+    induced = WeightedGraph(closure, {v: graph.mass[v] for v in closure}, kept)
+    start = closure[0]
+    seen = {start}
+    queue = [start]
+    while queue:
+        for y, _ in induced.adjacency[queue.pop()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    if len(seen) != len(closure):
+        raise DomainError("closure is not connected in the induced graph")
+    return dict(interior=interior, boundary=boundary, closure=closure, induced=induced,
+                interior_index={v: i for i, v in enumerate(interior)},
+                boundary_index={v: i for i, v in enumerate(boundary)},
+                closure_index={v: i for i, v in enumerate(closure)})
+
+
+def _graph_fields(g):
+    return (g.vertices, list(g.index.items()), list(g.mass.items()), g.edges,
+            list(g.adjacency.items()), stiffness_matrix(g).tobytes())
+
+
+def assert_matches_oracle(graph, interior, build=make_domain):
+    """make_domain agrees with the oracle field by field (dicts in order,
+    stiffness bytes), or raises the same first error."""
+    try:
+        ref = oracle_domain(graph, interior)
+    except (InputError, DomainError) as exc:
+        with pytest.raises(type(exc)) as got:
+            build(graph, interior)
+        assert str(got.value) == str(exc)
+        return False
+    dom = build(graph, interior)
+    assert dom.graph is graph
+    for name in ("interior", "boundary", "closure"):
+        assert getattr(dom, name) == ref[name]
+    for name in ("interior_index", "boundary_index", "closure_index"):
+        assert list(getattr(dom, name).items()) == list(ref[name].items())
+    assert _graph_fields(dom.induced) == _graph_fields(ref["induced"])
+    return True
+
+
+def test_domain_matches_the_oracle_on_random_graphs():
+    rng = np.random.default_rng(8)
+    built = failed = 0
+    for vertices, mass, edges in random_inputs():
+        g = WeightedGraph(vertices, mass, edges)
+        for _ in range(4):
+            size = int(rng.integers(0, len(vertices) + 1))
+            interior = [vertices[t] for t in rng.permutation(len(vertices))[:size]]
+            if rng.random() < 0.1:
+                interior.append("nowhere")
+            ok = assert_matches_oracle(g, interior)
+            built += ok
+            failed += not ok
+    assert built > 200 and failed > 20  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("path_segment"), FamilySpec("t3"), FamilySpec("binary_tree"),
+    FamilySpec("binary_tree", quotient=True),
+    FamilySpec("binary_tree", weight_rule=lambda u, v: 1.0 + u % 3,
+               mass_rule=lambda v: 0.5 + v % 2),
+    FamilySpec("lattice_box", dim=1), FamilySpec("lattice_box", dim=2),
+    FamilySpec("lattice_box", dim=3), FamilySpec("lattice_box", dim=2, quotient=True),
+    FamilySpec("lattice_box", dim=3, quotient=True),
+    FamilySpec("half_space", dim=1), FamilySpec("half_space", dim=2),
+    FamilySpec("half_space", dim=3, weight_rule=lambda u, v: 1.0 + abs(u[0] - v[0])),
+], ids=repr)
+def test_family_domains_match_the_oracle(spec, monkeypatch):
+    calls = []
+
+    def recording(graph, interior):
+        interior = tuple(interior)
+        calls.append((graph, interior))
+        return make_domain(graph, interior)
+
+    monkeypatch.setattr(infinite_families, "make_domain", recording)
+    for step in range(1, 5):
+        if spec.kind == "path_segment" and step < 2:
+            continue
+        generate(spec, step)
+    assert calls
+    for graph, interior in calls:
+        assert assert_matches_oracle(graph, interior)
+
+
+def _abc():
+    return WeightedGraph("abc", {v: 1.0 for v in "abc"}, [("a", "b", 1.0), ("b", "c", 2.0)])
+
+
+@pytest.mark.parametrize("make, interior, boundary", [
+    (lambda: iter(["b"]), ("b",), ("a", "c")),
+    (lambda: (v for v in "b"), ("b",), ("a", "c")),
+    (lambda: np.array(["a", "b"]), ("a", "b"), ("c",)),
+], ids=["iterator", "generator", "ndarray"])
+def test_make_domain_reads_its_interior_once(make, interior, boundary):
+    g = _abc()
+    dom = make_domain(g, make())
+    assert (dom.interior, dom.boundary) == (interior, boundary)
+    # the ids are the graph's own objects, not numpy strings
+    assert all(type(v) is str for v in dom.closure + dom.induced.vertices)
+    assert assert_matches_oracle(g, tuple(make()), lambda g, _: make_domain(g, make()))
+    assert vertex_boundary(g, make()) == set(boundary)
+    with pytest.raises(InputError, match="empty interior"):
+        make_domain(g, iter([]))
+
+
+def test_derived_graph_skips_the_constructor(monkeypatch):
+    g = _abc()
+    calls = []
+    init = WeightedGraph.__init__
+    monkeypatch.setattr(WeightedGraph, "__init__",
+                        lambda self, *a: calls.append(a) or init(self, *a))
+    dom = make_domain(g, ["b"])
+    assert calls == []
+    assert isinstance(dom.induced, WeightedGraph)
+    assert dom.induced == WeightedGraph("bac", {v: 1.0 for v in "abc"},
+                                        [("b", "a", 1.0), ("b", "c", 2.0)])
+
+
+def test_is_connected():
+    assert is_connected(_abc())
+    g = WeightedGraph(range(4), {v: 1.0 for v in range(4)}, [(0, 1, 1.0), (2, 3, 1.0)])
+    assert not is_connected(g)
 
 
 def test_energy_and_laplacian_path():

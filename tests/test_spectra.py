@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from isocap import (INFINITE, InputError, WeightedGraph, WeightSchedule,
                     default_schedule, dirichlet_spectrum, dtn_operator,
                     energy, grounded_dtn_spectrum, harmonic_extension,
                     hm_dtn_spectrum, is_infinite, make_domain,
-                    neumann_spectrum, normal_derivative, steklov_spectrum,
-                    stiffness_matrix, sym_eig_generalized,
+                    neumann_spectrum, normal_derivative, solve_spd,
+                    steklov_spectrum, stiffness_matrix, sym_eig_generalized,
                     vanishing_weight_spectrum)
 from isocap.infinite_families import (FamilySpec, generate, line_domain,
                                       t3_example)
@@ -211,3 +212,70 @@ def test_neumann_eigenproblem_is_the_mirrored_elimination():
         assert np.array_equal(got.vectors, want.vectors)
         assert got.residual_norm == want.residual_norm
     assert asymmetric >= 10
+
+
+# ---------------------------------------------------------------------------
+# eigenfunction extensions: one factorization per call
+
+
+def _count_factors(monkeypatch):
+    sizes = []
+    factor = scipy.linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    return sizes
+
+
+def _bits(field):
+    return [(v, float(x).hex()) for v, x in field.items()]
+
+
+def _per_vector(block, rhs, ids, field):
+    """A field completed by one fresh SPD solve, as each eigenvector was."""
+    field = dict(field)
+    for x, value in zip(ids, solve_spd(block, rhs)):
+        field[x] = float(value)
+    return field
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_extensions_factor_once_and_match_per_vector_solves(seed, monkeypatch):
+    dom = random_domain(np.random.default_rng(seed))
+    n, nb = len(dom.interior), len(dom.boundary)
+    k = stiffness_matrix(dom.induced)
+    sizes = _count_factors(monkeypatch)
+
+    res = steklov_spectrum(dom)
+    # the Schur complement's K_II, then K_II once for every extension
+    assert sizes == [n, n]
+    assert len(res.fields) == nb
+    for j, f in enumerate(res.fields):
+        boundary = {z: res.vectors[i, j] for i, z in enumerate(dom.boundary)}
+        assert _bits(f) == _bits(harmonic_extension(dom, boundary))
+
+    sizes.clear()
+    g, omega = dom.graph, dom.interior
+    res = hm_dtn_spectrum(g, omega)
+    drop = [v for v in g.vertices if v not in set(omega)]
+    assert sizes == [len(drop), len(drop)]
+    pos = [g.index[v] for v in list(omega) + drop]
+    kw = stiffness_matrix(g)[np.ix_(pos, pos)]
+    for j, f in enumerate(res.fields):
+        v = res.vectors[:, j]
+        own = {x: float(v[i]) for i, x in enumerate(omega)}
+        assert _bits(f) == _bits(_per_vector(kw[n:, n:], -kw[n:, :n] @ v, drop, own))
+
+    sizes.clear()
+    W = dom.interior + dom.boundary[:2]
+    res = grounded_dtn_spectrum(dom, W)
+    assert sizes == [n, n]
+    kw = k[np.ix_(range(n + 2), range(n + 2))]
+    for j, f in enumerate(res.fields):
+        v = res.vectors[:, j]
+        own = {z: float(v[i]) for i, z in enumerate(dom.boundary[:2])}
+        assert _bits(f) == _bits(_per_vector(kw[:n, :n], -kw[:n, n:] @ v,
+                                             dom.interior, own))
