@@ -24,8 +24,7 @@ from .graph_core import (SteklovDomain, WeightedGraph, energy, green_residual,
 from .linear_core import (SpectralResult, schur_complement, solve_spd,
                           stiffness_matrix, sym_eig_generalized)
 from .capacity import (CapacityResult, CapacitySequence, cap, cap_exhaustion,
-                       cap_to_boundary, capacity_by_descent, coarea_value,
-                       equilibrium_potential)
+                       cap_to_boundary, coarea_value, equilibrium_potential)
 from .spectra import (DtnOperator, WeightSchedule, default_schedule,
                       dirichlet_spectrum, dtn_operator, grounded_dtn_spectrum,
                       harmonic_extension, hm_dtn_spectrum, neumann_spectrum,

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import BudgetError, InputError
 from .infinity import INFINITE, is_infinite
@@ -33,6 +34,13 @@ _CUBE_MIN = 3072
 # candidates: 8 MB of float64, which bounds each of its gathered blocks; a
 # candidate larger than the budget is solved alone, as it would be unbatched.
 _SOLVE_ELEMENTS = 1 << 20
+# The relative margin of _heuristic_single's screen is delta = _SCREEN_SLACK
+# * n * kappa^2 * u (_screen_single).  Over the oracle inputs of the tests and
+# the heuristic steps of the benchmark's families (n up to 729, kappa up to
+# 1.3e5), the largest |screened - exact| / exact was 0.56 n kappa^2 u, at
+# n = 2; the factor 64 leaves two orders of magnitude above that.
+_SCREEN_SLACK = 64.0
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass
@@ -294,7 +302,13 @@ def _min_pair(k_amb, universe, masses, rng=None):
                 s_u = kuu
             quad = _split_forms(t, s_u, cube)
             m_u = masses[part]
-            m_a = np.einsum("ps,ns->np", t, m_u)
+            # the masses in the memory layout of quad (the hypercube gives a
+            # transposed view), so the division reads both alike; the einsum
+            # sums each entry in the same order for either output axis order
+            if quad.flags.c_contiguous:
+                m_a = np.einsum("ps,ns->np", t, m_u)
+            else:
+                m_a = np.einsum("ps,ns->pn", t, m_u).T
             m_b = m_u.sum(axis=1)[:, None] - m_a
             vals = quad / np.minimum(m_a, m_b)
             examined += vals.size
@@ -324,14 +338,71 @@ def _levels(vec):
     return out
 
 
+def _screen_single(k_amb, universe, masses, order, cands):
+    """The candidates of _heuristic_single that may be the exact minimum.
+
+    With G = k_amb^{-1}, Cap(A) = 1^T (G_AA)^{-1} 1.  The superlevel sets
+    are the prefixes of order, so with L the lower Cholesky factor of
+    G[order, order] and z = L^{-1} 1, Cap(prefix_k) = z_1^2 + ... + z_k^2;
+    a singleton's capacity is 1 / G_ii.  One factorization of k_amb, its
+    inverse, one of the chain and one triangular solve screen them all.
+
+    Margin: delta = _SCREEN_SLACK * n * kappa^2 * u, kappa the condition
+    number of k_amb (LAPACK's estimate on the same factor) and u the unit
+    roundoff; kappa is squared because G is formed explicitly.  If every
+    screened value is within a relative delta of its exact value, the exact
+    minimum, and every candidate tied with it, has a screened value of at
+    most vmin * (1 + delta) / (1 - delta), vmin the least screened value;
+    those candidates are kept.  Everything is kept when a factorization
+    fails, a screened value is not finite or delta >= 1/4.
+    """
+    keep_all = np.ones(len(cands), dtype=bool)
+    n = k_amb.shape[0]
+    upper, info = lapack.dpotrf(k_amb)
+    if info:
+        return keep_all
+    rcond, info = lapack.dpocon(upper, np.abs(k_amb).sum(axis=0).max())
+    # delta >= 1/4 exactly when rcond^2 <= 4 * slack * n * u
+    if info or not rcond * rcond > 4 * _SCREEN_SLACK * n * _UNIT_ROUNDOFF:
+        return keep_all
+    delta = _SCREEN_SLACK * n * _UNIT_ROUNDOFF / (rcond * rcond)
+    g, _ = lapack.dpotri(upper)
+    g = np.triu(g) + np.triu(g, 1).T
+    sizes = np.array([len(slots) for slots in cands])
+    chain = order[: sizes.max()]
+    lower, info = lapack.dpotrf(g[np.ix_(universe[chain], universe[chain])], lower=1)
+    if info:
+        return keep_all
+    z, _ = lapack.dtrtrs(lower, np.ones(len(chain)), lower=1)
+    caps = np.cumsum(z * z)
+    mass = np.cumsum(masses[chain])
+    first = np.array([slots[0] for slots in cands])
+    vals = np.where(sizes == 1,
+                    1.0 / (g.diagonal()[universe[first]] * masses[first]),
+                    caps[sizes - 1] / mass[sizes - 1])
+    if not np.isfinite(vals).all():
+        return keep_all
+    return vals <= vals.min() * ((1 + delta) / (1 - delta))
+
+
 def _heuristic_single(k_amb, universe, masses, field):
     """Certified upper bound from superlevel sets of a guiding field plus
-    singletons; each candidate is still evaluated exactly.
+    singletons: screen them all, then evaluate the survivors exactly.
 
-    Candidates of one size share a batched _grounded_values solve, in chunks
-    of at most _SOLVE_ELEMENTS // d_amb^2 rows (at least one); each row is
-    the arithmetic of a solve on its own.  The running best then takes the
-    values in candidate order, as a one-at-a-time loop would.
+    Screen (_screen_single): one O(n^3) pass gives every candidate's
+    capacity from a factorization of k_amb, and keeps each candidate whose
+    screened value is within the relative margin delta = _SCREEN_SLACK *
+    n * kappa^2 * u of the least one; all are kept when a factorization
+    fails, a screened value is not finite or delta >= 1/4.  The keep-all
+    case runs the same loop below.
+
+    Exact evaluation: kept candidates of one size share a batched
+    _grounded_values solve, in chunks of at most _SOLVE_ELEMENTS // d_amb^2
+    rows (at least one); each row is the arithmetic of a solve on its own.
+    The running best takes them in candidate order.  So value, witness
+    (exact ties go to the smallest candidate) and the evaluation count,
+    which counts every candidate, are bit-identical to solving every
+    candidate exactly; the screen only decides which solves to skip.
     """
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
@@ -339,23 +410,26 @@ def _heuristic_single(k_amb, universe, masses, field):
     if vec.sum() < 0:
         vec = -vec
     cands = list(dict.fromkeys(_levels(vec) + [(i,) for i in range(len(universe))]))
+    # every superlevel set is a prefix of the slots in descending field order
+    order = np.argsort(-vec, kind="stable")
+    keep = _screen_single(k_amb, universe, masses, order, cands)
+    kept = np.flatnonzero(keep).tolist()
     by_size = {}
-    for c, slots in enumerate(cands):
-        by_size.setdefault(len(slots), []).append(c)
+    for c in kept:
+        by_size.setdefault(len(cands[c]), []).append(c)
     d_amb = k_amb.shape[0]
     step = max(1, _SOLVE_ELEMENTS // d_amb ** 2)
-    vals = [None] * len(cands)
+    vals = {}
     for members in by_size.values():
         for lo in range(0, len(members), step):
             chunk = members[lo : lo + step]
             part = np.array([cands[c] for c in chunk], dtype=int)
             rows = universe[part]
             got = _grounded_values(k_amb, rows, _complement(rows, d_amb))
-            for c, val in zip(chunk, got / masses[part].sum(axis=1)):
-                vals[c] = val
+            vals.update(zip(chunk, got / masses[part].sum(axis=1)))
     best = None
-    for slots, val in zip(cands, vals):
-        best = _better(best, val, slots)
+    for c in kept:
+        best = _better(best, vals[c], cands[c])
     return best[0], best[1], len(cands)
 
 

@@ -12,7 +12,8 @@ integer endpoint pairs and weights, and kept read-only on the graph, so
 every caller that asks for it shares one array.  An eigensolve diagonalizes
 the whole matrix but post-processes (orients, checks residuals of, returns)
 only the eigenpairs its caller asks for.  A spectrum that extends several
-eigenvectors through one SPD block factors it once (spd_solver).
+eigenvectors through the block its Schur complement eliminates factors it
+once (schur_solver).
 """
 
 import functools
@@ -168,13 +169,23 @@ def schur_complement(K, eliminate):
     with preserved zero row sums (harmonic extension keeps constants).  With
     nothing to eliminate, K itself is returned.
     """
+    return schur_solver(K, eliminate)[0]
+
+
+def schur_solver(K, eliminate):
+    """(schur_complement(K, eliminate), solve) with solve(b) = K_EE^{-1} b
+    from the same Cholesky factor, or None when nothing is eliminated.
+
+    A DtN spectrum forms its operator and extends its eigenvectors through
+    one factorization; each solve gives the bits of spd_solver(K_EE)(b).
+    """
     n = K.shape[0]
     elim = sorted(set(eliminate))
     for i in elim:
         if not 0 <= i < n:
             raise InputError("eliminate index %d out of range" % i)
     if not elim:
-        return K
+        return K, None
     dropped = np.zeros(n, dtype=bool)
     dropped[elim] = True
     keep = np.flatnonzero(~dropped)
@@ -182,8 +193,9 @@ def schur_complement(K, eliminate):
     ker = K[np.ix_(elim, keep)]
     krr = K[np.ix_(keep, keep)]
     try:
-        c, low = scipy.linalg.cho_factor(kee, check_finite=False)
+        factor = scipy.linalg.cho_factor(kee, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("eliminated block is not SPD") from exc
-    s = krr - ker.T @ scipy.linalg.cho_solve((c, low), ker, check_finite=False)
-    return 0.5 * (s + s.T)
+    solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
+    s = krr - ker.T @ solve(ker)
+    return 0.5 * (s + s.T), solve

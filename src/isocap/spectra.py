@@ -16,7 +16,7 @@ from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
 from .linear_core import (
-    schur_complement,
+    schur_solver,
     spd_solver,
     stiffness_matrix,
     sym_eig_generalized,
@@ -167,22 +167,29 @@ def neumann_spectrum(domain, count=None):
     return res
 
 
-@_finite
-def dtn_operator(domain):
-    """Lambda_Omega as a matrix: Schur complement onto the boundary."""
+def _dtn(domain):
+    """dtn_operator and the solver of K_II that formed it."""
     if not domain.boundary:
         raise InputError("domain has no boundary")
     k = stiffness_matrix(domain.induced)
-    form = schur_complement(k, range(len(domain.interior)))
+    form, solve = schur_solver(k, range(len(domain.interior)))
     mass = np.array([domain.graph.mass[z] for z in domain.boundary])
-    return DtnOperator(boundary=domain.boundary, form=form, mass=mass)
+    return DtnOperator(boundary=domain.boundary, form=form, mass=mass), solve
 
 
-def _extender(domain):
-    """harmonic_extension as a map of boundary values, K_II factored once."""
+@_finite
+def dtn_operator(domain):
+    """Lambda_Omega as a matrix: Schur complement onto the boundary."""
+    return _dtn(domain)[0]
+
+
+def _extender(domain, solve=None):
+    """harmonic_extension as a map of boundary values, K_II factored once
+    (or solved by the given solver of K_II)."""
     n = len(domain.interior)
     k = stiffness_matrix(domain.induced)
-    solve = spd_solver(k[:n, :n])
+    if solve is None:
+        solve = spd_solver(k[:n, :n])
     kib = k[:n, n:]
 
     def extend(boundary_values):
@@ -205,10 +212,11 @@ def steklov_spectrum(domain, count=None):
     """Steklov eigenvalues: form v = sigma M_B v; sigma_0 = 0.
 
     Eigenfunctions are returned with their harmonic extensions: K_II is
-    factored once, and each field is checked, and named in an error, as
-    harmonic_extension would be.
+    factored once, for the DtN form and every field, and each field is
+    checked, and named in an error, as harmonic_extension would be.
     """
-    op = dtn_operator(domain)
+    op, solve = _dtn(domain)
+    _check_finite(op, "dtn_operator")
     nb = len(domain.boundary)
     count = nb if count is None else count
     if count > nb:
@@ -219,7 +227,7 @@ def steklov_spectrum(domain, count=None):
         raise InputError("count must be positive")
     res = sym_eig_generalized(op.form, op.mass, vertex_order=domain.boundary,
                               count=count)
-    extend = _extender(domain)
+    extend = _extender(domain, solve)
     for j in range(count):
         f = extend({z: res.vectors[i, j] for i, z in enumerate(domain.boundary)})
         _check_finite(f, "harmonic_extension")
@@ -281,12 +289,11 @@ def grounded_dtn_spectrum(domain, W, count=None):
     order = w_int + w_bnd
     pos = [domain.closure_index[v] for v in order]
     kw = k[np.ix_(pos, pos)]  # diagonal keeps weights of edges leaving W
-    form = schur_complement(kw, range(len(w_int)))
+    form, solve = schur_solver(kw, range(len(w_int)))
     mass = np.array([domain.graph.mass[z] for z in w_bnd])
     res = sym_eig_generalized(form, mass, vertex_order=tuple(w_bnd), count=count)
     fields = []
     m = len(w_int)
-    solve = spd_solver(kw[:m, :m]) if m else None
     for j in range(count):
         v = res.vectors[:, j]
         f = {z: float(v[i]) for i, z in enumerate(w_bnd)}
@@ -320,12 +327,11 @@ def hm_dtn_spectrum(graph, omega, count=None):
     order = keep + drop
     pos = [graph.index[v] for v in order]
     kw = k[np.ix_(pos, pos)]
-    form = schur_complement(kw, range(n, len(order)))
+    form, solve = schur_solver(kw, range(n, len(order)))
     mass = np.array([graph.mass[v] for v in keep])
     res = sym_eig_generalized(form, mass, vertex_order=tuple(keep), count=count)
     fields = []
     keo = kw[n:, :n]
-    solve = spd_solver(kw[n:, n:]) if drop else None
     for j in range(count):
         v = res.vectors[:, j]
         f = {x: float(v[i]) for i, x in enumerate(keep)}

@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 
 from isocap import (Budget, WeightedGraph, alpha_dirichlet_limit,
-                    alpha_steklov, cap, capacity_by_descent, cap_exhaustion,
-                    coarea_value, energy, green_residual,
-                    grounded_dtn_spectrum, make_domain, neumann_spectrum,
-                    steklov_spectrum, vanishing_weight_spectrum)
+                    alpha_steklov, cap, cap_exhaustion, coarea_value, energy,
+                    green_residual, grounded_dtn_spectrum, make_domain,
+                    neumann_spectrum, steklov_spectrum,
+                    vanishing_weight_spectrum)
 from isocap.constants import alpha_dirichlet, alpha_neumann
 from isocap.infinite_families import (FamilySpec, generate_steps,
                                       half_space_capacity_bound, line_domain,
                                       t3_example)
 from isocap.verify import check, check_equality_case, random_connected_graph, random_domain
+from test_capacity import capacity_by_descent
 
 
 def test_criterion_1_line_family():

@@ -132,20 +132,27 @@ def ref_min_pair(k_amb, universe, masses, rng=None):
     return best[0], best[1], examined, most_tied
 
 
-def ref_heuristic_single(k_amb, universe, masses, field):
-    """Superlevel sets and singletons, one _grounded_value solve each,
-    offered to the running best in candidate order."""
+def ref_heuristic_values(k_amb, universe, masses, field):
+    """Superlevel sets and singletons in candidate order, each with the value
+    of one _grounded_value solve."""
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
     vec = np.asarray(field, dtype=float)
     if vec.sum() < 0:
         vec = -vec
     cands = _levels(vec) + [(i,) for i in range(len(universe))]
+    return {slots: _grounded_value(k_amb, universe[list(slots)]) / masses[list(slots)].sum()
+            for slots in dict.fromkeys(cands)}
+
+
+def ref_heuristic_single(k_amb, universe, masses, field):
+    """Every candidate solved, offered to the running best in candidate
+    order."""
+    values = ref_heuristic_values(k_amb, universe, masses, field)
     best = None
-    for slots in dict.fromkeys(cands):
-        val = _grounded_value(k_amb, universe[list(slots)]) / masses[list(slots)].sum()
+    for slots, val in values.items():
         best = _better(best, val, slots)
-    return best[0], best[1], len(dict.fromkeys(cands))
+    return best[0], best[1], len(values)
 
 
 def per_part(objective):
@@ -482,13 +489,14 @@ def test_parts_without_boundary_slot_are_infinite():
 
 
 # ---------------------------------------------------------------------------
-# heuristic single-set bound: candidates batched by size
+# heuristic single-set bound: screened, survivors batched by size
 
 
-def _segment(n, rng):
-    """Interior 1..n-1 of a segment with log-uniform weights and masses."""
-    w = np.exp(rng.uniform(-2, 2, n)).tolist()
-    m = np.exp(rng.uniform(-2, 2, n + 1)).tolist()
+def _segment(n, rng, spread=2):
+    """Interior 1..n-1 of a segment with weights and masses log-uniform over
+    e^-spread..e^spread."""
+    w = np.exp(rng.uniform(-spread, spread, n)).tolist()
+    m = np.exp(rng.uniform(-spread, spread, n + 1)).tolist()
     graph, dom = line_domain(n, weight_rule=lambda u, v: w[u],
                              mass_rule=lambda v: m[v])
     return dom
@@ -510,11 +518,12 @@ def heuristic_inputs():
 
 
 def _record_batches(monkeypatch):
+    """The (candidate rows, d_amb) of every exact batch, as lists."""
     batches = []
     solve = constants._grounded_values
 
     def recording(k_amb, combos, free):
-        batches.append((len(combos), k_amb.shape[0]))
+        batches.append((combos.tolist(), k_amb.shape[0]))
         return solve(k_amb, combos, free)
 
     monkeypatch.setattr(constants, "_grounded_values", recording)
@@ -529,21 +538,79 @@ def test_heuristic_single_matches_reference(cap, monkeypatch):
     cases = list(heuristic_inputs())
     want = [ref_heuristic_single(*case) for case in cases]
     batches = _record_batches(monkeypatch)
+    got, kept = [], []
+    for case in cases:
+        batches.clear()
+        got.append(constants._heuristic_single(*case))
+        kept.append(list(batches))
+    for g, w in zip(got, want):
+        _same(g, w)
+    for case, w, runs in zip(cases, want, kept):
+        # no kept batch over the element budget, unless it is a single candidate
+        assert all(len(rows) == 1 or len(rows) * d * d <= cap for rows, d in runs)
+        # every candidate tied with the reference minimum was solved exactly
+        solved = {tuple(r) for rows, _ in runs for r in rows}
+        universe = np.asarray(case[1])
+        for slots, val in ref_heuristic_values(*case).items():
+            if val == w[0]:
+                assert tuple(universe[list(slots)].tolist()) in solved
+    # an infinite margin keeps every candidate, batched by size
+    monkeypatch.setattr(constants, "_SCREEN_SLACK", np.inf)
+    batches.clear()
     got = [constants._heuristic_single(*case) for case in cases]
     for g, w in zip(got, want):
         _same(g, w)
-    # no batch over the element budget, unless it is a single candidate
-    assert all(rows == 1 or rows * d * d <= cap for rows, d in batches)
-    assert sum(rows for rows, _ in batches) == sum(w[2] for w in want)
+    assert all(len(rows) == 1 or len(rows) * d * d <= cap for rows, d in batches)
+    assert sum(len(rows) for rows, _ in batches) == sum(w[2] for w in want)
     if cap > 1:
-        assert max(rows for rows, _ in batches) > 1
+        assert max(len(rows) for rows, _ in batches) > 1
         assert len(batches) < sum(w[2] for w in want)
 
 
+def test_heuristic_single_screen_solves_few_candidates(monkeypatch):
+    # the guiding eigenfunction of the unit 40-edge segment: of its 39
+    # superlevel sets and 39 singletons, one survives the screen
+    dom = line_domain(40)[1]
+    k_amb, universe, masses = single_inputs(dom)
+    field = dirichlet_spectrum(dom.graph, dom.interior, 1).vectors[:, 0]
+    want = ref_heuristic_single(k_amb, universe, masses, field)
+    batches = _record_batches(monkeypatch)
+    _same(constants._heuristic_single(k_amb, universe, masses, field), want)
+    assert sum(len(rows) for rows, _ in batches) == 1 < want[2]
+
+
+@pytest.mark.parametrize("seed", [93, 95])
+def test_heuristic_single_keeps_every_candidate_when_ill_conditioned(seed, monkeypatch):
+    # weights and masses over e^-30..e^30 on a 10-edge segment: with seed 95
+    # the estimated kappa is about 6e18, so delta >= 1/4; with seed 93 the
+    # Cholesky factorization of k_amb fails.  Either way every candidate is
+    # solved exactly, and the result is the reference's, however inaccurate
+    dom = _segment(10, np.random.default_rng(seed), spread=30)
+    k_amb, universe, masses = single_inputs(dom)
+    field = dirichlet_spectrum(dom.graph, dom.interior, 1).vectors[:, 0]
+    want = ref_heuristic_single(k_amb, universe, masses, field)
+    batches = _record_batches(monkeypatch)
+    _same(constants._heuristic_single(k_amb, universe, masses, field), want)
+    assert sum(len(rows) for rows, _ in batches) == want[2]
+
+
+def _scaled_star(p, weight, mass):
+    """unit_star(p, leaves_inside=True) with every weight and mass scaled:
+    the leaf sets tie up to rounding, and the screen rounds differently from
+    the exact solves."""
+    verts = list(range(p + 1))
+    g = WeightedGraph(verts, {v: mass for v in verts},
+                      [(0, v, weight) for v in range(1, p + 1)])
+    return make_domain(g, list(range(1, p + 1)))
+
+
 def test_heuristic_single_ties_take_the_smallest_candidate():
-    # every nonempty leaf set of the unit star ties; the singleton (0,) is
-    # the smallest candidate tuple whatever the field's levels are
-    for dom in TIED_SINGLE:
+    # every nonempty leaf set of the unit star ties (the scaled stars up to
+    # rounding); the singleton (0,) is the smallest candidate tuple whatever
+    # the field's levels are
+    stars = TIED_SINGLE + [_scaled_star(p, 3.0, m) for p in (3, 6, 9)
+                           for m in (0.3, 0.7, 1.0)]
+    for dom in stars:
         k_amb, universe, masses = single_inputs(dom)
         field = np.arange(len(universe), 0, -1, dtype=float)
         got = constants._heuristic_single(k_amb, universe, masses, field)

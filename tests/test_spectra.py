@@ -250,8 +250,8 @@ def test_extensions_factor_once_and_match_per_vector_solves(seed, monkeypatch):
     sizes = _count_factors(monkeypatch)
 
     res = steklov_spectrum(dom)
-    # the Schur complement's K_II, then K_II once for every extension
-    assert sizes == [n, n]
+    # K_II once, for the Schur complement and every extension
+    assert sizes == [n]
     assert len(res.fields) == nb
     for j, f in enumerate(res.fields):
         boundary = {z: res.vectors[i, j] for i, z in enumerate(dom.boundary)}
@@ -261,7 +261,7 @@ def test_extensions_factor_once_and_match_per_vector_solves(seed, monkeypatch):
     g, omega = dom.graph, dom.interior
     res = hm_dtn_spectrum(g, omega)
     drop = [v for v in g.vertices if v not in set(omega)]
-    assert sizes == [len(drop), len(drop)]
+    assert sizes == [len(drop)]
     pos = [g.index[v] for v in list(omega) + drop]
     kw = stiffness_matrix(g)[np.ix_(pos, pos)]
     for j, f in enumerate(res.fields):
@@ -272,7 +272,7 @@ def test_extensions_factor_once_and_match_per_vector_solves(seed, monkeypatch):
     sizes.clear()
     W = dom.interior + dom.boundary[:2]
     res = grounded_dtn_spectrum(dom, W)
-    assert sizes == [n, n]
+    assert sizes == [n]
     kw = k[np.ix_(range(n + 2), range(n + 2))]
     for j, f in enumerate(res.fields):
         v = res.vectors[:, j]
