@@ -30,9 +30,9 @@ _CHUNK = 4096
 # 2-core x86-64), the kernel wins on all shapes above about 6,000 and on none
 # below about 2,300, and the summed time is least from 3,072.
 _CUBE_MIN = 3072
-# Elements (rows x d_amb^2) of one batched solve of _heuristic_single's
-# candidates: 8 MB of float64, which bounds each of its gathered blocks; a
-# candidate larger than the budget is solved alone, as it would be unbatched.
+# Elements (rows x d_amb^2) of one batched solve of _capacity_ratios: 8 MB of
+# float64, which bounds each of its gathered blocks; a candidate larger than
+# the budget is solved alone, as it would be unbatched.
 _SOLVE_ELEMENTS = 1 << 20
 # The relative margin of _heuristic_single's screen is delta = _SCREEN_SLACK
 # * n * kappa^2 * u (_screen_single).  Over the oracle inputs of the tests and
@@ -103,9 +103,21 @@ def _grounded_values(k_amb, combos, free):
     return tops - np.einsum("nd,nd->n", c, x)
 
 
-def _grounded_value(k_amb, positions):
-    rows = np.array([positions], dtype=int)
-    return float(_grounded_values(k_amb, rows, _complement(rows, k_amb.shape[0]))[0])
+def _capacity_ratios(k_amb, sources, divisors, sinks=None):
+    """Cap(A) / divisor for each row A of sources ((N, s) ascending rows of
+    k_amb): f = 1 on A, 0 on the rows of sinks ((N, t), when given) and off
+    k_amb, free elsewhere.  The one evaluator of single-set and pair
+    candidates, solved in chunks of _SOLVE_ELEMENTS // d_amb^2 rows (at
+    least one); each row is the arithmetic of a solve on its own."""
+    d_amb = k_amb.shape[0]
+    fixed = sources if sinks is None else np.hstack([sources, sinks])
+    step = max(1, _SOLVE_ELEMENTS // d_amb ** 2)
+    caps = np.empty(len(sources))
+    for lo in range(0, len(sources), step):
+        rows = sources[lo : lo + step]
+        free = _complement(fixed[lo : lo + step], d_amb)
+        caps[lo : lo + step] = _grounded_values(k_amb, rows, free)
+    return caps / divisors
 
 
 def _better(best, value, key):
@@ -217,16 +229,15 @@ def _min_single(k_amb, universe, masses, rng=None):
     universe: ascending row indices of k_amb that A may use; masses aligns
     with universe.  Returns (value, witness slots into universe, count).
     Witness rule: among all candidates with the minimal value (exact float
-    equality), the lexicographically smallest slot tuple.  Each chunk picks
-    its smallest tied row in numpy and offers it once to the running best;
-    a shuffled pass performs identical per-candidate arithmetic, so values
-    and witnesses match exactly.  Raises InputError when no value is a
-    number.
+    equality), the lexicographically smallest slot tuple.  Each subset size
+    (one _capacity_ratios call) offers its smallest tied row once to the
+    running best, none if a value is NaN; a shuffled pass performs identical
+    per-candidate arithmetic, so values and witnesses match exactly.  Raises
+    InputError when no value is a number.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
-    d_amb = k_amb.shape[0]
     best = None
     examined = 0
     sizes = list(range(1, p + 1))
@@ -236,16 +247,12 @@ def _min_single(k_amb, universe, masses, rng=None):
         combos = np.array(list(itertools.combinations(range(p), s)), dtype=int)
         if rng is not None:
             combos = combos[rng.permutation(len(combos))]
-        for lo in range(0, len(combos), _CHUNK):
-            part = combos[lo : lo + _CHUNK]
-            rows = universe[part]
-            vals = _grounded_values(k_amb, rows, _complement(rows, d_amb))
-            vals /= masses[part].sum(axis=1)
-            examined += len(part)
-            vmin = vals.min()
-            tied = part[vals == vmin]
-            if len(tied):
-                best = _better(best, float(vmin), tuple(_lex_first(tied).tolist()))
+        vals = _capacity_ratios(k_amb, universe[combos], masses[combos].sum(axis=1))
+        examined += len(combos)
+        vmin = vals.min()
+        tied = combos[vals == vmin]
+        if len(tied):
+            best = _better(best, float(vmin), tuple(_lex_first(tied).tolist()))
     if best is None:
         raise InputError("non-finite values in every subset")
     return best[0], best[1], examined
@@ -321,15 +328,6 @@ def _min_pair(k_amb, universe, masses, rng=None):
     return best[0], best[1], examined
 
 
-def _pair_value(k_amb, a_rows, b_rows):
-    """Cap(A, B) for one explicit pair: ground B, then one grounded solve."""
-    drop = set(b_rows)
-    keep = [i for i in range(k_amb.shape[0]) if i not in drop]
-    sub = k_amb[np.ix_(keep, keep)]
-    remap = {r: i for i, r in enumerate(keep)}
-    return _grounded_value(sub, [remap[r] for r in a_rows])
-
-
 def _levels(vec):
     """Superlevel slot sets of a signed field, largest value first."""
     out = []
@@ -396,10 +394,9 @@ def _heuristic_single(k_amb, universe, masses, field):
     fails, a screened value is not finite or delta >= 1/4.  The keep-all
     case runs the same loop below.
 
-    Exact evaluation: kept candidates of one size share a batched
-    _grounded_values solve, in chunks of at most _SOLVE_ELEMENTS // d_amb^2
-    rows (at least one); each row is the arithmetic of a solve on its own.
-    The running best takes them in candidate order.  So value, witness
+    Exact evaluation: kept candidates of one size share _capacity_ratios
+    solves; each row is the arithmetic of a solve on its own.  The running
+    best takes them in candidate order.  So value, witness
     (exact ties go to the smallest candidate) and the evaluation count,
     which counts every candidate, are bit-identical to solving every
     candidate exactly; the screen only decides which solves to skip.
@@ -413,47 +410,52 @@ def _heuristic_single(k_amb, universe, masses, field):
     # every superlevel set is a prefix of the slots in descending field order
     order = np.argsort(-vec, kind="stable")
     keep = _screen_single(k_amb, universe, masses, order, cands)
-    kept = np.flatnonzero(keep).tolist()
-    by_size = {}
-    for c in kept:
-        by_size.setdefault(len(cands[c]), []).append(c)
-    d_amb = k_amb.shape[0]
-    step = max(1, _SOLVE_ELEMENTS // d_amb ** 2)
-    vals = {}
-    for members in by_size.values():
-        for lo in range(0, len(members), step):
-            chunk = members[lo : lo + step]
-            part = np.array([cands[c] for c in chunk], dtype=int)
-            rows = universe[part]
-            got = _grounded_values(k_amb, rows, _complement(rows, d_amb))
-            vals.update(zip(chunk, got / masses[part].sum(axis=1)))
+    kept = [cands[c] for c in np.flatnonzero(keep)]
+    vals = _by_shape([(c,) for c in kept],
+                     lambda a: _capacity_ratios(k_amb, universe[a], masses[a].sum(axis=1)))
     best = None
-    for c in kept:
-        best = _better(best, vals[c], cands[c])
+    for slots, val in zip(kept, vals):
+        best = _better(best, val, slots)
     return best[0], best[1], len(cands)
 
 
 def _heuristic_pair(k_amb, universe, masses, field):
     """Upper bound for a pair constant: positive and negative superlevel sets
-    of a guiding field plus singletons, all disjoint combinations."""
+    of a guiding field plus singletons, all disjoint combinations.  Pairs of
+    one shape share _capacity_ratios solves and the running best takes them
+    in candidate order: the bits of solving each pair on its own."""
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
     vec = np.asarray(field, dtype=float)
     singles = [(i,) for i in range(len(universe))]
     cands_a = list(dict.fromkeys(_levels(vec) + singles))
-    cands_b = list(dict.fromkeys(_levels(-vec) + singles))
+    cands_b = [(cb, set(cb)) for cb in dict.fromkeys(_levels(-vec) + singles)]
+    # A holds the smaller first slot (candidates are ascending slot tuples)
+    pairs = [(ca, cb) if ca[0] < cb[0] else (cb, ca)
+             for ca in cands_a for cb, set_b in cands_b if set_b.isdisjoint(ca)]
+
+    def ratios(a, b):
+        mass = np.minimum(masses[a].sum(axis=1), masses[b].sum(axis=1))
+        return _capacity_ratios(k_amb, universe[a], mass, universe[b])
+
     best = None
-    examined = 0
-    for ca in cands_a:
-        for cb in cands_b:
-            if set(ca) & set(cb):
-                continue
-            a, b = (ca, cb) if min(ca) < min(cb) else (cb, ca)
-            val = _pair_value(k_amb, universe[list(a)], universe[list(b)])
-            val /= min(masses[list(a)].sum(), masses[list(b)].sum())
-            examined += 1
-            best = _better(best, val, (a, b))
-    return best[0], best[1], examined
+    for key, val in zip(pairs, _by_shape(pairs, ratios)):
+        best = _better(best, val, key)
+    return best[0], best[1], len(pairs)
+
+
+def _by_shape(cands, values):
+    """values(*sides) of every candidate (A,) or (A, B), in candidate order;
+    the candidates whose slot tuples have the same lengths go to one call,
+    with one (N, len) array of slots per side."""
+    groups = {}
+    for i, c in enumerate(cands):
+        groups.setdefault(tuple(map(len, c)), []).append(i)
+    out = np.empty(len(cands))
+    for members in groups.values():
+        sides = zip(*(cands[i] for i in members))
+        out[members] = values(*(np.array(side, dtype=int) for side in sides))
+    return out
 
 
 def _ids(order, slots):
@@ -676,22 +678,21 @@ def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
     reach = np.zeros((arity + 1, size), dtype=bool)
     reach[0, 0] = True
     opt = None
-    for val, _, pmask in parts:
+    for i, (val, _, pmask) in enumerate(parts):
         _reach_update(reach, arity, all_masks, pmask)
         if reach[arity].any():
             opt = val
             break
     if opt is None:  # singletons always pack, so this cannot happen
         raise InputError("no disjoint %d-tuple exists" % arity)
-    if is_infinite(opt):
-        allowed = parts
-    else:
-        allowed = [x for x in parts if not is_infinite(x[0]) and x[0] <= opt]
-    allowed.sort(key=lambda x: x[1])
-    reach = np.zeros((arity + 1, size), dtype=bool)
-    reach[0, 0] = True
-    for _, _, pmask in allowed:
-        _reach_update(reach, arity, all_masks, pmask)
+    within = [j for j, (val, _, _) in enumerate(parts)
+              if is_infinite(opt) or (not is_infinite(val) and val <= opt)]
+    # the table of unions does not depend on the order parts are added, so
+    # it grows over the allowed parts after the scan instead of being rebuilt
+    for j in within:
+        if j > i:
+            _reach_update(reach, arity, all_masks, parts[j][2])
+    allowed = sorted((parts[j] for j in within), key=lambda x: x[1])
     any_reach = [_subset_or(reach[j], n_slots) for j in range(arity + 1)]
 
     def dfs(start, need, free):

@@ -302,10 +302,7 @@ def default_source(spec):
         return ("x1",)
     if spec.kind == "binary_tree":
         return (0,) if spec.quotient else (1,)
-    zero = (0,) * spec.dim
-    if spec.kind == "lattice_box" and spec.quotient:
-        return (zero,)
-    return (zero,)
+    return ((0,) * spec.dim,)
 
 
 def half_space_test_field(N, r0, R):

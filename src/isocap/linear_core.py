@@ -11,9 +11,10 @@ complements below.  The stiffness is assembled once, from the graph's
 integer endpoint pairs and weights, and kept read-only on the graph, so
 every caller that asks for it shares one array.  An eigensolve diagonalizes
 the whole matrix but post-processes (orients, checks residuals of, returns)
-only the eigenpairs its caller asks for.  A spectrum that extends several
-eigenvectors through the block its Schur complement eliminates factors it
-once (schur_solver).
+only the eigenpairs its caller asks for.  schur_solver is the one
+elimination kernel: every DtN operator (spectra._eliminate) takes its Schur
+complement, the solver of the eliminated block and the coupling block from
+one call, and extends its eigenvectors through the same Cholesky factor.
 """
 
 import functools
@@ -147,19 +148,13 @@ def sym_eig_generalized(K, mass, vertex_order=None, count=None):
     )
 
 
-def spd_solver(K):
-    """Factor symmetric positive definite K once by Cholesky; returns
-    solve(b) = K^{-1} b.  Each solve gives the bits of solve_spd(K, b)."""
+def solve_spd(K, b):
+    """Solve K x = b for symmetric positive definite K by Cholesky."""
     try:
         factor = scipy.linalg.cho_factor(K, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    return functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
-
-
-def solve_spd(K, b):
-    """Solve K x = b for symmetric positive definite K by Cholesky."""
-    return spd_solver(K)(b)
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def schur_complement(K, eliminate):
@@ -169,33 +164,35 @@ def schur_complement(K, eliminate):
     with preserved zero row sums (harmonic extension keeps constants).  With
     nothing to eliminate, K itself is returned.
     """
-    return schur_solver(K, eliminate)[0]
-
-
-def schur_solver(K, eliminate):
-    """(schur_complement(K, eliminate), solve) with solve(b) = K_EE^{-1} b
-    from the same Cholesky factor, or None when nothing is eliminated.
-
-    A DtN spectrum forms its operator and extends its eigenvectors through
-    one factorization; each solve gives the bits of spd_solver(K_EE)(b).
-    """
     n = K.shape[0]
     elim = sorted(set(eliminate))
     for i in elim:
         if not 0 <= i < n:
             raise InputError("eliminate index %d out of range" % i)
     if not elim:
-        return K, None
-    dropped = np.zeros(n, dtype=bool)
-    dropped[elim] = True
-    keep = np.flatnonzero(~dropped)
-    kee = K[np.ix_(elim, elim)]
-    ker = K[np.ix_(elim, keep)]
-    krr = K[np.ix_(keep, keep)]
+        return K
+    return schur_solver(K, np.setdiff1d(np.arange(n), elim), elim)[0]
+
+
+def schur_solver(K, keep, eliminate):
+    """(S, solve, K_EK) for the positions keep (K) and eliminate (E) of K,
+    each in the order given: S = K_KK - K_KE K_EE^{-1} K_EK, solve(b) =
+    K_EE^{-1} b from the Cholesky factor that formed S, and the block K_EK.
+    With nothing to eliminate, S is K_KK and solve and K_EK are None.
+
+    A DtN operator forms S and extends its eigenvectors v through E by
+    solve(-K_EK v): one factorization, and each solve gives the bits of
+    solve_spd(K_EE, b).
+    """
+    kkk = K[np.ix_(keep, keep)]
+    if not len(eliminate):
+        return kkk, None, None
+    kee = K[np.ix_(eliminate, eliminate)]
+    kek = K[np.ix_(eliminate, keep)]
     try:
         factor = scipy.linalg.cho_factor(kee, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("eliminated block is not SPD") from exc
     solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
-    s = krr - ker.T @ solve(ker)
-    return 0.5 * (s + s.T), solve
+    s = kkk - kek.T @ solve(kek)
+    return 0.5 * (s + s.T), solve, kek

@@ -4,6 +4,13 @@ Neumann and Steklov problems are solved by exact block elimination (Schur
 complements) of the induced stiffness; the vanishing-vertex-weight sequences
 of rescaled graphs G^(k) are an independent verification route whose first
 non-trivial eigenvalue converges to the same quantities.
+
+The three DtN operators (Lambda_Omega, the grounded Lambda_W and the variant
+S_Omega) differ only in the stiffness block and the positions they keep and
+eliminate.  One routine, _eliminate, serves dtn_operator and all three
+spectra: it forms the Schur complement (linear_core.schur_solver), solves
+the eigenproblem, and extends each eigenvector harmonically through the
+eliminated block with the same Cholesky factor.
 """
 
 import dataclasses
@@ -15,12 +22,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
-from .linear_core import (
-    schur_solver,
-    spd_solver,
-    stiffness_matrix,
-    sym_eig_generalized,
-)
+from .linear_core import schur_solver, solve_spd, stiffness_matrix, sym_eig_generalized
 
 
 @dataclass
@@ -29,6 +31,8 @@ class DtnOperator:
 
     form is the Schur complement of the induced stiffness eliminating the
     interior; applying it to boundary values f gives m(z) * du_f/dn(z).
+    (The grounded and variant operators of _eliminate hold their kept
+    vertices in boundary.)
     """
 
     boundary: tuple
@@ -167,56 +171,70 @@ def neumann_spectrum(domain, count=None):
     return res
 
 
-def _dtn(domain):
-    """dtn_operator and the solver of K_II that formed it."""
+def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
+    """The DtN operator of the stiffness block k on the positions keep, the
+    positions elim eliminated; keep_ids and elim_ids name them in the same
+    orders and mass maps ids to masses.
+
+    Returns the operator, checked and named in an error as dtn_operator,
+    and spectrum(count): the count lowest eigenpairs of form v = sigma M v
+    with each eigenvector v extended through elim by solve(-K_EK v), one
+    Cholesky factor for the form and every field, each field (keep ids,
+    then elim ids) checked and named in an error as harmonic_extension.
+    """
+    form, solve, k_ek = schur_solver(k, keep, elim)
+    op = DtnOperator(boundary=tuple(keep_ids), form=form,
+                     mass=np.array([mass[v] for v in keep_ids]))
+    _check_finite(op, "dtn_operator")
+
+    def spectrum(count):
+        res = sym_eig_generalized(form, op.mass, vertex_order=op.boundary, count=count)
+        minus_k_ek = None if solve is None else -k_ek
+        for j in range(count):
+            v = res.vectors[:, j]
+            f = {x: float(v[i]) for i, x in enumerate(keep_ids)}
+            if solve is not None:
+                f.update(zip(elim_ids, solve(minus_k_ek @ v).tolist()))
+            _check_finite(f, "harmonic_extension")
+            res.fields.append(f)
+        return res
+
+    return op, spectrum
+
+
+def _steklov(domain):
+    """_eliminate for Lambda_Omega: the interior out, the boundary kept."""
     if not domain.boundary:
         raise InputError("domain has no boundary")
-    k = stiffness_matrix(domain.induced)
-    form, solve = schur_solver(k, range(len(domain.interior)))
-    mass = np.array([domain.graph.mass[z] for z in domain.boundary])
-    return DtnOperator(boundary=domain.boundary, form=form, mass=mass), solve
+    n = len(domain.interior)
+    return _eliminate(stiffness_matrix(domain.induced), range(n, len(domain.closure)),
+                      range(n), domain.boundary, domain.interior, domain.graph.mass)
 
 
 @_finite
 def dtn_operator(domain):
     """Lambda_Omega as a matrix: Schur complement onto the boundary."""
-    return _dtn(domain)[0]
-
-
-def _extender(domain, solve=None):
-    """harmonic_extension as a map of boundary values, K_II factored once
-    (or solved by the given solver of K_II)."""
-    n = len(domain.interior)
-    k = stiffness_matrix(domain.induced)
-    if solve is None:
-        solve = spd_solver(k[:n, :n])
-    kib = k[:n, n:]
-
-    def extend(boundary_values):
-        vec = np.array([boundary_values[z] for z in domain.boundary])
-        out = {z: float(boundary_values[z]) for z in domain.boundary}
-        out.update(zip(domain.interior, solve(-kib @ vec).tolist()))
-        return out
-
-    return extend
+    return _steklov(domain)[0]
 
 
 @_finite
 def harmonic_extension(domain, boundary_values):
     """Extend boundary data into Omega harmonically (w.r.t. G_Omega)."""
-    return _extender(domain)(boundary_values)
+    n = len(domain.interior)
+    k = stiffness_matrix(domain.induced)
+    vec = np.array([boundary_values[z] for z in domain.boundary])
+    out = {z: float(boundary_values[z]) for z in domain.boundary}
+    out.update(zip(domain.interior, solve_spd(k[:n, :n], -k[:n, n:] @ vec).tolist()))
+    return out
 
 
 @_finite
 def steklov_spectrum(domain, count=None):
     """Steklov eigenvalues: form v = sigma M_B v; sigma_0 = 0.
 
-    Eigenfunctions are returned with their harmonic extensions: K_II is
-    factored once, for the DtN form and every field, and each field is
-    checked, and named in an error, as harmonic_extension would be.
+    Eigenfunctions are returned with their harmonic extensions (_eliminate).
     """
-    op, solve = _dtn(domain)
-    _check_finite(op, "dtn_operator")
+    _, spectrum = _steklov(domain)
     nb = len(domain.boundary)
     count = nb if count is None else count
     if count > nb:
@@ -225,14 +243,7 @@ def steklov_spectrum(domain, count=None):
         raise InputError("a non-trivial Steklov eigenvalue needs |boundary| >= 2")
     if count < 1:
         raise InputError("count must be positive")
-    res = sym_eig_generalized(op.form, op.mass, vertex_order=domain.boundary,
-                              count=count)
-    extend = _extender(domain, solve)
-    for j in range(count):
-        f = extend({z: res.vectors[i, j] for i, z in enumerate(domain.boundary)})
-        _check_finite(f, "harmonic_extension")
-        res.fields.append(f)
-    return res
+    return spectrum(count)
 
 
 @_finite
@@ -285,23 +296,11 @@ def grounded_dtn_spectrum(domain, W, count=None):
     count = dim if count is None else count
     if not 1 <= count <= dim:
         raise InputError("count must be in 1..|W cap boundary|")
-    k = stiffness_matrix(domain.induced)
-    order = w_int + w_bnd
-    pos = [domain.closure_index[v] for v in order]
-    kw = k[np.ix_(pos, pos)]  # diagonal keeps weights of edges leaving W
-    form, solve = schur_solver(kw, range(len(w_int)))
-    mass = np.array([domain.graph.mass[z] for z in w_bnd])
-    res = sym_eig_generalized(form, mass, vertex_order=tuple(w_bnd), count=count)
-    fields = []
-    m = len(w_int)
-    for j in range(count):
-        v = res.vectors[:, j]
-        f = {z: float(v[i]) for i, z in enumerate(w_bnd)}
-        if m:
-            f.update(zip(w_int, solve(-kw[:m, m:] @ v).tolist()))
-        fields.append(f)
-    res.fields = fields
-    return res
+    # grounding keeps the weights of edges leaving W on the diagonal
+    at = domain.closure_index
+    _, spectrum = _eliminate(stiffness_matrix(domain.induced), [at[z] for z in w_bnd],
+                             [at[v] for v in w_int], w_bnd, w_int, domain.graph.mass)
+    return spectrum(count)
 
 
 @_finite
@@ -323,23 +322,10 @@ def hm_dtn_spectrum(graph, omega, count=None):
     count = n if count is None else count
     if not 1 <= count <= n:
         raise InputError("count must be in 1..|Omega|")
-    k = stiffness_matrix(graph)
-    order = keep + drop
-    pos = [graph.index[v] for v in order]
-    kw = k[np.ix_(pos, pos)]
-    form, solve = schur_solver(kw, range(n, len(order)))
-    mass = np.array([graph.mass[v] for v in keep])
-    res = sym_eig_generalized(form, mass, vertex_order=tuple(keep), count=count)
-    fields = []
-    keo = kw[n:, :n]
-    for j in range(count):
-        v = res.vectors[:, j]
-        f = {x: float(v[i]) for i, x in enumerate(keep)}
-        if drop:
-            f.update(zip(drop, solve(-keo @ v).tolist()))
-        fields.append(f)
-    res.fields = fields
-    return res
+    at = graph.index
+    _, spectrum = _eliminate(stiffness_matrix(graph), [at[v] for v in keep],
+                             [at[v] for v in drop], keep, drop, graph.mass)
+    return spectrum(count)
 
 
 # The spectra of a marked domain by name (the CLI's spectrum modes), called as

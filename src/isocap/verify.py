@@ -23,8 +23,9 @@ from .constants import (_monotone_scan, alpha_dirichlet, alpha_ds,
 from .errors import InputError
 from .graph_core import SteklovDomain, WeightedGraph, make_domain
 from .infinite_families import FamilyStep
-from .spectra import (DOMAIN_SPECTRA, dirichlet_spectrum, dtn_operator,
-                      grounded_dtn_spectrum, steklov_spectrum)
+from .linear_core import sym_eig_generalized
+from .spectra import (DOMAIN_SPECTRA, _finite, dirichlet_spectrum, dtn_operator,
+                      grounded_dtn_spectrum)
 from .infinity import INFINITE, is_infinite
 
 DOMAIN = "a marked domain"
@@ -270,6 +271,7 @@ def _sign_patterns(b):
     return pats[nonzero.any(axis=1) & (lead > 0)]
 
 
+@_finite
 def check_equality_case(domain, budget=None):
     """Decide sigma_1 = 2 alpha_S and, if so, exhibit a three-valued witness.
 
@@ -282,7 +284,9 @@ def check_equality_case(domain, budget=None):
     """
     if len(domain.boundary) < 2:
         raise InputError("equality case needs at least two boundary vertices")
-    spec = steklov_spectrum(domain)
+    # the eigenpairs of steklov_spectrum, without its harmonic extensions
+    op = dtn_operator(domain)
+    spec = sym_eig_generalized(op.form, op.mass)
     sigma = spec.eigenvalues[1]
     alpha = alpha_steklov(domain, budget=budget).value
     tol = 1e-8 * max(1.0, abs(sigma))
@@ -296,20 +300,18 @@ def check_equality_case(domain, budget=None):
         return EqualityReport(sigma, alpha, True, "undecided", gap, mult)
 
     basis = spec.vectors[:, 1:1 + mult]
-    masses = np.array([domain.graph.mass[v] for v in domain.boundary])
     pats = _sign_patterns(b)
     # eigenfunctions are mass-orthogonal to constants, so +1/-1 masses balance
-    balanced = np.abs(pats @ masses) <= 1e-7 * (np.abs(pats) @ masses)
+    balanced = np.abs(pats @ op.mass) <= 1e-7 * (np.abs(pats) @ op.mass)
     pats = pats[balanced].astype(float)
     if len(pats):
         coef, *_ = np.linalg.lstsq(basis, pats.T, rcond=None)
         resid = np.linalg.norm(basis @ coef - pats.T, axis=0)
         norms = np.linalg.norm(pats, axis=1)
-        form = dtn_operator(domain).form
         # pattern rows are already in lexicographic order
         for j in np.nonzero(resid <= 1e-7 * norms)[0]:
             t = pats[j]
-            rayleigh = float(t @ form @ t) / float(t @ (masses * t))
+            rayleigh = float(t @ op.form @ t) / float(t @ (op.mass * t))
             if abs(rayleigh - sigma) <= tol:
                 witness = {v: float(t[i]) for i, v in enumerate(domain.boundary)}
                 return EqualityReport(sigma, alpha, True, "equal", gap, mult, witness)

@@ -15,10 +15,10 @@ import pytest
 import isocap.constants as constants
 from isocap import (INFINITE, Budget, InputError, WeightedGraph, beta_tuple,
                     dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
-                    kappa_steklov, make_domain)
+                    kappa_steklov, make_domain, neumann_spectrum, steklov_spectrum)
 from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better,
-                              _cube_forms, _grounded_value, _levels, _min_pair,
-                              _min_single, _min_tuple, _split_forms,
+                              _complement, _cube_forms, _grounded_values, _levels,
+                              _min_pair, _min_single, _min_tuple, _split_forms,
                               _split_table)
 from isocap.infinite_families import line_domain
 from isocap.linear_core import stiffness_matrix
@@ -130,6 +130,43 @@ def ref_min_pair(k_amb, universe, masses, rng=None):
                 )
                 best = _better(best, float(vmin), key)
     return best[0], best[1], examined, most_tied
+
+
+def _grounded_value(k_amb, positions):
+    rows = np.array([positions], dtype=int)
+    return float(_grounded_values(k_amb, rows, _complement(rows, k_amb.shape[0]))[0])
+
+
+def _pair_value(k_amb, a_rows, b_rows):
+    """Cap(A, B) for one explicit pair: ground B, then one grounded solve."""
+    drop = set(b_rows)
+    keep = [i for i in range(k_amb.shape[0]) if i not in drop]
+    sub = k_amb[np.ix_(keep, keep)]
+    remap = {r: i for i, r in enumerate(keep)}
+    return _grounded_value(sub, [remap[r] for r in a_rows])
+
+
+def ref_heuristic_pair(k_amb, universe, masses, field):
+    """Upper bound for a pair constant: positive and negative superlevel sets
+    of a guiding field plus singletons, all disjoint combinations."""
+    universe = np.asarray(universe, dtype=int)
+    masses = np.asarray(masses, dtype=float)
+    vec = np.asarray(field, dtype=float)
+    singles = [(i,) for i in range(len(universe))]
+    cands_a = list(dict.fromkeys(_levels(vec) + singles))
+    cands_b = list(dict.fromkeys(_levels(-vec) + singles))
+    best = None
+    examined = 0
+    for ca in cands_a:
+        for cb in cands_b:
+            if set(ca) & set(cb):
+                continue
+            a, b = (ca, cb) if min(ca) < min(cb) else (cb, ca)
+            val = _pair_value(k_amb, universe[list(a)], universe[list(b)])
+            val /= min(masses[list(a)].sum(), masses[list(b)].sum())
+            examined += 1
+            best = _better(best, val, (a, b))
+    return best[0], best[1], examined
 
 
 def ref_heuristic_values(k_amb, universe, masses, field):
@@ -616,6 +653,86 @@ def test_heuristic_single_ties_take_the_smallest_candidate():
         got = constants._heuristic_single(k_amb, universe, masses, field)
         assert got[1] == (0,)
         _same(got, ref_heuristic_single(k_amb, universe, masses, field))
+
+
+# ---------------------------------------------------------------------------
+# heuristic pair bound: pairs of one shape batched
+
+
+def heuristic_pair_inputs():
+    """(k_amb, universe, masses, field) as alpha_steklov's and alpha_neumann's
+    heuristic paths pass them, on random domains."""
+    for seed in range(40):
+        dom = random_domain(np.random.default_rng(seed))
+        yield pair_inputs(dom) + (steklov_spectrum(dom, 2).vectors[:, 1],)
+        n = len(dom.interior)
+        masses = [dom.graph.mass[v] for v in dom.interior]
+        yield (stiffness_matrix(dom.induced), list(range(n)), masses,
+               neumann_spectrum(dom, 2).vectors[:, 1])
+
+
+@pytest.mark.parametrize("cap", [None, 2 * 12 ** 2])
+def test_heuristic_pair_matches_reference(cap, monkeypatch):
+    if cap is not None:  # about two rows per solve on the largest domains
+        monkeypatch.setattr(constants, "_SOLVE_ELEMENTS", cap)
+    batches = []
+    solve = constants._grounded_values
+
+    def recording(k_amb, combos, free):
+        batches.append((combos.shape, free.shape[1]))
+        return solve(k_amb, combos, free)
+
+    monkeypatch.setattr(constants, "_grounded_values", recording)
+    split = 0
+    for case in heuristic_pair_inputs():
+        batches.clear()
+        got = constants._heuristic_pair(*case)
+        _same(got, ref_heuristic_pair(*case))
+        assert sum(rows for (rows, _), _ in batches) == got[2]
+        step = max(1, constants._SOLVE_ELEMENTS // case[0].shape[0] ** 2)
+        assert all(rows <= step for (rows, _), _ in batches)
+        # a pair shape (|A|, |B|) solved in more than one chunk
+        shapes = [(width, free) for (_, width), free in batches]
+        split += len(set(shapes)) < len(shapes)
+    assert (split > 0) == (cap is not None)
+
+
+# ---------------------------------------------------------------------------
+# tuple packing: one reach pass per allowed part
+
+
+def test_min_tuple_reach_passes_once_per_allowed_part(monkeypatch):
+    passes = []
+    update = constants._reach_update
+
+    def counted(reach, arity, all_masks, pmask):
+        passes.append(pmask)
+        return update(reach, arity, all_masks, pmask)
+
+    monkeypatch.setattr(constants, "_reach_update", counted)
+    for dom in TUPLE_DOMAINS:
+        for k in (1, 2, 3):
+            if k > len(dom.boundary) - 1:
+                continue
+            # kappa_steklov's objective, recording every part value
+            inner = constants._ds_objective(
+                stiffness_matrix(dom.induced), [dom.closure_index[v] for v in dom.boundary],
+                np.array([dom.graph.mass[v] for v in dom.closure]))
+            values = []
+
+            def objective(parts):
+                values.extend(inner(parts))
+                return values[len(values) - len(parts):]
+
+            passes.clear()
+            res = _min_tuple(k + 1, len(dom.closure), objective, DEFAULT_BUDGET,
+                             None, list(dom.closure))
+            opt = res.value
+            allowed = len(values) if opt is INFINITE else sum(
+                v is not INFINITE and v <= opt for v in values)
+            assert len(passes) == allowed
+            assert len(set(passes)) == allowed  # each part once
+            assert _result(res) == _result(kappa_steklov(dom, k))
 
 
 # ---------------------------------------------------------------------------
