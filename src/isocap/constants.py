@@ -462,22 +462,34 @@ def _ids(order, slots):
     return tuple(order[i] for i in slots)
 
 
+_SINGLE = "universe size %d exceeds single-set budget %d"
+_PAIR = "pair universe size %d exceeds pair budget %d"
+
+
+def _over_budget(size, limit, message, heuristic):
+    """Whether an enumeration over `size` slots is past its budget `limit`,
+    so that only the heuristic answers; past it without heuristic, raises
+    BudgetError (message, _SINGLE or _PAIR, names the budget).  Called
+    before any operator is assembled."""
+    if size <= limit:
+        return False
+    if not heuristic:
+        raise BudgetError((message + "; pass heuristic=True for a certified upper bound")
+                          % (size, limit))
+    return True
+
+
 def _alpha_d_raw(graph, subset, budget, heuristic, rng):
     """alpha_D of a subset against its own vertex boundary, ambient rows."""
     inside = set(subset)
     order = [v for v in graph.vertices if v in inside]
+    over = _over_budget(len(order), budget.single, _SINGLE, heuristic)
     k = stiffness_matrix(graph)
     pos = [graph.index[v] for v in order]
     k_amb = k[np.ix_(pos, pos)]
     universe = list(range(len(order)))
     masses = [graph.mass[v] for v in order]
-    if len(universe) > budget.single:
-        if not heuristic:
-            raise BudgetError(
-                "universe size %d exceeds single-set budget %d; "
-                "pass heuristic=True for a certified upper bound"
-                % (len(universe), budget.single)
-            )
+    if over:
         res = dirichlet_spectrum(graph, order, 1)
         val, slots, n = _heuristic_single(k_amb, universe, masses, res.vectors[:, 0])
         return ConstantResult(val, _ids(order, slots), n, heuristic=True)
@@ -497,14 +509,10 @@ def alpha_dirichlet(domain, budget=None, heuristic=False, shuffle_seed=None):
     return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic, rng)
 
 
-def _pair_constant(k_amb, order, universe, masses, budget, heuristic, rng, field):
-    if len(universe) > budget.pair:
-        if not heuristic:
-            raise BudgetError(
-                "pair universe size %d exceeds pair budget %d; "
-                "pass heuristic=True for a certified upper bound"
-                % (len(universe), budget.pair)
-            )
+def _pair_constant(k_amb, order, universe, masses, over, rng, field):
+    """The pair constant on the universe rows of k_amb: by the heuristic when
+    over (_over_budget), else exactly."""
+    if over:
         val, (sa, sb), n = _heuristic_pair(k_amb, universe, masses, field())
         return ConstantResult(val, (_ids(order, sa), _ids(order, sb)), n, heuristic=True)
     val, (sa, sb), n = _min_pair(k_amb, universe, masses, rng=rng)
@@ -516,18 +524,19 @@ def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
     """alpha_N(Omega): pairs of disjoint nonempty subsets of Omega, capacity
     within G_Omega (boundary vertices stay free)."""
     budget = budget or DEFAULT_BUDGET
-    if len(domain.interior) < 2:
+    n = len(domain.interior)
+    if n < 2:
         raise InputError("alpha_N needs |Omega| >= 2")
+    over = _over_budget(n, budget.pair, _PAIR, heuristic)
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k_amb = stiffness_matrix(domain.induced)
-    n = len(domain.interior)
     masses = [domain.graph.mass[v] for v in domain.interior]
 
     def field():
         return neumann_spectrum(domain, 2).vectors[:, 1]
 
     return _pair_constant(
-        k_amb, domain.interior, list(range(n)), masses, budget, heuristic, rng, field
+        k_amb, domain.interior, list(range(n)), masses, over, rng, field
     )
 
 
@@ -538,6 +547,7 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
     budget = budget or DEFAULT_BUDGET
     if len(domain.boundary) < 2:
         raise InputError("alpha_S needs |delta Omega| >= 2")
+    over = _over_budget(len(domain.boundary), budget.pair, _PAIR, heuristic)
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k_amb = stiffness_matrix(domain.induced)
     n = len(domain.interior)
@@ -548,7 +558,7 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
         return steklov_spectrum(domain, 2).vectors[:, 1]
 
     return _pair_constant(
-        k_amb, domain.boundary, universe, masses, budget, heuristic, rng, field
+        k_amb, domain.boundary, universe, masses, over, rng, field
     )
 
 
@@ -577,10 +587,7 @@ def alpha_ds(domain, Y, budget=None, shuffle_seed=None):
     if not sink:
         return ConstantResult(0.0, (inner[0],), 0)
     if len(inner) > budget.single:
-        raise BudgetError(
-            "universe size %d exceeds single-set budget %d"
-            % (len(inner), budget.single)
-        )
+        raise BudgetError(_SINGLE % (len(inner), budget.single))
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k = stiffness_matrix(domain.induced)
     pos = [domain.closure_index[v] for v in order]
@@ -603,8 +610,9 @@ def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
         raise InputError("beta_S needs |Omega| >= 2")
     if len(oset) == len(graph.vertices):
         raise InputError("Omega must be a proper subset")
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     order = [v for v in graph.vertices if v in oset]
+    over = _over_budget(len(order), budget.pair, _PAIR, heuristic)
+    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k_amb = stiffness_matrix(graph)
     universe = [graph.index[v] for v in order]
     masses = [graph.mass[v] for v in order]
@@ -612,7 +620,7 @@ def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
     def field():
         return hm_dtn_spectrum(graph, order, 2).vectors[:, 1]
 
-    return _pair_constant(k_amb, order, universe, masses, budget, heuristic, rng, field)
+    return _pair_constant(k_amb, order, universe, masses, over, rng, field)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ class WeightedGraph:
     ...) in edge order, are tuples built from pairs and weights the first
     time they are read.  linear_core.stiffness_matrix stores the graph's
     stiffness, a read-only ndarray in vertex order, on the instance the
-    first time it is asked for.
+    first time it is asked for, and linear_core.sparse_stiffness the same
+    entries as a CSR matrix.
     """
 
     def __init__(self, vertices, mass, edges):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -360,6 +361,31 @@ def test_pair_constant_without_a_finite_split_is_an_input_error(capsys, tmp_path
     assert json.loads(captured.out)["error"] == {
         "kind": "input", "message": "non-finite values in every pair split"}
     assert captured.err == ""
+
+
+def test_dense_budget_is_an_exit_3_report_before_any_allocation(capsys, tmp_path):
+    # a unit path of 5,001 vertices: the dense stiffness would take 200 MB
+    n = 5000
+    path = tmp_path / "long.graph"
+    path.write_text("".join("v %d 1\n" % v for v in range(n + 1))
+                    + "".join("e %d %d 1\n" % (v, v + 1) for v in range(n))
+                    + "omega " + " ".join(map(str, range(1, n))) + "\n")
+    tracemalloc.start()
+    try:
+        # every pair is asked for: the dense route
+        code, doc = run_json(capsys, ["spectrum", "dirichlet", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BUDGET
+    assert doc["error"]["kind"] == "budget"
+    assert "dense budget" in doc["error"]["message"]
+    assert peak < 50 * 2 ** 20
+    # one pair: the sparse route answers
+    code, doc = run_json(capsys, ["spectrum", "dirichlet", "-k", "1", str(path)])
+    assert code == EXIT_OK
+    assert doc["results"][0]["eigenvalues"] == pytest.approx(
+        [2.0 - 2.0 * np.cos(np.pi / n)], rel=1e-12)
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from isocap import (INFINITE, Budget, BudgetError, InputError, alpha_dirichlet,
-                    alpha_dirichlet_limit, alpha_ds, alpha_neumann,
-                    alpha_steklov, alpha_steklov_limit, beta_constants,
-                    beta_steklov, beta_tuple, cap, dirichlet_spectrum,
-                    gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
-                    is_infinite, kappa_steklov, make_domain)
+from isocap import (INFINITE, Budget, BudgetError, InputError, WeightedGraph,
+                    alpha_dirichlet, alpha_dirichlet_limit, alpha_ds,
+                    alpha_neumann, alpha_steklov, alpha_steklov_limit,
+                    beta_constants, beta_steklov, beta_tuple, cap,
+                    dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov,
+                    gamma_tilde_dirichlet, is_infinite, kappa_steklov,
+                    linear_core, make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
                                       t3_example)
 from isocap.verify import random_domain
@@ -116,6 +117,33 @@ def test_budget_errors_and_heuristic_upper_bounds():
     assert hd.heuristic and hs.heuristic
     assert hd.value >= exact_d - 1e-12
     assert hs.value >= exact_s - 1e-12
+
+
+def test_budget_errors_come_before_any_assembly(monkeypatch):
+    assembled = []
+    assemble = linear_core._assemble
+
+    def counting(graph):
+        assembled.append(len(graph.vertices))
+        return assemble(graph)
+
+    monkeypatch.setattr(linear_core, "_assemble", counting)
+    _, line = line_domain(30)  # 29 interior vertices
+    leaves = range(1, 21)
+    star = WeightedGraph(range(21), {v: 1.0 for v in range(21)},
+                         [(0, v, 1.0) for v in leaves])
+    calls = [
+        (lambda: alpha_dirichlet(line), "universe size 29 exceeds single-set budget 20"),
+        (lambda: alpha_neumann(line), "pair universe size 29 exceeds pair budget 16"),
+        (lambda: alpha_steklov(make_domain(star, [0])),
+         "pair universe size 20 exceeds pair budget 16"),
+        (lambda: beta_steklov(line.graph, range(1, 30)),
+         "pair universe size 29 exceeds pair budget 16"),
+    ]
+    for call, message in calls:
+        with pytest.raises(BudgetError, match=message):
+            call()
+    assert assembled == []
 
 
 def test_alpha_ds_conventions():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap import (InputError, SingularMatrixError, WeightedGraph,
-                    schur_complement, solve_spd, stiffness_matrix,
-                    sym_eig_generalized)
+from isocap import (InputError, SingularMatrixError, WeightedGraph, solve_spd,
+                    stiffness_matrix, sym_eig_generalized)
 from isocap.infinite_families import path_graph
-from isocap.linear_core import _fix_signs, _residual
+from isocap import linear_core
+from isocap.errors import BudgetError
+from isocap.linear_core import (DENSE_MAX_DIM, _fix_signs, _residual, schur_solver,
+                                sparse_stiffness)
 
 TOL = 1e-12
 
@@ -119,6 +121,30 @@ def test_stiffness_is_bit_equal_to_the_edge_loop():
         assert np.array_equal(stiffness_matrix(g), loop_stiffness(g))
 
 
+def test_sparse_stiffness_is_bit_equal_to_the_dense_one():
+    rng = np.random.default_rng(2024)
+    for trial in range(100):
+        g = random_graph(rng, int(rng.integers(2, 12)), (150, 1)[trial % 2])
+        csr = sparse_stiffness(g)
+        assert csr.toarray().tobytes() == stiffness_matrix(g).tobytes()
+        assert csr.has_sorted_indices
+        assert sparse_stiffness(g) is csr
+        for part in (csr.data, csr.indices, csr.indptr):
+            assert not part.flags.writeable
+
+
+def test_dense_budget_refuses_before_allocating(monkeypatch):
+    n = DENSE_MAX_DIM + 1
+    g = WeightedGraph(range(n), {v: 1.0 for v in range(n)},
+                      [(v, v + 1, 1.0) for v in range(n - 1)])
+    monkeypatch.setattr(linear_core, "_edges", None)  # assembly never starts
+    with pytest.raises(BudgetError, match="dense budget"):
+        stiffness_matrix(g)
+    # the mass vector alone decides; K is not read
+    with pytest.raises(BudgetError, match="dense budget"):
+        sym_eig_generalized(np.zeros((1, 1)), np.ones(n))
+
+
 def test_stiffness_is_cached_and_read_only():
     g = path_graph(4)
     K = stiffness_matrix(g)
@@ -199,7 +225,7 @@ def test_schur_complement_energy_minimization():
     # eliminating the middle of a path composes series conductances
     g = path_graph(2)
     K = stiffness_matrix(g)  # order 0,1,2
-    S = schur_complement(K, eliminate=[1])
+    S = schur_solver(K, [0, 2], [1])[0]
     assert np.allclose(S, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
 
 
@@ -207,7 +233,7 @@ def test_schur_complement_matches_block_formula():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 6))
     spd = a @ a.T + 6 * np.eye(6)
-    S = schur_complement(spd, eliminate=[0, 2, 4])
+    S = schur_solver(spd, [1, 3, 5], [0, 2, 4])[0]
     keep = [1, 3, 5]
     el = [0, 2, 4]
     expect = spd[np.ix_(keep, keep)] - spd[np.ix_(keep, el)] @ np.linalg.solve(
@@ -263,7 +289,10 @@ def test_residual_survives_an_overflowing_frobenius_norm():
 
 def test_schur_complement_index_checks_and_empty_elimination():
     K = stiffness_matrix(path_graph(3))
-    assert schur_complement(K, []) is K
-    for bad in ([4], [-1], [0, 7]):
-        with pytest.raises(InputError, match="out of range"):
-            schur_complement(K, bad)
+    S, solve, k_ek = schur_solver(K, [0, 1, 2, 3], [])
+    assert np.array_equal(S, K) and solve is None and k_ek is None
+    # kept positions come back in the order given
+    assert np.array_equal(schur_solver(K, [3, 0], [])[0], K[np.ix_([3, 0], [3, 0])])
+    for bad in ([4], [0, 7]):
+        with pytest.raises(IndexError):
+            schur_solver(K, [0], bad)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +13,12 @@ from isocap import (INFINITE, InputError, WeightedGraph, WeightSchedule,
                     neumann_spectrum, normal_derivative, solve_spd,
                     steklov_spectrum, stiffness_matrix, sym_eig_generalized,
                     vanishing_weight_spectrum)
+from isocap import linear_core
+from isocap.errors import BudgetError
 from isocap.infinite_families import (FamilySpec, generate, line_domain,
                                       t3_example)
+from isocap.linear_core import (SPARSE_MAX_COUNT, SPARSE_MIN_DIM, _residual,
+                                lowest_eigenpairs)
 from isocap.verify import random_domain
 
 REL = 1e-11
@@ -279,3 +285,111 @@ def test_extensions_factor_once_and_match_per_vector_solves(seed, monkeypatch):
         own = {z: float(v[i]) for i, z in enumerate(dom.boundary[:2])}
         assert _bits(f) == _bits(_per_vector(kw[:n, :n], -kw[:n, n:] @ v,
                                              dom.interior, own))
+
+
+# ---------------------------------------------------------------------------
+# the lowest Dirichlet eigenpairs: dense below SPARSE_MIN_DIM, sparse above
+
+
+def box_window(side, dim, rng=None):
+    """The box {1..side}^dim with its faces {0, side+1} as boundary (no edge
+    or corner vertices), and the box as window.  Unit weights and masses, or
+    log-uniform ones over 10^-1..10^1 from rng: then every eigenvalue is
+    simple."""
+    def inside(p):
+        return all(1 <= c <= side for c in p)
+
+    keep = [p for p in itertools.product(range(side + 2), repeat=dim)
+            if sum(not 1 <= c <= side for c in p) <= 1]
+    present = set(keep)
+    pairs = [(p, q) for p in keep for q in (p[:a] + (p[a] + 1,) + p[a + 1:]
+                                            for a in range(dim))
+             if q in present and (inside(p) or inside(q))]
+    if rng is None:
+        weights, masses = np.ones(len(pairs)), np.ones(len(keep))
+    else:
+        weights = 10.0 ** rng.uniform(-1, 1, len(pairs))
+        masses = 10.0 ** rng.uniform(-1, 1, len(keep))
+    graph = WeightedGraph(keep, dict(zip(keep, masses)),
+                          [(p, q, w) for (p, q), w in zip(pairs, weights)])
+    return graph, [p for p in keep if inside(p)]
+
+
+def _no_sparse_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sparse route ran")
+
+    monkeypatch.setattr(linear_core, "_sparse_lowest", refuse)
+
+
+@pytest.mark.parametrize("side", [14, 15, 20])  # windows of 196, 225 and 400
+def test_sparse_and_dense_routes_agree(side):
+    g, W = box_window(side, 2, np.random.default_rng(side))
+    dom = make_domain(g, W)
+    n = len(dom.interior)
+    k = stiffness_matrix(dom.induced)[:n, :n]
+    mass = np.array([g.mass[v] for v in dom.interior])
+    for count in range(1, SPARSE_MAX_COUNT + 1):
+        res = dirichlet_spectrum(g, W, count=count)
+        dense = sym_eig_generalized(k, mass, vertex_order=dom.interior, count=count)
+        assert res.vertex_order == dense.vertex_order
+        assert [sorted(f) for f in res.fields] == [sorted(dom.closure)] * count
+        assert all(f[z] == 0.0 for f in res.fields for z in dom.boundary)
+        if n < SPARSE_MIN_DIM:  # the dense route itself
+            assert res.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+            assert res.vectors.tobytes() == dense.vectors.tobytes()
+            assert res.residual_norm == dense.residual_norm
+            continue
+        rel = np.abs(res.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+        assert rel.max() <= 1e-12
+        for a, b in zip(res.vectors.T, dense.vectors.T):
+            assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-8 * np.abs(b).max()
+        # the CSR residual and the dense rule on the same pairs
+        assert res.residual_norm <= 1e-14
+        assert _residual(k, mass, res.eigenvalues, res.vectors) <= 1e-14
+
+
+def test_unit_box_closed_form_past_the_dense_budget():
+    # 6,859 window vertices: G_Omega has 9,025, past the dense budget
+    side = 19
+    g, W = box_window(side, 3)
+    start = time.perf_counter()
+    res = dirichlet_spectrum(g, W, count=SPARSE_MAX_COUNT)
+    elapsed = time.perf_counter() - start
+    t1 = 2.0 * (1.0 - math.cos(math.pi / (side + 1)))
+    t2 = 2.0 * (1.0 - math.cos(2.0 * math.pi / (side + 1)))
+    # lambda_1 = 2d(1 - cos(pi/(N+1))), then a triple eigenvalue
+    expect = np.array([3 * t1] + [2 * t1 + t2] * 3)
+    assert np.abs(res.eigenvalues - expect).max() <= 1e-12 * expect[0]
+    assert res.residual_norm <= 1e-14
+    assert elapsed < 20.0  # about 0.2 s on a 2-core x86-64 host
+    with pytest.raises(BudgetError):
+        dirichlet_spectrum(g, W, count=SPARSE_MAX_COUNT + 1)
+
+
+def test_sparse_route_is_deterministic():
+    results = [dirichlet_spectrum(*box_window(16, 2, np.random.default_rng(3)), count=2)
+               for _ in range(2)]
+    a, b = results
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a.residual_norm == b.residual_norm
+
+
+def test_boundary_free_and_large_counts_take_the_dense_route(monkeypatch):
+    g, W = box_window(15, 2, np.random.default_rng(4))
+    dom = make_domain(g, W)
+    n = len(dom.interior)
+    mass = np.array([g.mass[v] for v in dom.interior])
+    want = sym_eig_generalized(stiffness_matrix(dom.induced)[:n, :n], mass,
+                               count=SPARSE_MAX_COUNT + 1)
+    _no_sparse_route(monkeypatch)
+    got = dirichlet_spectrum(g, W, count=SPARSE_MAX_COUNT + 1)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    # Omega = every vertex: no boundary, K_II singular, lambda_0 = 0
+    res = dirichlet_spectrum(g, g.vertices, count=1)
+    assert abs(res.eigenvalues[0]) <= 1e-12
+    k = stiffness_matrix(g)
+    whole = lowest_eigenpairs(g, len(g.vertices), [g.mass[v] for v in g.vertices], 1)
+    assert whole.eigenvalues.tobytes() == sym_eig_generalized(
+        k, [g.mass[v] for v in g.vertices], count=1).eigenvalues.tobytes()
