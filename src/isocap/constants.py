@@ -12,12 +12,13 @@ spectra._finite: no floating-point warnings, and a value that is not finite
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, SingularMatrixError
 from .infinity import INFINITE, is_infinite
 from .linear_core import stiffness_matrix
 from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
@@ -134,54 +135,59 @@ def _lex_first(keys):
     return keys[np.lexsort(keys.T[::-1])[0]]
 
 
-def _split_keys(slots, in_a):
-    """Rows [A's slots, -1 padding, B's slots, -1 padding], each side u
-    wide, for splits of unions given as (k, u) slot rows and boolean rows
-    in_a (True for A).  The rows order like Python (A, B) tuples of
-    ascending slot tuples: -1 sorts a shorter tuple before its extensions.
-    Slots must stay below the maximum of their integer type."""
-    pad = np.iinfo(slots.dtype).max
-    sides = []
-    for side in (in_a, ~in_a):
-        keys = np.sort(np.where(side, slots, pad), axis=1)
-        keys[keys == pad] = -1
-        sides.append(keys)
-    return np.hstack(sides)
-
-
-def _first_tied_split(part, t_in_a, tied, key_type):
+def _first_tied_split(part, pos, tied):
     """The smallest (A, B) pair of slot tuples, in Python tuple order, among
     the True entries of tied, a (unions, splits) mask over the rows of part
-    (ascending union slots) and of t_in_a (True for A)."""
+    (ascending union slots, signed integers) and of pos (_split_table).
+
+    Key column c of a (union, split) entry is part[union, pos[split, c]],
+    with -1 for the padding position u, so a shorter tuple orders before its
+    extensions.  The entries are filtered to the least value of each column
+    in turn, until one is left; distinct entries have distinct keys."""
     ui, pi = np.nonzero(tied)
-    if len(ui) == 1:  # a single winner needs no ordering
-        slots, in_a = part[ui[0]], t_in_a[pi[0]]
-        return tuple(slots[in_a].tolist()), tuple(slots[~in_a].tolist())
-    # slices of _CHUNK tied splits bound the memory of the keys
-    slots = part.astype(key_type)
-    firsts = [
-        _lex_first(_split_keys(slots[ui[lo : lo + _CHUNK]], t_in_a[pi[lo : lo + _CHUNK]]))
-        for lo in range(0, len(ui), _CHUNK)
-    ]
-    row = _lex_first(np.array(firsts)).tolist()
     u = part.shape[1]
-    return tuple(i for i in row[:u] if i >= 0), tuple(i for i in row[u:] if i >= 0)
+    ext = np.hstack([part, np.full((len(part), 1), -1, dtype=part.dtype)])
+    for c in range(2 * u):
+        if len(ui) == 1:
+            break
+        col = ext[ui, pos[pi, c]]
+        sel = col == col.min()
+        ui, pi = ui[sel], pi[sel]
+    slots, cols = ext[ui[0]], pos[pi[0]]
+    return (tuple(slots[cols[:u][cols[:u] < u]].tolist()),
+            tuple(slots[cols[u:][cols[u:] < u]].tolist()))
 
 
-@functools.lru_cache(maxsize=16)  # all u <= 16 (the pair budget): about 9 MB
+@functools.lru_cache(maxsize=64)  # every size of a 20-slot universe: 10 MB
+def _combinations(p, s):
+    """The s-subsets of range(p) in itertools.combinations order, one
+    ascending row each: a shared read-only (C(p, s), s) array of the
+    smallest signed integer type that holds -p."""
+    rows = itertools.chain.from_iterable(itertools.combinations(range(p), s))
+    out = np.fromiter(rows, dtype=np.min_scalar_type(-p), count=math.comb(p, s) * s)
+    out = out.reshape(-1, s)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)  # all u <= 16 (the pair budget): about 10 MB
 def _split_table(u):
     """The splits of a u-slot union with slot 0 in A and B nonempty, shared
     read-only: the (2**(u-1) - 1, u) float table t (1.0 for A; row r puts
-    slot j + 1 in A when bit j of r is set), its boolean copy, and for each
-    slot pair (s, q) in row-major order the index of the splits holding
-    both slots on the hypercube view of _cube_forms."""
+    slot j + 1 in A when bit j of r is set), the int8 positions pos of
+    each split's slots (A's ascending, then B's ascending, each side padded
+    to u columns with u), and for each slot pair (s, q) in row-major order
+    the index of the splits holding both slots on the hypercube view of
+    _cube_forms."""
     bits = np.arange((1 << (u - 1)) - 1)
     t = np.zeros((len(bits), u))
     t[:, 0] = 1.0
     for j in range(u - 1):
         t[:, j + 1] = (bits >> j) & 1
-    t_in_a = t > 0
-    t.flags.writeable = t_in_a.flags.writeable = False
+    slot = np.arange(u, dtype=np.int8)
+    pos = np.sort(np.hstack([np.where(t > 0, slot, u), np.where(t > 0, u, slot)])
+                  .reshape(len(t), 2, u), axis=2).reshape(len(t), 2 * u).astype(np.int8)
+    t.flags.writeable = pos.flags.writeable = False
     cube = []
     for s, q in itertools.product(range(u), repeat=2):
         index = [slice(None)] * (u - 1)
@@ -189,7 +195,7 @@ def _split_table(u):
             if j:  # slot 0 is in every A; slot j is axis u - 1 - j
                 index[u - 1 - j] = 1
         cube.append(tuple(index))
-    return t, t_in_a, tuple(cube)
+    return t, pos, tuple(cube)
 
 
 def _cube_forms(s_u, cube):
@@ -231,9 +237,10 @@ def _min_single(k_amb, universe, masses, rng=None):
     Witness rule: among all candidates with the minimal value (exact float
     equality), the lexicographically smallest slot tuple.  Each subset size
     (one _capacity_ratios call) offers its smallest tied row once to the
-    running best, none if a value is NaN; a shuffled pass performs identical
-    per-candidate arithmetic, so values and witnesses match exactly.  Raises
-    InputError when no value is a number.
+    running best, none if a value is NaN or its minimum is above the best so
+    far; a shuffled pass performs identical per-candidate arithmetic, so
+    values and witnesses match exactly.  Raises InputError when no value is
+    a number.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
@@ -244,12 +251,14 @@ def _min_single(k_amb, universe, masses, rng=None):
     if rng is not None:
         rng.shuffle(sizes)
     for s in sizes:
-        combos = np.array(list(itertools.combinations(range(p), s)), dtype=int)
+        combos = _combinations(p, s)
         if rng is not None:
             combos = combos[rng.permutation(len(combos))]
         vals = _capacity_ratios(k_amb, universe[combos], masses[combos].sum(axis=1))
         examined += len(combos)
         vmin = vals.min()
+        if best is not None and vmin > best[0]:
+            continue  # _better would reject every tied row
         tied = combos[vals == vmin]
         if len(tied):
             best = _better(best, float(vmin), tuple(_lex_first(tied).tolist()))
@@ -266,8 +275,12 @@ def _min_pair(k_amb, universe, masses, rng=None):
     U the Schur complement of k_amb onto U turns every split into a quadratic
     form, batched over unions of equal size.  Witness rule: among the
     minimal-value splits, the smallest (A, B) pair of slot tuples in Python
-    tuple order; each chunk picks its smallest tied split in numpy
-    (_first_tied_split) and offers only that one to the running best.
+    tuple order.  A chunk whose minimum is NaN or above the best so far
+    offers nothing; any other chunk picks its smallest tied split in numpy
+    (_first_tied_split: the tied entries are filtered key column by key
+    column, each column gathered from the union slots through the split
+    positions of _split_table, with no sorting) and offers only that one to
+    the running best.
 
     Evaluation order: a split's form is the sum, from 0.0, of the Schur
     entries of A x A in row-major slot order, which is what
@@ -282,15 +295,14 @@ def _min_pair(k_amb, universe, masses, rng=None):
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
     d_amb = k_amb.shape[0]
-    key_type = np.min_scalar_type(-(p + 1))  # holds -1 and a pad above every slot
     best = None
     examined = 0
     sizes = list(range(2, p + 1))
     if rng is not None:
         rng.shuffle(sizes)
     for u in sizes:
-        t, t_in_a, cube = _split_table(u)
-        combos = np.array(list(itertools.combinations(range(p), u)), dtype=int)
+        t, pos, cube = _split_table(u)
+        combos = _combinations(p, u)
         if rng is not None:
             combos = combos[rng.permutation(len(combos))]
         chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
@@ -320,9 +332,12 @@ def _min_pair(k_amb, universe, masses, rng=None):
             vals = quad / np.minimum(m_a, m_b)
             examined += vals.size
             vmin = vals.min()
-            if not np.isnan(vmin):  # else no entry equals vmin
-                key = _first_tied_split(part, t_in_a, vals == vmin, key_type)
-                best = _better(best, float(vmin), key)
+            # with vmin NaN no entry equals it; above the best, _better
+            # would reject every tied split
+            if np.isnan(vmin) or (best is not None and vmin > best[0]):
+                continue
+            key = _first_tied_split(part, pos, vals == vmin)
+            best = _better(best, float(vmin), key)
     if best is None:
         raise InputError("non-finite values in every pair split")
     return best[0], best[1], examined
@@ -509,20 +524,30 @@ def alpha_dirichlet(domain, budget=None, heuristic=False, shuffle_seed=None):
     return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic, rng)
 
 
-def _pair_constant(k_amb, order, universe, masses, over, rng, field):
+def _pair_constant(k_amb, order, universe, masses, over, rng, field, connected=False):
     """The pair constant on the universe rows of k_amb: by the heuristic when
-    over (_over_budget), else exactly."""
+    over (_over_budget), else exactly.
+
+    connected: the rows of k_amb are a connected closure, so every pair
+    capacity is positive; a minimal value <= 0 then means the Schur
+    complement cancelled in floating point (say weights over 1e-300..1e300),
+    and raises SingularMatrixError instead of being reported."""
     if over:
         val, (sa, sb), n = _heuristic_pair(k_amb, universe, masses, field())
-        return ConstantResult(val, (_ids(order, sa), _ids(order, sb)), n, heuristic=True)
-    val, (sa, sb), n = _min_pair(k_amb, universe, masses, rng=rng)
-    return ConstantResult(val, (_ids(order, sa), _ids(order, sb)), n)
+    else:
+        val, (sa, sb), n = _min_pair(k_amb, universe, masses, rng=rng)
+    if connected and val <= 0:
+        raise SingularMatrixError(
+            "minimal pair value %r on a connected closure, where every capacity is "
+            "positive: the eliminated block cancelled in floating point" % val)
+    return ConstantResult(val, (_ids(order, sa), _ids(order, sb)), n, heuristic=over)
 
 
 @_finite
 def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
     """alpha_N(Omega): pairs of disjoint nonempty subsets of Omega, capacity
-    within G_Omega (boundary vertices stay free)."""
+    within G_Omega (boundary vertices stay free).  A minimal value <= 0,
+    which only cancellation can give, raises SingularMatrixError."""
     budget = budget or DEFAULT_BUDGET
     n = len(domain.interior)
     if n < 2:
@@ -536,14 +561,15 @@ def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
         return neumann_spectrum(domain, 2).vectors[:, 1]
 
     return _pair_constant(
-        k_amb, domain.interior, list(range(n)), masses, over, rng, field
+        k_amb, domain.interior, list(range(n)), masses, over, rng, field, connected=True
     )
 
 
 @_finite
 def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
     """alpha_S(Omega): pairs of disjoint nonempty boundary subsets, capacity
-    within G_Omega."""
+    within G_Omega.  A minimal value <= 0, which only cancellation can give,
+    raises SingularMatrixError."""
     budget = budget or DEFAULT_BUDGET
     if len(domain.boundary) < 2:
         raise InputError("alpha_S needs |delta Omega| >= 2")
@@ -558,7 +584,7 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
         return steklov_spectrum(domain, 2).vectors[:, 1]
 
     return _pair_constant(
-        k_amb, domain.boundary, universe, masses, over, rng, field
+        k_amb, domain.boundary, universe, masses, over, rng, field, connected=True
     )
 
 
@@ -775,7 +801,7 @@ def _ds_objective(k_amb, boundary_slots, masses):
         inner = is_bnd[parts]
         best = np.full(n, np.inf)
         for a in range(1, s + 1):
-            local = np.array(list(itertools.combinations(range(s), a)), dtype=int)
+            local = _combinations(s, a)
             rest = _complement(local, s)
             owner, pick = np.nonzero(inner[:, local].all(axis=2))
             for lo in range(0, len(owner), _CHUNK):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .constants import (_monotone_scan, alpha_dirichlet, alpha_ds,
                         alpha_neumann, alpha_steklov, beta_steklov, beta_tuple,
@@ -255,20 +256,24 @@ class EqualityReport:
     witness: Optional[dict] = None
 
 
-_PATTERN_CAP = 13  # 3^13 candidate sign patterns is still cheap
+def _span_patterns(basis):
+    """The {-1, 0, 1}-valued vectors that may lie in the span of the columns
+    of basis (b x mult, full column rank): int8 rows whose first nonzero
+    entry is +1, in lexicographic order.
 
-
-def _sign_patterns(b):
-    """int8 rows over {-1, 0, 1}^b whose first nonzero entry is +1, in
-    lexicographic order (base-3 digits of 0..3^b-1, shifted down by one)."""
-    count = np.arange(3 ** b)
-    pats = np.empty((len(count), b), dtype=np.int8)
-    for j in range(b - 1, -1, -1):
-        count, digit = np.divmod(count, 3)
-        pats[:, j] = digit - 1
-    nonzero = pats != 0
-    lead = pats[np.arange(len(pats)), nonzero.argmax(axis=1)]
-    return pats[nonzero.any(axis=1) & (lead > 0)]
+    A span vector is fixed by its values on the mult pivot rows of a pivoted
+    QR of basis^T, so each nonzero choice of {-1, 0, 1}^mult there is mapped
+    through the span and rounded; rounded rows with an entry outside
+    {-1, 0, 1} are dropped.  Every three-valued vector of the span is among
+    the (at most 3^mult - 1) rows; a row need not lie in the span."""
+    mult = basis.shape[1]
+    _, _, piv = scipy.linalg.qr(basis.T, mode="economic", pivoting=True)
+    choices = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=mult)))
+    choices = choices[choices.any(axis=1)]
+    cands = np.rint(basis @ np.linalg.solve(basis[piv[:mult]], choices.T)).T
+    cands = cands[(np.abs(cands) <= 1).all(axis=1)].astype(np.int8)
+    lead = cands[np.arange(len(cands)), (cands != 0).argmax(axis=1)]
+    return np.unique(cands * lead[:, None], axis=0)
 
 
 @_finite
@@ -277,10 +282,13 @@ def check_equality_case(domain, budget=None):
 
     The witness is an eigenfunction of the bottom nonzero boundary eigenvalue
     whose boundary values, scaled so the largest magnitude is 1, all lie in
-    {-1, 0, 1}.  The search runs over sign patterns inside the eigenspace;
-    eigenspaces of dimension above 3 (or more than 13 boundary vertices) are
-    reported undecided rather than searched incompletely.  Any witness found
-    is re-verified: its Rayleigh quotient must reproduce sigma_1.
+    {-1, 0, 1}.  The candidates come from the eigenspace (_span_patterns: at
+    most 3^mult - 1 of them, whatever the boundary size) and are tried in
+    lexicographic order; each must balance the boundary masses, lie in the
+    eigenspace (least-squares residual) and reproduce sigma_1 as its
+    Rayleigh quotient.  Reach: every boundary within the pair budget (alpha_S
+    is enumerated exactly), and eigenspaces of dimension at most 3; wider
+    eigenspaces are reported undecided rather than searched incompletely.
     """
     if len(domain.boundary) < 2:
         raise InputError("equality case needs at least two boundary vertices")
@@ -295,12 +303,11 @@ def check_equality_case(domain, budget=None):
     mult = sum(1 for s in spec.eigenvalues[1:] if abs(s - sigma) <= tol)
     if not equal:
         return EqualityReport(sigma, alpha, False, "strict", gap, mult)
-    b = len(domain.boundary)
-    if mult > 3 or b > _PATTERN_CAP:
+    if mult > 3:
         return EqualityReport(sigma, alpha, True, "undecided", gap, mult)
 
     basis = spec.vectors[:, 1:1 + mult]
-    pats = _sign_patterns(b)
+    pats = _span_patterns(basis)
     # eigenfunctions are mass-orthogonal to constants, so +1/-1 masses balance
     balanced = np.abs(pats @ op.mass) <= 1e-7 * (np.abs(pats) @ op.mass)
     pats = pats[balanced].astype(float)

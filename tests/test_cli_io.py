@@ -249,6 +249,22 @@ def test_overflow_is_an_input_error_without_warnings(capsys, tmp_path, argv):
     assert captured.err == ""
 
 
+def test_cancelled_pair_value_is_a_numerical_error(capsys, tmp_path):
+    # the Schur entry of a is 1e300 - (1e300)^2 / (1e300 + 1e-300) = 0 in
+    # floating point; a pair capacity on a connected closure is positive
+    path = tmp_path / "hostile.graph"
+    path.write_text(HOSTILE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["alpha", "s", str(path)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == EXIT_INPUT
+    assert doc["error"]["kind"] == "numerical"
+    assert "minimal pair value 0.0" in doc["error"]["message"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("exc", [SingularMatrixError("pivot 0 is not positive"),
                                  np.linalg.LinAlgError("Singular matrix")])
 def test_numerical_failure_is_a_numerical_error(capsys, t3_file, monkeypatch, exc):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from isocap import (INFINITE, Budget, BudgetError, InputError, WeightedGraph,
-                    alpha_dirichlet, alpha_dirichlet_limit, alpha_ds,
+from isocap import (INFINITE, Budget, BudgetError, InputError, SingularMatrixError,
+                    WeightedGraph, alpha_dirichlet, alpha_dirichlet_limit, alpha_ds,
                     alpha_neumann, alpha_steklov, alpha_steklov_limit,
-                    beta_constants, beta_steklov, beta_tuple, cap,
+                    beta_constants, beta_steklov, beta_tuple, cap, constants,
                     dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov,
                     gamma_tilde_dirichlet, is_infinite, kappa_steklov,
                     linear_core, make_domain)
@@ -117,6 +117,22 @@ def test_budget_errors_and_heuristic_upper_bounds():
     assert hd.heuristic and hs.heuristic
     assert hd.value >= exact_d - 1e-12
     assert hs.value >= exact_s - 1e-12
+
+
+def test_pair_value_at_most_zero_is_singular_for_alpha_n_and_s(monkeypatch):
+    # a connected closure has positive pair capacities, so 0 can only come
+    # from cancellation; beta_S keeps its value
+    g, dom = t3_example()
+    tight = Budget(pair=2)
+    zero = (0.0, ((0,), (1,)), 1)
+    monkeypatch.setattr(constants, "_heuristic_pair", lambda *args: zero)
+    monkeypatch.setattr(constants, "_min_pair", lambda *args, rng=None: zero)
+    for fn in (alpha_steklov, alpha_neumann):
+        for kw in ({}, {"budget": tight, "heuristic": True}):
+            with pytest.raises(SingularMatrixError, match="minimal pair value 0.0"):
+                fn(dom, **kw)
+    for kw in ({}, {"budget": tight, "heuristic": True}):
+        assert beta_steklov(g, dom.interior, **kw).value == 0.0
 
 
 def test_budget_errors_come_before_any_assembly(monkeypatch):

@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 import isocap.constants as constants
-from isocap import (INFINITE, Budget, InputError, WeightedGraph, beta_tuple,
+from isocap import (INFINITE, Budget, InputError, WeightedGraph, alpha_steklov, beta_tuple, cap,
                     dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
                     kappa_steklov, make_domain, neumann_spectrum, steklov_spectrum)
-from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better,
-                              _complement, _cube_forms, _grounded_values, _levels,
-                              _min_pair, _min_single, _min_tuple, _split_forms,
-                              _split_table)
-from isocap.infinite_families import line_domain
-from isocap.linear_core import stiffness_matrix
-from isocap.verify import _sign_patterns, random_domain
+from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better, _combinations,
+                              _complement, _cube_forms, _first_tied_split,
+                              _grounded_values, _levels, _lex_first, _min_pair, _min_single,
+                              _min_tuple, _split_forms, _split_table)
+from isocap.infinite_families import line_domain, t3_example
+from isocap.linear_core import stiffness_matrix, sym_eig_generalized
+from isocap.spectra import _finite, dtn_operator
+from isocap.verify import EqualityReport, _span_patterns, check_equality_case, random_domain
 
 SEEDS = (None, 0, 1, 2, 3)
 
@@ -276,6 +277,77 @@ def ref_sign_patterns(b):
     return np.array(keep)
 
 
+def ref_split_keys(slots, in_a):
+    """Rows [A's slots, -1 padding, B's slots, -1 padding], each side u
+    wide, for splits of unions given as (k, u) slot rows and boolean rows
+    in_a (True for A).  The rows order like Python (A, B) tuples of
+    ascending slot tuples: -1 sorts a shorter tuple before its extensions.
+    Slots must stay below the maximum of their integer type."""
+    pad = np.iinfo(slots.dtype).max
+    sides = []
+    for side in (in_a, ~in_a):
+        keys = np.sort(np.where(side, slots, pad), axis=1)
+        keys[keys == pad] = -1
+        sides.append(keys)
+    return np.hstack(sides)
+
+
+def ref_first_tied_split(part, t_in_a, tied, key_type):
+    """The smallest (A, B) pair of slot tuples, in Python tuple order, among
+    the True entries of tied, a (unions, splits) mask over the rows of part
+    (ascending union slots) and of t_in_a (True for A): every tied row is
+    sorted into its key, and the keys are ordered by lexsort."""
+    ui, pi = np.nonzero(tied)
+    if len(ui) == 1:  # a single winner needs no ordering
+        slots, in_a = part[ui[0]], t_in_a[pi[0]]
+        return tuple(slots[in_a].tolist()), tuple(slots[~in_a].tolist())
+    # slices of _CHUNK tied splits bound the memory of the keys
+    slots = part.astype(key_type)
+    firsts = [
+        _lex_first(ref_split_keys(slots[ui[lo : lo + _CHUNK]], t_in_a[pi[lo : lo + _CHUNK]]))
+        for lo in range(0, len(ui), _CHUNK)
+    ]
+    row = _lex_first(np.array(firsts)).tolist()
+    u = part.shape[1]
+    return tuple(i for i in row[:u] if i >= 0), tuple(i for i in row[u:] if i >= 0)
+
+
+@_finite
+def ref_check_equality_case(domain, budget=None):
+    """The certifier that tries every sign pattern of {-1, 0, 1}^b against
+    the eigenspace, undecided past b = 13 or multiplicity 3."""
+    if len(domain.boundary) < 2:
+        raise InputError("equality case needs at least two boundary vertices")
+    op = dtn_operator(domain)
+    spec = sym_eig_generalized(op.form, op.mass)
+    sigma = spec.eigenvalues[1]
+    alpha = alpha_steklov(domain, budget=budget).value
+    tol = 1e-8 * max(1.0, abs(sigma))
+    equal = bool(abs(sigma - 2.0 * alpha) <= tol)
+    gap = 2.0 * alpha - sigma
+    mult = sum(1 for s in spec.eigenvalues[1:] if abs(s - sigma) <= tol)
+    if not equal:
+        return EqualityReport(sigma, alpha, False, "strict", gap, mult)
+    b = len(domain.boundary)
+    if mult > 3 or b > 13:
+        return EqualityReport(sigma, alpha, True, "undecided", gap, mult)
+    basis = spec.vectors[:, 1:1 + mult]
+    pats = ref_sign_patterns(b)
+    balanced = np.abs(pats @ op.mass) <= 1e-7 * (np.abs(pats) @ op.mass)
+    pats = pats[balanced]
+    if len(pats):
+        coef, *_ = np.linalg.lstsq(basis, pats.T, rcond=None)
+        resid = np.linalg.norm(basis @ coef - pats.T, axis=0)
+        norms = np.linalg.norm(pats, axis=1)
+        for j in np.nonzero(resid <= 1e-7 * norms)[0]:
+            t = pats[j]
+            rayleigh = float(t @ op.form @ t) / float(t @ (op.mass * t))
+            if abs(rayleigh - sigma) <= tol:
+                witness = {v: float(t[i]) for i, v in enumerate(domain.boundary)}
+                return EqualityReport(sigma, alpha, True, "equal", gap, mult, witness)
+    return EqualityReport(sigma, alpha, True, "undecided", gap, mult)
+
+
 # ---------------------------------------------------------------------------
 # instances
 
@@ -442,8 +514,8 @@ def _schur_entries(rng, n, u):
 @pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
 def test_cube_forms_are_bit_equal_to_the_einsum(u):
     rng = np.random.default_rng(u)
-    t, t_in_a, cube = _split_table(u)
-    assert np.array_equal(t_in_a, t > 0) and not t.flags.writeable
+    t, pos, cube = _split_table(u)
+    assert not t.flags.writeable and not pos.flags.writeable
     chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
     sizes = [1, 2, 5]
     if u <= 9:  # the chunk _min_pair uses, while the einsum stays cheap
@@ -736,13 +808,129 @@ def test_min_tuple_reach_passes_once_per_allowed_part(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# equality-case sign patterns
+# tie selection: key columns gathered through the split positions
+
+
+def test_combinations_are_read_only_itertools_rows():
+    for p, s_ in [(1, 1), (5, 2), (9, 4), (16, 8), (20, 1), (20, 20)]:
+        got = _combinations(p, s_)
+        assert got.dtype == np.int8 and not got.flags.writeable
+        assert got.tolist() == [list(c) for c in itertools.combinations(range(p), s_)]
+    assert _combinations(200, 1).dtype == np.int16
+
+
+@pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
+def test_split_positions_list_each_side_in_ascending_order(u):
+    t, pos, _ = _split_table(u)
+    assert pos.dtype == np.int8 and pos.shape == (len(t), 2 * u)
+    rows = np.arange(len(t))[:, None]
+    for side, want in ((pos[:, :u], t), (pos[:, u:], 1.0 - t)):
+        assert (np.diff(side.astype(int), axis=1) >= 0).all()
+        hit = np.zeros((len(t), u + 1))
+        hit[rows, side] = 1.0
+        assert np.array_equal(hit[:, :u], want)
+        assert np.array_equal((side < u).sum(axis=1), want.sum(axis=1))
+
+
+def _tie_masks(rng, n, splits):
+    """All tied, one tie, a sparse mask, and ties only in the last union."""
+    sparse = rng.random((n, splits)) < 0.01
+    sparse[rng.integers(n), rng.integers(splits)] = True
+    single = np.zeros((n, splits), dtype=bool)
+    single[rng.integers(n), rng.integers(splits)] = True
+    last = np.zeros((n, splits), dtype=bool)
+    last[-1, rng.random(splits) < 0.5] = True
+    last[-1, -1] = True
+    return [np.ones((n, splits), dtype=bool), single, sparse, last]
+
+
+@pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
+def test_first_tied_split_matches_reference(u):
+    rng = np.random.default_rng(200 + u)
+    t, pos, _ = _split_table(u)
+    t_in_a = t > 0
+    for p in sorted({u, min(u + 2, DEFAULT_BUDGET.pair)}):
+        combos = _combinations(p, u)
+        key_type = np.min_scalar_type(-(p + 1))
+        # chunks of at most about 2^17 (union, split) entries, in
+        # combinations order and shuffled, as _min_pair sees them
+        n = max(1, min(len(combos), (1 << 17) // len(t)))
+        parts = [combos[:n], combos[rng.permutation(len(combos))[:n]]]
+        for part in parts:
+            for tied in _tie_masks(rng, len(part), len(t)):
+                got = _first_tied_split(part, pos, tied)
+                assert got == ref_first_tied_split(part, t_in_a, tied, key_type), (u, p)
+                assert all(isinstance(i, int) for side in got for i in side)
+
+
+# ---------------------------------------------------------------------------
+# equality-case candidates from the eigenspace
+
+
+def _random_eigenbasis(rng, b, mult):
+    """An orthonormal basis of the span of mult random {-1, 0, 1} rows
+    (rank mult), rotated by a random orthogonal matrix."""
+    while True:
+        gens = rng.integers(-1, 2, size=(mult, b)).astype(float)
+        if np.linalg.matrix_rank(gens) == mult:
+            break
+    q, _ = np.linalg.qr(gens.T)
+    rot, _ = np.linalg.qr(rng.standard_normal((mult, mult)))
+    return q @ rot, gens
 
 
 @pytest.mark.parametrize("b", range(1, 9))
 def test_sign_patterns_match_reference(b):
-    got = _sign_patterns(b)
-    want = ref_sign_patterns(b)
-    assert got.dtype == np.int8
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    rng = np.random.default_rng(300 + b)
+    pats = ref_sign_patterns(b)
+    for mult in range(1, min(b, 3) + 1):
+        for _ in range(5):
+            basis, gens = _random_eigenbasis(rng, b, mult)
+            got = _span_patterns(basis)
+            assert got.dtype == np.int8
+            assert len(got) <= 3 ** mult - 1
+            # first nonzero entry +1, rows strictly increasing lexicographically
+            lead = got[np.arange(len(got)), (got != 0).argmax(axis=1)]
+            assert (lead == 1).all()
+            assert [tuple(r) for r in got.tolist()] == sorted(set(map(tuple, got.tolist())))
+            # every pattern of the span is a candidate, and the candidates
+            # in the span are exactly those patterns
+            resid = pats.T - basis @ (basis.T @ pats.T)
+            in_span = pats[np.linalg.norm(resid, axis=0) <= 1e-9]
+            assert len(in_span) >= 1  # the generators, up to sign
+            got_resid = got.T - basis @ (basis.T @ got.T)
+            got_in_span = got[np.linalg.norm(got_resid, axis=0) <= 1e-9]
+            assert np.array_equal(got_in_span.astype(float), in_span)
+
+
+# domains where the pattern certifier decides (equal or strict)
+DECIDED = ([line_domain(n)[1] for n in range(2, 14)] + [t3_example()[1]]
+           + [unit_star(p) for p in (2, 3, 4)]
+           + [two_level_tree(c, l) for c, l in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (2, 4),
+                                       (4, 1), (4, 2), (3, 3), (2, 5)]]
+           + [random_domain(np.random.default_rng([5, i]), max_closure=10)
+              for i in range(40)])
+
+
+def test_equality_case_matches_reference_on_the_decided_set():
+    statuses = set()
+    for dom in DECIDED:
+        want = ref_check_equality_case(dom)
+        if want.status == "undecided":
+            continue
+        statuses.add(want.status)
+        assert repr(check_equality_case(dom)) == repr(want)
+    assert statuses == {"equal", "strict"}
+
+
+@pytest.mark.parametrize("c, leaves, mult", [(2, 7, 1), (3, 5, 2), (4, 4, 3)])
+def test_equality_witness_past_thirteen_boundary_vertices(c, leaves, mult):
+    # b = 14, 15, 16: undecided under the 3^b pattern certifier
+    dom = two_level_tree(c, leaves)
+    rep = check_equality_case(dom)
+    assert rep.status == "equal" and rep.equal and rep.multiplicity == mult
+    A = [v for v, x in rep.witness.items() if x == 1.0]
+    B = [v for v, x in rep.witness.items() if x == -1.0]
+    assert len(A) == len(B) == leaves
+    ratio = cap(dom, A, B).value / dom.graph.mass_of(A)
+    assert ratio == pytest.approx(rep.sigma1 / 2.0, rel=1e-12, abs=0)
