@@ -23,16 +23,16 @@ from .graph_core import (SteklovDomain, WeightedGraph, energy, green_residual,
                          vertex_boundary)
 from .linear_core import (SpectralResult, solve_spd, stiffness_matrix,
                           sym_eig_generalized)
-from .capacity import (CapacityResult, CapacitySequence, cap, cap_exhaustion,
-                       cap_to_boundary, coarea_value, equilibrium_potential)
+from .capacity import (CapacityResult, cap, cap_exhaustion, cap_to_boundary,
+                       coarea_value, equilibrium_potential)
 from .spectra import (DtnOperator, WeightSchedule, default_schedule,
                       dirichlet_spectrum, dtn_operator, grounded_dtn_spectrum,
                       harmonic_extension, hm_dtn_spectrum, neumann_spectrum,
                       steklov_spectrum, vanishing_weight_spectrum)
 from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
                         alpha_dirichlet_limit, alpha_ds, alpha_neumann,
-                        alpha_steklov, alpha_steklov_limit, beta_constants,
-                        beta_steklov, beta_tuple, gamma_k_dirichlet,
+                        alpha_steklov, alpha_steklov_limit, beta_steklov,
+                        beta_tuple, gamma_k_dirichlet,
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .infinite_families import (FamilySpec, FamilyStep, default_source,
                                 generate, generate_steps,

@@ -4,12 +4,17 @@ Cap_Omega(A, B) = inf { E(f,f) : f|_A = 1, f|_B = 0 } over the induced graph
 G_Omega; the minimizer is harmonic at free interior vertices and has zero
 normal derivative at free boundary vertices, i.e. the free block solves the
 grounded linear system.
+
+cap_exhaustion walks Cap(A, sink) along the truncations of an infinite
+family with the walker of the alpha limits (constants._limit), so all three
+report the same LimitReport under one non-increase rule.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import _limit
 from .errors import InfeasibleError, InputError
 from .graph_core import energy
 from .linear_core import solve_spd, stiffness_matrix
@@ -21,15 +26,6 @@ class CapacityResult:
     potential: dict
     source: tuple
     sink: tuple
-
-
-@dataclass
-class CapacitySequence:
-    indices: list
-    values: list
-    limit_estimate: float
-    error_bar: float
-    monotone: bool
 
 
 def _check_sets(domain, A, B):
@@ -90,7 +86,7 @@ def cap_to_boundary(domain, A):
 
 
 def cap_exhaustion(steps, A):
-    """Capacity of A against each truncation's sink; monotone non-increasing.
+    """The LimitReport of Cap(A, sink) along an exhaustion; non-increasing.
 
     steps: iterable of objects with .index, .domain, .sink and .W (the
     truncation set); see infinite_families.  Non-increase is an exhaustion
@@ -98,27 +94,9 @@ def cap_exhaustion(steps, A):
     nested and is raised.
     """
     steps = list(steps)
-    if not steps:
-        raise InputError("no exhaustion steps")
-    if not set(A) <= set(steps[0].W):
+    if steps and not set(A) <= set(steps[0].W):
         raise InputError("source escapes the first truncation")
-    indices, values = [], []
-    for step in steps:
-        indices.append(step.index)
-        values.append(cap(step.domain, A, step.sink).value)
-    for prev, cur in zip(values, values[1:]):
-        if cur > prev + 1e-12 * max(1.0, abs(prev)):
-            raise InputError(
-                "capacity increased along the exhaustion; steps are not nested"
-            )
-    error_bar = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
-    return CapacitySequence(
-        indices=indices,
-        values=values,
-        limit_estimate=values[-1],
-        error_bar=error_bar,
-        monotone=True,
-    )
+    return _limit(steps, lambda step: cap(step.domain, A, step.sink))
 
 
 def coarea_value(domain, f):

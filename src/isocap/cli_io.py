@@ -30,8 +30,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .capacity import (CapacityResult, CapacitySequence, cap, cap_exhaustion,
-                       cap_to_boundary, coarea_value)
+from .capacity import (CapacityResult, cap, cap_exhaustion, cap_to_boundary,
+                       coarea_value)
 from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
                         alpha_dirichlet_limit, alpha_ds, alpha_neumann,
                         alpha_steklov, alpha_steklov_limit, gamma_k_dirichlet,
@@ -230,15 +230,6 @@ def project(result, name=None):
             "sink": _ids(result.sink),
             "potential": {str(v): x for v, x in result.potential.items()},
         }
-    if isinstance(result, CapacitySequence):
-        return {
-            "type": "capacity_sequence",
-            "indices": list(result.indices),
-            "values": list(result.values),
-            "limit_estimate": result.limit_estimate,
-            "error_bar": result.error_bar,
-            "monotone": result.monotone,
-        }
     if isinstance(result, LimitReport):
         return {
             "type": "limit",
@@ -329,13 +320,19 @@ def _parse_steps(text):
 # commands
 
 def _budget(args):
+    """The budgets of the --budget-* flags.  A budget of 0 leaves the exact
+    enumerators nothing, so only --heuristic answers."""
     base = Budget()
-    return Budget(
-        single=args.budget_single if args.budget_single else base.single,
-        pair=args.budget_pair if args.budget_pair else base.pair,
-        tuples=args.budget_tuple if args.budget_tuple else base.tuples,
+    budget = Budget(
+        single=base.single if args.budget_single is None else args.budget_single,
+        pair=base.pair if args.budget_pair is None else args.budget_pair,
+        tuples=base.tuples if args.budget_tuple is None else args.budget_tuple,
         part_cap=args.part_cap,
     )
+    for name in ("single", "pair", "tuples"):
+        if getattr(budget, name) < 0:
+            raise InputError("the %s budget must be nonnegative" % name)
+    return budget
 
 
 def _load(path):
@@ -486,7 +483,7 @@ def _cmd_family(args):
     grounded = spec.kind in _U_KINDS
     if args.emit == "cap":
         res = cap_exhaustion(steps, default_source(spec))
-        results = [project(res)]
+        results = [project(res, "cap_exhaustion")]
     elif args.emit == "alpha":
         if grounded:
             res = alpha_steklov_limit(steps, budget=budget)

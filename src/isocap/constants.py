@@ -675,9 +675,10 @@ def _sort_key(item):
     return (is_infinite(val), val if not is_infinite(val) else 0.0, key)
 
 
-def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
+def _min_tuple(arity, objective, budget, slot_ids):
     """Min over disjoint arity-tuples of nonempty parts of the max part
-    objective; parts capped at part_cap slots when set.
+    objective over the slots of slot_ids; parts capped at budget.part_cap
+    slots when set.
 
     objective is batched: it takes an (N, s) integer array holding every
     part of one size s, one ascending slot tuple per row in
@@ -689,6 +690,7 @@ def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
     arity-packing exists fixes the optimum.  The witness is the
     lexicographically smallest optimal packing (parts sorted by slot tuple).
     """
+    n_slots = len(slot_ids)
     if arity < 1:
         raise InputError("tuple arity must be positive")
     if arity > n_slots:
@@ -697,7 +699,7 @@ def _min_tuple(arity, n_slots, objective, budget, part_cap, slot_ids):
         raise BudgetError(
             "universe size %d exceeds tuple budget %d" % (n_slots, budget.tuples)
         )
-    cap = part_cap if part_cap is not None else n_slots
+    cap = budget.part_cap if budget.part_cap is not None else n_slots
     if cap < 1:
         raise InputError("part cap must be positive")
     parts = []
@@ -766,7 +768,7 @@ def gamma_tilde_dirichlet(graph, W, k, budget=None):
         d = 1.0 / np.sqrt(masses[parts])
         return np.linalg.eigvalsh(sub * d[:, :, None] * d[:, None, :])[:, 0].tolist()
 
-    return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k, objective, budget, order)
 
 
 @_finite
@@ -780,7 +782,7 @@ def gamma_k_dirichlet(graph, W, k, budget=None):
     pos = np.array([graph.index[v] for v in order])
     masses = np.array([graph.mass[v] for v in order])
     objective = _ds_objective(kmat[np.ix_(pos, pos)], range(len(order)), masses)
-    return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k, objective, budget, order)
 
 
 def _ds_objective(k_amb, boundary_slots, masses):
@@ -828,7 +830,7 @@ def kappa_steklov(domain, k, budget=None):
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = [domain.closure_index[v] for v in domain.boundary]
     objective = _ds_objective(kmat, bnd, masses)
-    return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k + 1, objective, budget, order)
 
 
 @_finite
@@ -845,7 +847,7 @@ def gamma_k_steklov(domain, W, k, budget=None):
     bnd = [i for i, v in enumerate(order) if v in domain.boundary_index]
     sub = kmat[np.ix_(pos, pos)]  # rows keep their full G_U diagonals
     objective = _ds_objective(sub, bnd, masses)
-    return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k, objective, budget, order)
 
 
 @_finite
@@ -862,15 +864,7 @@ def beta_tuple(graph, omega, k, budget=None):
     masses = np.array([graph.mass[v] for v in order])
     in_omega = [graph.index[v] for v in oset]
     objective = _ds_objective(kmat, in_omega, masses)
-    return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
-
-
-def beta_constants(graph, omega, k, budget=None, heuristic=False):
-    """Both section-7 constants for one (graph, Omega, k)."""
-    return {
-        "beta_s": beta_steklov(graph, omega, budget, heuristic),
-        "beta_tuple": beta_tuple(graph, omega, k, budget),
-    }
+    return _min_tuple(k + 1, objective, budget, order)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +889,22 @@ def _monotone_scan(values, enforce):
     return ok
 
 
-def _limit_report(indices, values, monotone, heuristic=False):
+def _limit(family, evaluate):
+    """The LimitReport of evaluate(step).value along an exhaustion.
+
+    evaluate maps one step to a result with a .value, and a .heuristic when
+    it may be a heuristic upper bound.  Non-increase is an exhaustion
+    property, so an increase beyond float slack is raised; once a heuristic
+    answered a step, an increase is only recorded in .monotone.
+    """
+    steps = list(family)
+    if not steps:
+        raise InputError("no exhaustion steps")
+    values, heuristic = [], False
+    for step in steps:
+        res = evaluate(step)
+        values.append(res.value)
+        heuristic = heuristic or getattr(res, "heuristic", False)
     if len(values) > 1 and not (is_infinite(values[-1]) or is_infinite(values[-2])):
         error_bar = abs(values[-1] - values[-2])
     elif len(values) > 1:
@@ -903,11 +912,11 @@ def _limit_report(indices, values, monotone, heuristic=False):
     else:
         error_bar = 0.0
     return LimitReport(
-        indices=list(indices),
-        values=list(values),
+        indices=[step.index for step in steps],
+        values=values,
         limit_estimate=values[-1],
         error_bar=error_bar,
-        monotone=monotone,
+        monotone=_monotone_scan(values, enforce=not heuristic),
         heuristic=heuristic,
     )
 
@@ -917,17 +926,8 @@ def alpha_dirichlet_limit(family, budget=None, heuristic=False):
     """Per-step alpha_D(W_i) along an exhaustion; non-increasing, and the
     last value estimates alpha_D of the infinite graph."""
     budget = budget or DEFAULT_BUDGET
-    steps = list(family)
-    if not steps:
-        raise InputError("no exhaustion steps")
-    indices, values, used = [], [], False
-    for step in steps:
-        res = _alpha_d_raw(step.graph, step.W, budget, heuristic, None)
-        indices.append(step.index)
-        values.append(res.value)
-        used = used or res.heuristic
-    monotone = _monotone_scan(values, enforce=not used)
-    return _limit_report(indices, values, monotone, heuristic=used)
+    return _limit(family, lambda step: _alpha_d_raw(step.graph, step.W, budget,
+                                                    heuristic, None))
 
 
 @_finite
@@ -935,12 +935,4 @@ def alpha_steklov_limit(family, budget=None):
     """Per-step alpha_DS(W_i) along an exhaustion of the closure of an
     infinite U; the non-increasing values estimate alpha_S(U)."""
     budget = budget or DEFAULT_BUDGET
-    steps = list(family)
-    if not steps:
-        raise InputError("no exhaustion steps")
-    indices, values = [], []
-    for step in steps:
-        indices.append(step.index)
-        values.append(alpha_ds(step.domain, step.W, budget).value)
-    monotone = _monotone_scan(values, enforce=True)
-    return _limit_report(indices, values, monotone)
+    return _limit(family, lambda step: alpha_ds(step.domain, step.W, budget))

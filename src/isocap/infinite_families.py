@@ -297,7 +297,7 @@ def generate_steps(spec, indices):
 def default_source(spec):
     """A canonical small source set for capacity runs over the family."""
     if spec.kind == "path_segment":
-        return (0,)
+        return (1,)  # vertex 0 is in every step's sink
     if spec.kind == "t3":
         return ("x1",)
     if spec.kind == "binary_tree":

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap import (InfeasibleError, InputError, WeightedGraph, cap,
+from isocap import (InfeasibleError, InputError, LimitReport, WeightedGraph, cap,
                     cap_exhaustion, cap_to_boundary, coarea_value, energy,
                     equilibrium_potential, laplacian_apply, make_domain)
-from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
-                                      path_graph, t3_example)
+from isocap.infinite_families import (FamilySpec, default_source, generate_steps,
+                                      line_domain, path_graph, t3_example)
 from isocap.verify import random_domain
 
 
@@ -168,3 +168,18 @@ def test_exhaustion_monotone_and_guarded():
     assert seq.error_bar == pytest.approx(abs(seq.values[-1] - seq.values[-2]))
     with pytest.raises(InputError):
         cap_exhaustion(list(reversed(steps)), (0,))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("binary_tree"),
+                                  FamilySpec("binary_tree", quotient=True),
+                                  FamilySpec("lattice_box", dim=2)])
+def test_exhaustion_report_holds_the_per_step_capacities(spec):
+    steps = generate_steps(spec, range(1, 5))
+    source = default_source(spec)
+    rep = cap_exhaustion(steps, source)
+    assert isinstance(rep, LimitReport) and rep.heuristic is False
+    assert rep.indices == [1, 2, 3, 4]
+    assert rep.values == [cap(s.domain, source, s.sink).value for s in steps]
+    assert rep.limit_estimate == rep.values[-1]
+    assert rep.error_bar == abs(rep.values[-1] - rep.values[-2])
+    assert cap_exhaustion(steps[:1], source).error_bar == 0.0

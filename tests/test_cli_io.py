@@ -165,8 +165,11 @@ def test_family_commands(capsys):
                                   "--steps", "1..6", "--emit", "cap"])
     assert code == EXIT_OK
     seq = doc["results"][0]
+    assert list(seq) == ["type", "name", "indices", "values", "limit_estimate",
+                         "error_bar", "monotone", "heuristic"]
+    assert seq["type"] == "limit" and seq["name"] == "cap_exhaustion"
     assert seq["values"][0] == pytest.approx(2.0 / 3.0, rel=1e-11)
-    assert seq["monotone"] is True
+    assert seq["monotone"] is True and seq["heuristic"] is False
     code, doc = run_json(capsys, ["family", "binary_tree:quotient",
                                   "--steps", "1,3,5", "--emit", "sigma"])
     assert code == EXIT_OK
@@ -175,6 +178,49 @@ def test_family_commands(capsys):
                                   "--steps", "1..6"])
     assert code == EXIT_OK
     assert doc["results"][0]["upper_ok"] is True
+
+
+def test_family_cap_on_path_segments(capsys):
+    # Cap({1}, {0, n}) on the unit path 0..n: one edge in parallel with n - 1
+    # edges in series
+    code, doc = run_json(capsys, ["family", "path_segment", "--steps", "2..8",
+                                  "--emit", "cap"])
+    assert code == EXIT_OK
+    rep = doc["results"][0]
+    assert rep["indices"] == list(range(2, 9))
+    assert rep["values"] == pytest.approx([1.0 + 1.0 / (n - 1) for n in range(2, 9)],
+                                          rel=1e-12)
+
+
+PATH4 = "v 0 1\nv 1 1\nv 2 1\nv 3 1\ne 0 1 1\ne 1 2 1\ne 2 3 1\nomega 1 2\n"
+
+
+@pytest.mark.parametrize("argv", [["alpha", "d", "--budget-single"],
+                                  ["alpha", "s", "--budget-pair"]])
+def test_budget_zero_leaves_only_the_heuristic(capsys, tmp_path, argv):
+    path = tmp_path / "path4.graph"
+    path.write_text(PATH4)
+    code, doc = run_json(capsys, argv + ["0", str(path)])
+    assert code == EXIT_BUDGET
+    assert doc["error"]["kind"] == "budget"
+    code, doc = run_json(capsys, argv + ["0", "--heuristic", str(path)])
+    assert code == EXIT_OK
+    assert doc["results"][0]["heuristic"] is True
+    exact = run_json(capsys, argv[:2] + [str(path)])[1]["results"][0]["value"]
+    assert doc["results"][0]["value"] >= exact
+
+
+@pytest.mark.parametrize("flag", ["--budget-single", "--budget-pair", "--budget-tuple"])
+def test_negative_budget_is_an_input_error(capsys, tmp_path, flag):
+    path = tmp_path / "path4.graph"
+    path.write_text(PATH4)
+    code, doc = run_json(capsys, ["kappa", "-k", "1", flag, "-1", str(path)])
+    assert code == EXIT_INPUT
+    assert doc["error"]["kind"] == "input"
+    assert "must be nonnegative" in doc["error"]["message"]
+    if flag == "--budget-tuple":
+        code, doc = run_json(capsys, ["kappa", "-k", "1", flag, "0", str(path)])
+        assert code == EXIT_BUDGET
 
 
 def test_coarea_command(capsys, line5):

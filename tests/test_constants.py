@@ -7,7 +7,7 @@ import pytest
 from isocap import (INFINITE, Budget, BudgetError, InputError, SingularMatrixError,
                     WeightedGraph, alpha_dirichlet, alpha_dirichlet_limit, alpha_ds,
                     alpha_neumann, alpha_steklov, alpha_steklov_limit,
-                    beta_constants, beta_steklov, beta_tuple, cap, constants,
+                    beta_steklov, beta_tuple, cap, cap_exhaustion, constants,
                     dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov,
                     gamma_tilde_dirichlet, is_infinite, kappa_steklov,
                     linear_core, make_domain)
@@ -300,9 +300,6 @@ def test_beta_tuple_and_bundle():
         if is_infinite(best) or (not is_infinite(worst) and worst < best):
             best = worst
     assert res.value == pytest.approx(best, rel=1e-9)
-    both = beta_constants(g, omega, 1)
-    assert both["beta_s"].value == beta_steklov(g, omega).value
-    assert both["beta_tuple"].value == res.value
 
 
 def test_limits_along_tree_exhaustion():
@@ -318,6 +315,18 @@ def test_limits_along_tree_exhaustion():
     assert all(b <= a + 1e-12 for a, b in zip(rep_d.values, rep_d.values[1:]))
     with pytest.raises(InputError):
         alpha_steklov_limit([])
+
+
+def test_reversed_steps_raise_one_error_from_every_limit():
+    spec = FamilySpec("binary_tree", quotient=True)
+    steps = generate_steps(spec, range(1, 7))[::-1]
+    limits = (lambda: cap_exhaustion(steps, (0,)),
+              lambda: alpha_steklov_limit(steps),
+              lambda: alpha_dirichlet_limit(steps))
+    for limit in limits:
+        with pytest.raises(InputError, match="^constant increased along the "
+                                             "exhaustion; steps are not nested$"):
+            limit()
 
 
 def test_gamma_k_steklov_window():

@@ -215,7 +215,7 @@ def ref_kappa(domain, k, budget):
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {domain.closure_index[v] for v in domain.boundary}
     objective = ref_ds_objective(kmat, bnd, masses)
-    return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k + 1, objective, budget, order)
 
 
 def ref_beta_tuple(graph, omega, k, budget):
@@ -223,7 +223,7 @@ def ref_beta_tuple(graph, omega, k, budget):
     kmat = stiffness_matrix(graph)
     masses = np.array([graph.mass[v] for v in order])
     objective = ref_ds_objective(kmat, {graph.index[v] for v in omega}, masses)
-    return _min_tuple(k + 1, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k + 1, objective, budget, order)
 
 
 def ref_gamma_k_steklov(domain, W, k, budget):
@@ -233,7 +233,7 @@ def ref_gamma_k_steklov(domain, W, k, budget):
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {i for i, v in enumerate(order) if v in domain.boundary_index}
     objective = ref_ds_objective(kmat[np.ix_(pos, pos)], bnd, masses)
-    return _min_tuple(k, len(order), objective, budget, budget.part_cap, order)
+    return _min_tuple(k, objective, budget, order)
 
 
 def _window(graph, W):
@@ -252,7 +252,7 @@ def ref_gamma_k_dirichlet(graph, W, k, budget):
         sub = kmat[np.ix_(rows, rows)]
         return ref_min_single(sub, list(range(len(slots))), masses[list(slots)])[0]
 
-    return _min_tuple(k, len(order), per_part(objective), budget, budget.part_cap, order)
+    return _min_tuple(k, per_part(objective), budget, order)
 
 
 def ref_gamma_tilde_dirichlet(graph, W, k, budget):
@@ -264,7 +264,7 @@ def ref_gamma_tilde_dirichlet(graph, W, k, budget):
         d = 1.0 / np.sqrt(masses[list(slots)])
         return float(np.linalg.eigvalsh(sub * d[:, None] * d[None, :])[0])
 
-    return _min_tuple(k, len(order), per_part(objective), budget, budget.part_cap, order)
+    return _min_tuple(k, per_part(objective), budget, order)
 
 
 def ref_sign_patterns(b):
@@ -797,8 +797,7 @@ def test_min_tuple_reach_passes_once_per_allowed_part(monkeypatch):
                 return values[len(values) - len(parts):]
 
             passes.clear()
-            res = _min_tuple(k + 1, len(dom.closure), objective, DEFAULT_BUDGET,
-                             None, list(dom.closure))
+            res = _min_tuple(k + 1, objective, DEFAULT_BUDGET, list(dom.closure))
             opt = res.value
             allowed = len(values) if opt is INFINITE else sum(
                 v is not INFINITE and v <= opt for v in values)
