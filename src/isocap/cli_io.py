@@ -7,7 +7,7 @@ a parse/emit round trip reproduces the graph exactly.
 
 Reports are JSON with a fixed key order, every float printed with up to 17
 significant digits (exact double round trip), and the distinguished infinite
-value spelled as the string "infinite".  Identical inputs and seed produce
+value spelled as the string "infinite".  Identical inputs produce
 byte-identical output apart from tool_version.
 
 Exit codes: 0 success, 2 bad input or a numerical failure, 3 enumeration
@@ -393,14 +393,14 @@ def _cmd_cap(args):
 # alpha variant -> (report name, evaluation on (domain, args, budget))
 _ALPHAS = {
     "d": ("alpha_dirichlet", lambda domain, args, budget: alpha_dirichlet(
-        domain, budget=budget, heuristic=args.heuristic, shuffle_seed=args.seed)),
+        domain, budget=budget, heuristic=args.heuristic)),
     "n": ("alpha_neumann", lambda domain, args, budget: alpha_neumann(
-        domain, budget=budget, heuristic=args.heuristic, shuffle_seed=args.seed)),
+        domain, budget=budget, heuristic=args.heuristic)),
     "s": ("alpha_steklov", lambda domain, args, budget: alpha_steklov(
-        domain, budget=budget, heuristic=args.heuristic, shuffle_seed=args.seed)),
+        domain, budget=budget, heuristic=args.heuristic)),
     "ds": ("alpha_ds", lambda domain, args, budget: alpha_ds(
         domain, _split_ids(args.window) if args.window else domain.closure,
-        budget=budget, shuffle_seed=args.seed)),
+        budget=budget)),
 }
 
 
@@ -528,8 +528,6 @@ def _parser():
                                               "two-sided eigenvalue bounds on "
                                               "weighted graphs")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="shuffle seed for enumeration order checks")
     common.add_argument("--budget-single", type=int, default=None)
     common.add_argument("--budget-pair", type=int, default=None)
     common.add_argument("--budget-tuple", type=int, default=None)

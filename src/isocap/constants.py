@@ -229,7 +229,7 @@ def _split_forms(t, s_u, cube):
     return _cube_forms(s_u, cube)
 
 
-def _min_single(k_amb, universe, masses, rng=None):
+def _min_single(k_amb, universe, masses):
     """Exact min over nonempty A of grounded-energy(A)/mass(A).
 
     universe: ascending row indices of k_amb that A may use; masses aligns
@@ -238,22 +238,15 @@ def _min_single(k_amb, universe, masses, rng=None):
     equality), the lexicographically smallest slot tuple.  Each subset size
     (one _capacity_ratios call) offers its smallest tied row once to the
     running best, none if a value is NaN or its minimum is above the best so
-    far; a shuffled pass performs identical per-candidate arithmetic, so
-    values and witnesses match exactly.  Raises InputError when no value is
-    a number.
+    far.  Raises InputError when no value is a number.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
     masses = np.asarray(masses, dtype=float)
     best = None
     examined = 0
-    sizes = list(range(1, p + 1))
-    if rng is not None:
-        rng.shuffle(sizes)
-    for s in sizes:
+    for s in range(1, p + 1):
         combos = _combinations(p, s)
-        if rng is not None:
-            combos = combos[rng.permutation(len(combos))]
         vals = _capacity_ratios(k_amb, universe[combos], masses[combos].sum(axis=1))
         examined += len(combos)
         vmin = vals.min()
@@ -267,7 +260,7 @@ def _min_single(k_amb, universe, masses, rng=None):
     return best[0], best[1], examined
 
 
-def _min_pair(k_amb, universe, masses, rng=None):
+def _min_pair(k_amb, universe, masses):
     """Exact min over disjoint nonempty pairs A, B subsets of the universe of
     Cap(A, B)/(m(A) ^ m(B)); everything outside A u B is free.
 
@@ -297,14 +290,9 @@ def _min_pair(k_amb, universe, masses, rng=None):
     d_amb = k_amb.shape[0]
     best = None
     examined = 0
-    sizes = list(range(2, p + 1))
-    if rng is not None:
-        rng.shuffle(sizes)
-    for u in sizes:
+    for u in range(2, p + 1):
         t, pos, cube = _split_table(u)
         combos = _combinations(p, u)
-        if rng is not None:
-            combos = combos[rng.permutation(len(combos))]
         chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
         for lo in range(0, len(combos), chunk):
             part = combos[lo : lo + chunk]
@@ -494,7 +482,7 @@ def _over_budget(size, limit, message, heuristic):
     return True
 
 
-def _alpha_d_raw(graph, subset, budget, heuristic, rng):
+def _alpha_d_raw(graph, subset, budget, heuristic):
     """alpha_D of a subset against its own vertex boundary, ambient rows."""
     inside = set(subset)
     order = [v for v in graph.vertices if v in inside]
@@ -508,23 +496,22 @@ def _alpha_d_raw(graph, subset, budget, heuristic, rng):
         res = dirichlet_spectrum(graph, order, 1)
         val, slots, n = _heuristic_single(k_amb, universe, masses, res.vectors[:, 0])
         return ConstantResult(val, _ids(order, slots), n, heuristic=True)
-    val, slots, n = _min_single(k_amb, universe, masses, rng=rng)
+    val, slots, n = _min_single(k_amb, universe, masses)
     return ConstantResult(val, _ids(order, slots), n)
 
 
 @_finite
-def alpha_dirichlet(domain, budget=None, heuristic=False, shuffle_seed=None):
+def alpha_dirichlet(domain, budget=None, heuristic=False):
     """alpha_D(Omega) = min over nonempty A in Omega of Cap_Omega(A)/m(A).
 
     Exact within budget; ties go to the lexicographically smallest index set.
     Rows of Omega agree in G and G_Omega, so the ambient stiffness serves.
     """
     budget = budget or DEFAULT_BUDGET
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
-    return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic, rng)
+    return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic)
 
 
-def _pair_constant(k_amb, order, universe, masses, over, rng, field, connected=False):
+def _pair_constant(k_amb, order, universe, masses, over, field, connected=False):
     """The pair constant on the universe rows of k_amb: by the heuristic when
     over (_over_budget), else exactly.
 
@@ -535,7 +522,7 @@ def _pair_constant(k_amb, order, universe, masses, over, rng, field, connected=F
     if over:
         val, (sa, sb), n = _heuristic_pair(k_amb, universe, masses, field())
     else:
-        val, (sa, sb), n = _min_pair(k_amb, universe, masses, rng=rng)
+        val, (sa, sb), n = _min_pair(k_amb, universe, masses)
     if connected and val <= 0:
         raise SingularMatrixError(
             "minimal pair value %r on a connected closure, where every capacity is "
@@ -544,7 +531,7 @@ def _pair_constant(k_amb, order, universe, masses, over, rng, field, connected=F
 
 
 @_finite
-def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
+def alpha_neumann(domain, budget=None, heuristic=False):
     """alpha_N(Omega): pairs of disjoint nonempty subsets of Omega, capacity
     within G_Omega (boundary vertices stay free).  A minimal value <= 0,
     which only cancellation can give, raises SingularMatrixError."""
@@ -553,7 +540,6 @@ def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
     if n < 2:
         raise InputError("alpha_N needs |Omega| >= 2")
     over = _over_budget(n, budget.pair, _PAIR, heuristic)
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k_amb = stiffness_matrix(domain.induced)
     masses = [domain.graph.mass[v] for v in domain.interior]
 
@@ -561,12 +547,12 @@ def alpha_neumann(domain, budget=None, heuristic=False, shuffle_seed=None):
         return neumann_spectrum(domain, 2).vectors[:, 1]
 
     return _pair_constant(
-        k_amb, domain.interior, list(range(n)), masses, over, rng, field, connected=True
+        k_amb, domain.interior, list(range(n)), masses, over, field, connected=True
     )
 
 
 @_finite
-def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
+def alpha_steklov(domain, budget=None, heuristic=False):
     """alpha_S(Omega): pairs of disjoint nonempty boundary subsets, capacity
     within G_Omega.  A minimal value <= 0, which only cancellation can give,
     raises SingularMatrixError."""
@@ -574,7 +560,6 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
     if len(domain.boundary) < 2:
         raise InputError("alpha_S needs |delta Omega| >= 2")
     over = _over_budget(len(domain.boundary), budget.pair, _PAIR, heuristic)
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k_amb = stiffness_matrix(domain.induced)
     n = len(domain.interior)
     universe = list(range(n, n + len(domain.boundary)))
@@ -584,12 +569,12 @@ def alpha_steklov(domain, budget=None, heuristic=False, shuffle_seed=None):
         return steklov_spectrum(domain, 2).vectors[:, 1]
 
     return _pair_constant(
-        k_amb, domain.boundary, universe, masses, over, rng, field, connected=True
+        k_amb, domain.boundary, universe, masses, over, field, connected=True
     )
 
 
 @_finite
-def alpha_ds(domain, Y, budget=None, shuffle_seed=None):
+def alpha_ds(domain, Y, budget=None):
     """alpha_DS for Y inside the domain: min over nonempty A in Y cap dOmega
     of Cap_Omega(A, boundary-of-Y-in-G_Omega)/m(A).
 
@@ -614,19 +599,18 @@ def alpha_ds(domain, Y, budget=None, shuffle_seed=None):
         return ConstantResult(0.0, (inner[0],), 0)
     if len(inner) > budget.single:
         raise BudgetError(_SINGLE % (len(inner), budget.single))
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k = stiffness_matrix(domain.induced)
     pos = [domain.closure_index[v] for v in order]
     k_amb = k[np.ix_(pos, pos)]
     slot = {v: i for i, v in enumerate(order)}
     universe = [slot[v] for v in inner]
     masses = [domain.graph.mass[v] for v in inner]
-    val, slots, n = _min_single(k_amb, universe, masses, rng=rng)
+    val, slots, n = _min_single(k_amb, universe, masses)
     return ConstantResult(val, tuple(inner[i] for i in slots), n)
 
 
 @_finite
-def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
+def beta_steklov(graph, omega, budget=None, heuristic=False):
     """beta_S(Omega): pair constant with full-graph capacities (no edges
     removed, everything outside the pair free)."""
     budget = budget or DEFAULT_BUDGET
@@ -638,7 +622,6 @@ def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
         raise InputError("Omega must be a proper subset")
     order = [v for v in graph.vertices if v in oset]
     over = _over_budget(len(order), budget.pair, _PAIR, heuristic)
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
     k_amb = stiffness_matrix(graph)
     universe = [graph.index[v] for v in order]
     masses = [graph.mass[v] for v in order]
@@ -646,7 +629,7 @@ def beta_steklov(graph, omega, budget=None, heuristic=False, shuffle_seed=None):
     def field():
         return hm_dtn_spectrum(graph, order, 2).vectors[:, 1]
 
-    return _pair_constant(k_amb, order, universe, masses, over, rng, field)
+    return _pair_constant(k_amb, order, universe, masses, over, field)
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +909,7 @@ def alpha_dirichlet_limit(family, budget=None, heuristic=False):
     """Per-step alpha_D(W_i) along an exhaustion; non-increasing, and the
     last value estimates alpha_D of the infinite graph."""
     budget = budget or DEFAULT_BUDGET
-    return _limit(family, lambda step: _alpha_d_raw(step.graph, step.W, budget,
-                                                    heuristic, None))
+    return _limit(family, lambda step: _alpha_d_raw(step.graph, step.W, budget, heuristic))
 
 
 @_finite

@@ -285,12 +285,16 @@ def generate(spec, step=None):
 
 
 def generate_steps(spec, indices):
-    """Snapshots for an increasing index sequence, validated as such."""
+    """Snapshots for an increasing index sequence, validated as such.  The
+    single-snapshot t3 kind takes exactly one index."""
     indices = [int(i) for i in indices]
     if not indices:
         raise InputError("empty index sequence")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise InputError("step indices must be strictly increasing")
+    if spec.kind == "t3" and len(indices) > 1:
+        raise InputError("family kind %r has a single snapshot; pass one step index"
+                         % spec.kind)
     return [generate(spec, i) for i in indices]
 
 

@@ -180,6 +180,19 @@ def test_family_commands(capsys):
     assert doc["results"][0]["upper_ok"] is True
 
 
+@pytest.mark.parametrize("argv", [["family", "t3", "--emit", "cap"],
+                                  ["verify", "bottom", "--family", "t3"]])
+def test_t3_family_takes_one_step(capsys, argv):
+    # t3 has a single snapshot: three steps would be three copies of it
+    code, doc = run_json(capsys, argv + ["--steps", "1..3"])
+    assert code == EXIT_INPUT
+    assert doc["error"] == {"kind": "input", "message":
+                            "family kind 't3' has a single snapshot; pass one step index"}
+    code, doc = run_json(capsys, argv + ["--steps", "1..1"])
+    assert code == EXIT_OK
+    assert doc["diagnostics"] == {"steps": [0]}
+
+
 def test_family_cap_on_path_segments(capsys):
     # Cap({1}, {0, n}) on the unit path 0..n: one edge in parallel with n - 1
     # edges in series
@@ -333,10 +346,10 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, line5, t3_file):
         ["cap", line5],                            # missing -A
         ["cap", "-A", "2", line5],
         ["--help"],
-        ["alpha", "s", "--seed", "3", t3_file],
+        ["alpha", "s", "--heuristic", t3_file],
         ["spectrum", "steklov", "-k", "1", line5],
         ["spectrum", "steklov", line5],            # no -k: every eigenvalue
-        ["alpha", "s", t3_file],                   # no --seed
+        ["alpha", "s", t3_file],                   # no --heuristic
     ]
 
     def run_all(fresh):
@@ -358,17 +371,20 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, line5, t3_file):
     assert len(json.loads(fresh[7][1])["results"][0]["eigenvalues"]) == 2
 
 
-def test_usage_errors_return_input_code(capsys):
+def test_usage_errors_return_input_code(capsys, t3_file):
     assert run_command([]) == EXIT_INPUT
     capsys.readouterr()
     assert run_command(["alpha", "zzz", "x"]) == EXIT_INPUT
     capsys.readouterr()
+    # enumeration has one visit order, with no option to change it
+    assert run_command(["alpha", "s", "--seed", "3", t3_file]) == EXIT_INPUT
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
     assert run_command(["--help"]) == EXIT_OK
     capsys.readouterr()
 
 
 def test_output_is_deterministic(capsys, t3_file):
-    argv = ["alpha", "s", "--seed", "5", t3_file]
+    argv = ["alpha", "s", t3_file]
     run_command(argv)
     first = capsys.readouterr().out
     run_command(argv)
@@ -519,3 +535,16 @@ def test_unknown_theorem_lists_every_id(capsys, t3_file):
     message = doc["error"]["message"]
     assert message.startswith("unknown theorem 'nonsense'")
     assert message.endswith(", ".join(THEOREMS))
+
+
+def test_python_dash_m_runs_the_command_line(capsys, t3_file):
+    # python -m isocap prints what run_command prints, and nothing on stderr
+    assert run_command(["alpha", "s", t3_file]) == EXIT_OK
+    want = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(isocap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "isocap", "alpha", "s", t3_file],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == want
+    assert proc.stderr == ""

@@ -7,8 +7,8 @@ import pytest
 from isocap import (INFINITE, Budget, BudgetError, InputError, SingularMatrixError,
                     WeightedGraph, alpha_dirichlet, alpha_dirichlet_limit, alpha_ds,
                     alpha_neumann, alpha_steklov, alpha_steklov_limit,
-                    beta_steklov, beta_tuple, cap, cap_exhaustion, constants,
-                    dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov,
+                    beta_steklov, beta_tuple, cap, cap_exhaustion, cap_to_boundary,
+                    constants, dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov,
                     gamma_tilde_dirichlet, is_infinite, kappa_steklov,
                     linear_core, make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
@@ -88,16 +88,77 @@ def test_beta_s_brute_force():
     assert res.value == pytest.approx(brute_pair(free, dom.interior), rel=1e-10)
 
 
-def test_shuffled_enumeration_is_deterministic():
+def shuffle_combinations(monkeypatch, seed):
+    """Patch constants._combinations to hand out its rows in a seeded random
+    order, so the single-set and pair enumerators visit their candidates
+    shuffled; returns the list of (p, s) it is called with."""
+    rng = np.random.default_rng(seed)
+    original = constants._combinations
+    calls = []
+
+    def shuffled(p, s):
+        calls.append((p, s))
+        rows = original(p, s)
+        return rows[rng.permutation(len(rows))]
+
+    monkeypatch.setattr(constants, "_combinations", shuffled)
+    return calls
+
+
+def test_shuffled_enumeration_is_deterministic(monkeypatch):
     rng = np.random.default_rng(6)
     dom = random_domain(rng, max_closure=9)
     plain_d = alpha_dirichlet(dom)
     plain_s = alpha_steklov(dom)
     for seed in (0, 1, 99):
-        rd = alpha_dirichlet(dom, shuffle_seed=seed)
-        rs = alpha_steklov(dom, shuffle_seed=seed)
+        with monkeypatch.context() as mp:
+            calls = shuffle_combinations(mp, seed)
+            rd = alpha_dirichlet(dom)
+            rs = alpha_steklov(dom)
+        assert calls
         assert rd.value == plain_d.value and rd.witness == plain_d.witness
         assert rs.value == plain_s.value and rs.witness == plain_s.witness
+        assert (rd.evaluations, rs.evaluations) == (plain_d.evaluations, plain_s.evaluations)
+
+
+def _relabelled(dom, rng):
+    """dom with fresh vertex names, its vertices and interior declared in a
+    random order and its edges in reverse; returns it and the map from new
+    names back to old ones."""
+    g = dom.graph
+    n = len(g.vertices)
+    name = {v: "r%d" % k for v, k in zip(g.vertices, rng.permutation(n).tolist())}
+    order = [g.vertices[i] for i in rng.permutation(n).tolist()]
+    graph = WeightedGraph([name[v] for v in order], {name[v]: g.mass[v] for v in order},
+                          [(name[u], name[v], w) for u, v, w in reversed(g.edges)])
+    interior = [name[dom.interior[i]] for i in rng.permutation(len(dom.interior)).tolist()]
+    return make_domain(graph, interior), {new: old for old, new in name.items()}
+
+
+def test_constants_do_not_depend_on_vertex_labels():
+    # tied minimizers may differ between the copies (on the unit paths they
+    # do), so each relabelled witness is mapped back and re-evaluated on the
+    # original domain
+    rng = np.random.default_rng(2024)
+    doms = [t3_example()[1]] + [line_domain(n)[1] for n in range(4, 9)]
+    doms += [random_domain(rng, max_closure=10) for _ in range(60)]
+    moved = 0
+    for dom in doms:
+        copy, back = _relabelled(dom, rng)
+        m = dom.graph.mass_of
+        for fn in (alpha_dirichlet, alpha_neumann, alpha_steklov):
+            want, got = fn(dom), fn(copy)
+            assert got.value == pytest.approx(want.value, rel=REL)
+            if fn is alpha_dirichlet:
+                A = [back[v] for v in got.witness]
+                again = cap_to_boundary(dom, A).value / m(A)
+                moved += set(A) != set(want.witness)
+            else:
+                A, B = ([back[v] for v in side] for side in got.witness)
+                again = cap(dom, A, B).value / min(m(A), m(B))
+                moved += {frozenset(A), frozenset(B)} != set(map(frozenset, want.witness))
+            assert again == pytest.approx(got.value, rel=REL)
+    assert moved  # some tie went to a different minimizer
 
 
 def test_budget_errors_and_heuristic_upper_bounds():
@@ -126,7 +187,7 @@ def test_pair_value_at_most_zero_is_singular_for_alpha_n_and_s(monkeypatch):
     tight = Budget(pair=2)
     zero = (0.0, ((0,), (1,)), 1)
     monkeypatch.setattr(constants, "_heuristic_pair", lambda *args: zero)
-    monkeypatch.setattr(constants, "_min_pair", lambda *args, rng=None: zero)
+    monkeypatch.setattr(constants, "_min_pair", lambda *args: zero)
     for fn in (alpha_steklov, alpha_neumann):
         for kw in ({}, {"budget": tight, "heuristic": True}):
             with pytest.raises(SingularMatrixError, match="minimal pair value 0.0"):

@@ -265,6 +265,9 @@ def test_generate_steps_guards():
     with pytest.raises(InputError):
         generate(FamilySpec("binary_tree"))
     assert generate(FamilySpec("t3")).graph.vertices == t3_example()[0].vertices
+    with pytest.raises(InputError, match="single snapshot"):
+        generate_steps(FamilySpec("t3"), [1, 2])
+    assert [s.index for s in generate_steps(FamilySpec("t3"), [5])] == [0]
 
 
 def test_rules_are_injectable():
