@@ -39,6 +39,6 @@ from .infinite_families import (FamilySpec, FamilyStep, default_source,
                                 half_space_capacity_bound,
                                 half_space_test_field, line_domain, path_graph,
                                 t3_example)
-from .verify import (BoundReport, EqualityReport, check, check_equality_case,
-                     random_connected_graph, random_domain)
+from .verify import BoundReport, EqualityReport, check, check_equality_case
+from .testing import random_connected_graph, random_domain
 from .cli_io import emit_graph, parse_graph, run_command, to_json

@@ -12,9 +12,9 @@ byte-identical output apart from tool_version.
 
 Exit codes: 0 success, 2 bad input or a numerical failure, 3 enumeration
 budget exceeded, 4 a verified inequality failed.  An error report carries
-{"kind", "message"}: kind "input" for an InputError (a non-finite number
-anywhere in a report included), "numerical" for a SingularMatrixError or a
-numpy LinAlgError, "budget" for a BudgetError.
+{"kind", "message"}: kind "input" for an InputError (usage errors and a
+non-finite number anywhere in a report included), "numerical" for a
+SingularMatrixError or a numpy LinAlgError, "budget" for a BudgetError.
 
 The argument parser is built once per process; argparse keeps no state
 between parse_args calls, so every call of run_command parses afresh.
@@ -521,12 +521,19 @@ def _cmd_coarea(args):
     return document(args.file, results, domain), EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (its subparsers too) whose usage errors raise
+    InputError, so they end in the JSON error report like other bad input."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 @functools.cache
 def _parser():
-    top = argparse.ArgumentParser(prog="isocap",
-                                  description="capacities, boundary spectra, and "
-                                              "two-sided eigenvalue bounds on "
-                                              "weighted graphs")
+    top = _Parser(prog="isocap",
+                  description="capacities, boundary spectra, and two-sided "
+                              "eigenvalue bounds on weighted graphs")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget-single", type=int, default=None)
     common.add_argument("--budget-pair", type=int, default=None)
@@ -595,11 +602,10 @@ def run_command(argv):
     """Run one subcommand; prints the report JSON and returns the exit code."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
         doc, code = args.run(args)
         text = to_json(doc)  # a non-finite value raises InputError here
+    except SystemExit:  # --help; a usage error raises InputError (_Parser)
+        return EXIT_OK
     except BudgetError as exc:
         return _error("budget", exc, EXIT_BUDGET)
     except InputError as exc:

@@ -3,11 +3,12 @@
 Single-set constants (alpha_D, alpha_DS) minimize a grounded capacity over
 mass; pair constants (alpha_N, alpha_S, beta_S) minimize a two-set capacity
 over the smaller mass; tuple constants (gamma-tilde, Gamma_k, kappa, beta_k+1)
-are min-max packings of disjoint parts.  All enumerators are exhaustive within
-the budget and reduce by (value, lexicographic witness), so results do not
-depend on evaluation order or chunking.  The public enumerators run under
-spectra._finite: no floating-point warnings, and a value that is not finite
-(other than INFINITE) is an InputError.
+are min-max packings of disjoint parts, read from one table of the least
+largest-part rank over slot masks (_min_tuple).  All enumerators are
+exhaustive within the budget and reduce by (value, lexicographic witness), so
+results do not depend on evaluation order or chunking.  The public
+enumerators run under spectra._finite: no floating-point warnings, and a
+value that is not finite (other than INFINITE) is an InputError.
 """
 
 import functools
@@ -636,26 +637,22 @@ def beta_steklov(graph, omega, budget=None, heuristic=False):
 # min-max packing of disjoint tuples
 
 
-def _reach_update(reach, arity, all_masks, pmask):
-    dis = (all_masks & pmask) == 0
-    for j in range(arity, 0, -1):
-        src = reach[j - 1] & dis
-        if src.any():
-            reach[j][all_masks[src] | pmask] = True
-
-
-def _subset_or(flags, n_slots):
-    out = flags.copy()
-    idx = np.arange(len(out))
-    for b in range(n_slots):
-        hit = np.nonzero(idx & (1 << b))[0]
-        out[hit] |= out[hit ^ (1 << b)]
+@functools.lru_cache(maxsize=16)  # all n <= 12 (the tuple budget): about 3 MB
+def _submask_pairs(n, dtype):
+    """The 3**n (mask, part) pairs of n slots, part a submask of mask,
+    grouped by ascending mask and shared read-only: (part, mask ^ part, the
+    start of each mask's group)."""
+    mask = part = np.zeros(1, dtype=dtype)
+    for b in range(n):  # slot b is outside the mask, in the rest or in the part
+        bit = dtype(1 << b)
+        mask = np.concatenate([mask, mask | bit, mask | bit])
+        part = np.concatenate([part, part, part | bit])
+    by_mask = np.argsort(mask, kind="stable")
+    out = (part[by_mask], (mask ^ part)[by_mask],
+           np.searchsorted(mask[by_mask], np.arange(1 << n)))
+    for a in out:
+        a.flags.writeable = False
     return out
-
-
-def _sort_key(item):
-    val, key, _ = item
-    return (is_infinite(val), val if not is_infinite(val) else 0.0, key)
 
 
 def _min_tuple(arity, objective, budget, slot_ids):
@@ -668,10 +665,17 @@ def _min_tuple(arity, objective, budget, slot_ids):
     itertools.combinations order, and returns the N part values (floats or
     INFINITE) in row order.  Every part counts as one evaluation.
 
-    Parts are scanned in ascending objective order while a reachability table
-    tracks which slot unions admit j disjoint parts; the first time an
-    arity-packing exists fixes the optimum.  The witness is the
-    lexicographically smallest optimal packing (parts sorted by slot tuple).
+    The part values are ranked as integers: the sorted distinct floats, then
+    INFINITE, and one rank past that for a slot mask that is no part (the
+    empty mask included).  best[j][M] is the least rank, over packings of j
+    disjoint parts inside slot mask M, of the largest part: best[0] is -1,
+    best[1] the subset minimum of the ranks, and best[j][M] the min over
+    submasks P of M of max(rank[P], best[j - 1][M ^ P]) (_submask_pairs).
+    The optimum is that recurrence for j = arity at the full mask only,
+    returned as the value of the first part of its rank.  The witness is
+    the lexicographically smallest optimal packing (parts sorted by slot
+    tuple), found depth first over the parts of rank at most the optimum,
+    with best[j] as the test that j more parts fit.
     """
     n_slots = len(slot_ids)
     if arity < 1:
@@ -679,50 +683,47 @@ def _min_tuple(arity, objective, budget, slot_ids):
     if arity > n_slots:
         raise InputError("arity %d exceeds universe size %d" % (arity, n_slots))
     if n_slots > budget.tuples:
-        raise BudgetError(
-            "universe size %d exceeds tuple budget %d" % (n_slots, budget.tuples)
-        )
+        raise BudgetError("universe size %d exceeds tuple budget %d"
+                          % (n_slots, budget.tuples))
     cap = budget.part_cap if budget.part_cap is not None else n_slots
     if cap < 1:
         raise InputError("part cap must be positive")
-    parts = []
+    values, tuples, masks = [], [], []
     for s in range(1, min(cap, n_slots) + 1):
-        slot_sets = list(itertools.combinations(range(n_slots), s))
-        combos = np.array(slot_sets, dtype=int)
-        masks = (1 << combos).sum(axis=1).tolist()
-        parts.extend(zip(objective(combos), slot_sets, masks))
-    parts.sort(key=_sort_key)
+        rows = _combinations(n_slots, s).astype(np.int64)
+        values.extend(objective(rows))
+        tuples.extend(map(tuple, rows.tolist()))
+        masks.append((1 << rows).sum(axis=1))
+    masks = np.concatenate(masks)
+    infinite = np.array([is_infinite(v) for v in values], dtype=bool)
+    finite = [v for v in values if not is_infinite(v)]
+    _, first, ranks = np.unique(np.array(finite, dtype=float), return_index=True,
+                                return_inverse=True)
+    top = len(first)  # the rank of INFINITE
     size = 1 << n_slots
-    all_masks = np.arange(size)
-    reach = np.zeros((arity + 1, size), dtype=bool)
-    reach[0, 0] = True
-    opt = None
-    for i, (val, _, pmask) in enumerate(parts):
-        _reach_update(reach, arity, all_masks, pmask)
-        if reach[arity].any():
-            opt = val
-            break
-    if opt is None:  # singletons always pack, so this cannot happen
-        raise InputError("no disjoint %d-tuple exists" % arity)
-    within = [j for j, (val, _, _) in enumerate(parts)
-              if is_infinite(opt) or (not is_infinite(val) and val <= opt)]
-    # the table of unions does not depend on the order parts are added, so
-    # it grows over the allowed parts after the scan instead of being rebuilt
-    for j in within:
-        if j > i:
-            _reach_update(reach, arity, all_masks, parts[j][2])
-    allowed = sorted((parts[j] for j in within), key=lambda x: x[1])
-    any_reach = [_subset_or(reach[j], n_slots) for j in range(arity + 1)]
+    dtype = np.min_scalar_type(-(size + 1)).type
+    rank = np.full(size, top + 1, dtype=dtype)
+    rank[masks[~infinite]] = ranks
+    rank[masks[infinite]] = top
+    best = [np.full(size, -1, dtype=dtype), rank.copy()]
+    for b in range(n_slots):
+        view = best[1].reshape(-1, 2, 1 << b)
+        np.minimum(view[:, 1], view[:, 0], out=view[:, 1])
+    for j in range(2, arity):
+        part, other, starts = _submask_pairs(n_slots, dtype)
+        best.append(np.minimum.reduceat(np.maximum(rank[part], best[j - 1][other]), starts))
+    # M ^ P is size - 1 - P at the full mask
+    opt = int(np.maximum(rank, best[arity - 1][::-1]).min())
+    allowed = sorted((tuples[i], int(masks[i]))
+                     for i in np.flatnonzero(rank[masks] <= opt).tolist())
 
     def dfs(start, need, free):
         if need == 0:
             return ()
         for i in range(start, len(allowed)):
-            _, slots, pmask = allowed[i]
-            if pmask & ~free:
-                continue
+            slots, pmask = allowed[i]
             rest = free & ~pmask
-            if any_reach[need - 1][rest]:
+            if rest | pmask == free and best[need - 1][rest] <= opt:
                 sub = dfs(i + 1, need - 1, rest)
                 if sub is not None:
                     return (slots,) + sub
@@ -730,42 +731,37 @@ def _min_tuple(arity, objective, budget, slot_ids):
 
     packing = dfs(0, arity, size - 1)
     witness = tuple(tuple(slot_ids[i] for i in slots) for slots in packing)
-    return ConstantResult(opt, witness, len(parts))
+    return ConstantResult(INFINITE if opt == top else finite[first[opt]], witness,
+                          len(values))
 
 
-@_finite
-def gamma_tilde_dirichlet(graph, W, k, budget=None):
-    """min over disjoint k-tuples of parts of W of the max first Dirichlet
-    eigenvalue of each part (ambient grounding outside the part)."""
-    budget = budget or DEFAULT_BUDGET
-    graph.check_vertices(W, "W")
+def _tuple_constant(graph, W, what, arity, budget, inner=None):
+    """_min_tuple over the window W of graph (checked as `what`; slots in
+    vertex order), each part grounded outside itself in graph: its alpha_DS
+    with A inside the vertices of inner, or with inner None its first
+    Dirichlet eigenvalue.  The window's stiffness block and masses are
+    gathered at the first part evaluation, after _min_tuple's checks, so a
+    window past the tuple budget assembles nothing."""
+    graph.check_vertices(W, what)
     wset = set(W)
     order = [v for v in graph.vertices if v in wset]
-    kmat = stiffness_matrix(graph)
-    pos = np.array([graph.index[v] for v in order])
-    masses = np.array([graph.mass[v] for v in order])
 
-    def objective(parts):
-        rows = pos[parts]
-        sub = kmat[rows[:, :, None], rows[:, None, :]]
-        d = 1.0 / np.sqrt(masses[parts])
-        return np.linalg.eigvalsh(sub * d[:, :, None] * d[:, None, :])[:, 0].tolist()
+    @functools.cache
+    def objective():
+        pos = [graph.index[v] for v in order]
+        block = stiffness_matrix(graph)[np.ix_(pos, pos)]
+        masses = np.array([graph.mass[v] for v in order])
+        if inner is not None:
+            return _ds_objective(block, [i for i, v in enumerate(order) if v in inner], masses)
 
-    return _min_tuple(k, objective, budget, order)
+        def eigenvalues(parts):
+            sub = block[parts[:, :, None], parts[:, None, :]]
+            d = 1.0 / np.sqrt(masses[parts])
+            return np.linalg.eigvalsh(sub * d[:, :, None] * d[:, None, :])[:, 0].tolist()
 
+        return eigenvalues
 
-@_finite
-def gamma_k_dirichlet(graph, W, k, budget=None):
-    """Gamma_k^D over W: min-max of alpha_D(part) over disjoint k-tuples."""
-    budget = budget or DEFAULT_BUDGET
-    graph.check_vertices(W, "W")
-    wset = set(W)
-    order = [v for v in graph.vertices if v in wset]
-    kmat = stiffness_matrix(graph)
-    pos = np.array([graph.index[v] for v in order])
-    masses = np.array([graph.mass[v] for v in order])
-    objective = _ds_objective(kmat[np.ix_(pos, pos)], range(len(order)), masses)
-    return _min_tuple(k, objective, budget, order)
+    return _min_tuple(arity, lambda parts: objective()(parts), budget or DEFAULT_BUDGET, order)
 
 
 def _ds_objective(k_amb, boundary_slots, masses):
@@ -802,52 +798,44 @@ def _ds_objective(k_amb, boundary_slots, masses):
 
 
 @_finite
+def gamma_tilde_dirichlet(graph, W, k, budget=None):
+    """min over disjoint k-tuples of parts of W of the max first Dirichlet
+    eigenvalue of each part (ambient grounding outside the part)."""
+    return _tuple_constant(graph, W, "W", k, budget)
+
+
+@_finite
+def gamma_k_dirichlet(graph, W, k, budget=None):
+    """Gamma_k^D over W: min-max of alpha_D(part) over disjoint k-tuples."""
+    return _tuple_constant(graph, W, "W", k, budget, inner=graph.index)  # A anywhere
+
+
+@_finite
 def kappa_steklov(domain, k, budget=None):
     """kappa_{k+1}: min-max of alpha_DS^Omega(part) over disjoint
     (k+1)-tuples of nonempty subsets of the closure."""
-    budget = budget or DEFAULT_BUDGET
     if not 1 <= k <= len(domain.boundary) - 1:
         raise InputError("k must be in 1..|boundary|-1")
-    order = list(domain.closure)
-    kmat = stiffness_matrix(domain.induced)
-    masses = np.array([domain.graph.mass[v] for v in order])
-    bnd = [domain.closure_index[v] for v in domain.boundary]
-    objective = _ds_objective(kmat, bnd, masses)
-    return _min_tuple(k + 1, objective, budget, order)
+    return _tuple_constant(domain.induced, domain.closure, "the closure", k + 1, budget,
+                           inner=domain.boundary_index)
 
 
 @_finite
 def gamma_k_steklov(domain, W, k, budget=None):
     """Gamma_k^S(W) inside a truncated infinite domain: min-max of
     alpha_DS(part) over disjoint k-tuples of subsets of W."""
-    budget = budget or DEFAULT_BUDGET
-    domain.induced.check_vertices(W, "W")
-    wset = set(W)
-    order = [v for v in domain.closure if v in wset]
-    kmat = stiffness_matrix(domain.induced)
-    pos = np.array([domain.closure_index[v] for v in order])
-    masses = np.array([domain.graph.mass[v] for v in order])
-    bnd = [i for i, v in enumerate(order) if v in domain.boundary_index]
-    sub = kmat[np.ix_(pos, pos)]  # rows keep their full G_U diagonals
-    objective = _ds_objective(sub, bnd, masses)
-    return _min_tuple(k, objective, budget, order)
+    return _tuple_constant(domain.induced, W, "W", k, budget, inner=domain.boundary_index)
 
 
 @_finite
 def beta_tuple(graph, omega, k, budget=None):
     """beta_{k+1}: min-max over disjoint (k+1)-tuples of subsets of V of
     inf_{A in part cap Omega} Cap(A, V minus part)/m(A)."""
-    budget = budget or DEFAULT_BUDGET
     graph.check_vertices(omega, "Omega")
     oset = set(omega)
     if not 1 <= k <= len(oset) - 1:
         raise InputError("k must be in 1..|Omega|-1")
-    order = list(graph.vertices)
-    kmat = stiffness_matrix(graph)
-    masses = np.array([graph.mass[v] for v in order])
-    in_omega = [graph.index[v] for v in oset]
-    objective = _ds_objective(kmat, in_omega, masses)
-    return _min_tuple(k + 1, objective, budget, order)
+    return _tuple_constant(graph, graph.vertices, "V", k + 1, budget, inner=oset)
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,6 @@ def neumann_spectrum(domain, count=None):
     count = n if count is None else count
     if count > n:
         raise InputError("count exceeds |Omega|")
-    if count >= 2 and n < 2:
-        raise InputError("a non-trivial Neumann eigenvalue needs |Omega| >= 2")
     if count < 1:
         raise InputError("count must be positive")
     k = stiffness_matrix(domain.induced)
@@ -251,8 +249,6 @@ def steklov_spectrum(domain, count=None):
     count = nb if count is None else count
     if count > nb:
         raise InputError("count exceeds |boundary|")
-    if count >= 2 and nb < 2:
-        raise InputError("a non-trivial Steklov eigenvalue needs |boundary| >= 2")
     if count < 1:
         raise InputError("count must be positive")
     return spectrum(count)

@@ -19,7 +19,8 @@ from isocap.constants import alpha_dirichlet, alpha_neumann
 from isocap.infinite_families import (FamilySpec, generate_steps,
                                       half_space_capacity_bound, line_domain,
                                       t3_example)
-from isocap.verify import check, check_equality_case, random_connected_graph, random_domain
+from isocap.testing import random_connected_graph, random_domain
+from isocap.verify import check, check_equality_case
 from test_capacity import capacity_by_descent
 from test_constants import shuffle_combinations
 

@@ -8,7 +8,7 @@ from isocap import (InfeasibleError, InputError, LimitReport, WeightedGraph, cap
                     equilibrium_potential, laplacian_apply, make_domain)
 from isocap.infinite_families import (FamilySpec, default_source, generate_steps,
                                       line_domain, path_graph, t3_example)
-from isocap.verify import random_domain
+from isocap.testing import random_domain
 
 
 def capacity_by_descent(domain, A, B, tol=1e-13, max_sweeps=200000):

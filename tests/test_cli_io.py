@@ -372,13 +372,18 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, line5, t3_file):
 
 
 def test_usage_errors_return_input_code(capsys, t3_file):
-    assert run_command([]) == EXIT_INPUT
-    capsys.readouterr()
-    assert run_command(["alpha", "zzz", "x"]) == EXIT_INPUT
-    capsys.readouterr()
-    # enumeration has one visit order, with no option to change it
-    assert run_command(["alpha", "s", "--seed", "3", t3_file]) == EXIT_INPUT
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    # a usage error prints the JSON error report on stdout, nothing on stderr
+    # (enumeration has one visit order, with no option to change it)
+    for argv, message in [([], "required: command"),
+                          (["alpha", "zzz", "x"], "invalid choice: 'zzz'"),
+                          (["alpha", "s", "--seed", "3", t3_file],
+                           "unrecognized arguments: --seed"),
+                          (["cap", t3_file], "required: -A")]:
+        assert run_command(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["kind"] == "input"
+        assert message in json.loads(out)["error"]["message"]
+        assert err == ""
     assert run_command(["--help"]) == EXIT_OK
     capsys.readouterr()
 

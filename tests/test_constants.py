@@ -13,7 +13,7 @@ from isocap import (INFINITE, Budget, BudgetError, InputError, SingularMatrixErr
                     linear_core, make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
                                       t3_example)
-from isocap.verify import random_domain
+from isocap.testing import random_domain
 
 REL = 1e-12
 
@@ -205,10 +205,12 @@ def test_budget_errors_come_before_any_assembly(monkeypatch):
         return assemble(graph)
 
     monkeypatch.setattr(linear_core, "_assemble", counting)
-    _, line = line_domain(30)  # 29 interior vertices
+    g, line = line_domain(30)  # 29 interior vertices, 31 in all
+    big, _ = line_domain(4096)  # past the dense budget of 4,096 rows
     leaves = range(1, 21)
     star = WeightedGraph(range(21), {v: 1.0 for v in range(21)},
                          [(0, v, 1.0) for v in leaves])
+    tuples = "^universe size %d exceeds tuple budget 12"
     calls = [
         (lambda: alpha_dirichlet(line), "universe size 29 exceeds single-set budget 20"),
         (lambda: alpha_neumann(line), "pair universe size 29 exceeds pair budget 16"),
@@ -216,6 +218,12 @@ def test_budget_errors_come_before_any_assembly(monkeypatch):
          "pair universe size 20 exceeds pair budget 16"),
         (lambda: beta_steklov(line.graph, range(1, 30)),
          "pair universe size 29 exceeds pair budget 16"),
+        (lambda: gamma_tilde_dirichlet(g, line.interior, 2), tuples % 29),
+        (lambda: gamma_k_dirichlet(g, line.interior, 2), tuples % 29),
+        (lambda: kappa_steklov(line, 1), tuples % 31),
+        (lambda: gamma_k_steklov(line, line.closure, 2), tuples % 31),
+        (lambda: beta_tuple(g, line.interior, 1), tuples % 31),
+        (lambda: beta_tuple(big, [1, 2], 1), tuples % 4097),
     ]
     for call, message in calls:
         with pytest.raises(BudgetError, match=message):

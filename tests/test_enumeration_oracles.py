@@ -7,7 +7,9 @@ with them bit for bit on value, witness and evaluation count, because both
 perform the same per-candidate arithmetic and only the selection differs.
 The single-set and pair references also run with their sizes and rows in a
 seeded shuffled order, against the library's one fixed order: visit order
-must decide nothing.
+must decide nothing.  The tuple packing reference, ref_min_tuple, is the
+scan over parts in sorted value order that the library's min-max table
+replaced.
 """
 
 import itertools
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 import isocap.constants as constants
-from isocap import (INFINITE, Budget, InputError, WeightedGraph, alpha_steklov, beta_tuple, cap,
-                    dirichlet_spectrum, gamma_k_dirichlet, gamma_k_steklov, gamma_tilde_dirichlet,
-                    kappa_steklov, make_domain, neumann_spectrum, steklov_spectrum)
+from isocap import (INFINITE, Budget, BudgetError, ConstantResult, InputError, WeightedGraph,
+                    alpha_steklov, beta_tuple, cap, dirichlet_spectrum, gamma_k_dirichlet,
+                    gamma_k_steklov, gamma_tilde_dirichlet, is_infinite, kappa_steklov,
+                    make_domain, neumann_spectrum, steklov_spectrum)
 from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better, _combinations,
                               _complement, _cube_forms, _first_tied_split,
                               _grounded_values, _levels, _lex_first, _min_pair, _min_single,
@@ -26,7 +29,8 @@ from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better, _combi
 from isocap.infinite_families import line_domain, t3_example
 from isocap.linear_core import stiffness_matrix, sym_eig_generalized
 from isocap.spectra import _finite, dtn_operator
-from isocap.verify import EqualityReport, _span_patterns, check_equality_case, random_domain
+from isocap.testing import random_domain
+from isocap.verify import EqualityReport, _span_patterns, check_equality_case
 
 SEEDS = (None, 0, 1, 2, 3)
 
@@ -218,7 +222,7 @@ def ref_kappa(domain, k, budget):
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {domain.closure_index[v] for v in domain.boundary}
     objective = ref_ds_objective(kmat, bnd, masses)
-    return _min_tuple(k + 1, objective, budget, order)
+    return ref_min_tuple(k + 1, objective, budget, order)
 
 
 def ref_beta_tuple(graph, omega, k, budget):
@@ -226,7 +230,7 @@ def ref_beta_tuple(graph, omega, k, budget):
     kmat = stiffness_matrix(graph)
     masses = np.array([graph.mass[v] for v in order])
     objective = ref_ds_objective(kmat, {graph.index[v] for v in omega}, masses)
-    return _min_tuple(k + 1, objective, budget, order)
+    return ref_min_tuple(k + 1, objective, budget, order)
 
 
 def ref_gamma_k_steklov(domain, W, k, budget):
@@ -236,7 +240,7 @@ def ref_gamma_k_steklov(domain, W, k, budget):
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {i for i, v in enumerate(order) if v in domain.boundary_index}
     objective = ref_ds_objective(kmat[np.ix_(pos, pos)], bnd, masses)
-    return _min_tuple(k, objective, budget, order)
+    return ref_min_tuple(k, objective, budget, order)
 
 
 def _window(graph, W):
@@ -255,7 +259,7 @@ def ref_gamma_k_dirichlet(graph, W, k, budget):
         sub = kmat[np.ix_(rows, rows)]
         return ref_min_single(sub, list(range(len(slots))), masses[list(slots)])[0]
 
-    return _min_tuple(k, per_part(objective), budget, order)
+    return ref_min_tuple(k, per_part(objective), budget, order)
 
 
 def ref_gamma_tilde_dirichlet(graph, W, k, budget):
@@ -267,7 +271,105 @@ def ref_gamma_tilde_dirichlet(graph, W, k, budget):
         d = 1.0 / np.sqrt(masses[list(slots)])
         return float(np.linalg.eigvalsh(sub * d[:, None] * d[None, :])[0])
 
-    return _min_tuple(k, per_part(objective), budget, order)
+    return ref_min_tuple(k, per_part(objective), budget, order)
+
+
+def _reach_update(reach, arity, all_masks, pmask):
+    dis = (all_masks & pmask) == 0
+    for j in range(arity, 0, -1):
+        src = reach[j - 1] & dis
+        if src.any():
+            reach[j][all_masks[src] | pmask] = True
+
+
+def _subset_or(flags, n_slots):
+    out = flags.copy()
+    idx = np.arange(len(out))
+    for b in range(n_slots):
+        hit = np.nonzero(idx & (1 << b))[0]
+        out[hit] |= out[hit ^ (1 << b)]
+    return out
+
+
+def _sort_key(item):
+    val, key, _ = item
+    return (is_infinite(val), val if not is_infinite(val) else 0.0, key)
+
+
+# the scan over sorted parts that constants._min_tuple's min-max table replaced
+def ref_min_tuple(arity, objective, budget, slot_ids):
+    """Min over disjoint arity-tuples of nonempty parts of the max part
+    objective over the slots of slot_ids; parts capped at budget.part_cap
+    slots when set.
+
+    objective is batched: it takes an (N, s) integer array holding every
+    part of one size s, one ascending slot tuple per row in
+    itertools.combinations order, and returns the N part values (floats or
+    INFINITE) in row order.  Every part counts as one evaluation.
+
+    Parts are scanned in ascending objective order while a reachability table
+    tracks which slot unions admit j disjoint parts; the first time an
+    arity-packing exists fixes the optimum.  The witness is the
+    lexicographically smallest optimal packing (parts sorted by slot tuple).
+    """
+    n_slots = len(slot_ids)
+    if arity < 1:
+        raise InputError("tuple arity must be positive")
+    if arity > n_slots:
+        raise InputError("arity %d exceeds universe size %d" % (arity, n_slots))
+    if n_slots > budget.tuples:
+        raise BudgetError(
+            "universe size %d exceeds tuple budget %d" % (n_slots, budget.tuples)
+        )
+    cap = budget.part_cap if budget.part_cap is not None else n_slots
+    if cap < 1:
+        raise InputError("part cap must be positive")
+    parts = []
+    for s in range(1, min(cap, n_slots) + 1):
+        slot_sets = list(itertools.combinations(range(n_slots), s))
+        combos = np.array(slot_sets, dtype=int)
+        masks = (1 << combos).sum(axis=1).tolist()
+        parts.extend(zip(objective(combos), slot_sets, masks))
+    parts.sort(key=_sort_key)
+    size = 1 << n_slots
+    all_masks = np.arange(size)
+    reach = np.zeros((arity + 1, size), dtype=bool)
+    reach[0, 0] = True
+    opt = None
+    for i, (val, _, pmask) in enumerate(parts):
+        _reach_update(reach, arity, all_masks, pmask)
+        if reach[arity].any():
+            opt = val
+            break
+    if opt is None:  # singletons always pack, so this cannot happen
+        raise InputError("no disjoint %d-tuple exists" % arity)
+    within = [j for j, (val, _, _) in enumerate(parts)
+              if is_infinite(opt) or (not is_infinite(val) and val <= opt)]
+    # the table of unions does not depend on the order parts are added, so
+    # it grows over the allowed parts after the scan instead of being rebuilt
+    for j in within:
+        if j > i:
+            _reach_update(reach, arity, all_masks, parts[j][2])
+    allowed = sorted((parts[j] for j in within), key=lambda x: x[1])
+    any_reach = [_subset_or(reach[j], n_slots) for j in range(arity + 1)]
+
+    def dfs(start, need, free):
+        if need == 0:
+            return ()
+        for i in range(start, len(allowed)):
+            _, slots, pmask = allowed[i]
+            if pmask & ~free:
+                continue
+            rest = free & ~pmask
+            if any_reach[need - 1][rest]:
+                sub = dfs(i + 1, need - 1, rest)
+                if sub is not None:
+                    return (slots,) + sub
+        return None
+
+    packing = dfs(0, arity, size - 1)
+    witness = tuple(tuple(slot_ids[i] for i in slots) for slots in packing)
+    return ConstantResult(opt, witness, len(parts))
 
 
 def ref_sign_patterns(b):
@@ -773,40 +875,71 @@ def test_heuristic_pair_matches_reference(cap, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tuple packing: one reach pass per allowed part
+# tuple packing: the min-max table against the scan over sorted parts
 
 
-def test_min_tuple_reach_passes_once_per_allowed_part(monkeypatch):
-    passes = []
-    update = constants._reach_update
+def synthetic_objective(rng, n, levels, infinite):
+    """A batched objective over n slots that looks its part values up by
+    slot mask: floats drawn from `levels` distinct values (heavy ties when
+    few), INFINITE with probability `infinite`.  It records the rows of
+    every call."""
+    floats = (rng.integers(0, levels, 1 << n) * 0.25).tolist()
+    table = [INFINITE if r < infinite else v
+             for v, r in zip(floats, rng.random(1 << n).tolist())]
+    calls = []
 
-    def counted(reach, arity, all_masks, pmask):
-        passes.append(pmask)
-        return update(reach, arity, all_masks, pmask)
+    def objective(parts):
+        calls.append(parts.tolist())
+        return [table[m] for m in (1 << parts.astype(np.int64)).sum(axis=1).tolist()]
 
-    monkeypatch.setattr(constants, "_reach_update", counted)
-    for dom in TUPLE_DOMAINS:
-        for k in (1, 2, 3):
-            if k > len(dom.boundary) - 1:
-                continue
-            # kappa_steklov's objective, recording every part value
-            inner = constants._ds_objective(
-                stiffness_matrix(dom.induced), [dom.closure_index[v] for v in dom.boundary],
-                np.array([dom.graph.mass[v] for v in dom.closure]))
-            values = []
+    return objective, calls
 
-            def objective(parts):
-                values.extend(inner(parts))
-                return values[len(values) - len(parts):]
 
-            passes.clear()
-            res = _min_tuple(k + 1, objective, DEFAULT_BUDGET, list(dom.closure))
-            opt = res.value
-            allowed = len(values) if opt is INFINITE else sum(
-                v is not INFINITE and v <= opt for v in values)
-            assert len(passes) == allowed
-            assert len(set(passes)) == allowed  # each part once
-            assert _result(res) == _result(kappa_steklov(dom, k))
+def tuple_cases():
+    """(n, arity, part cap): every arity and cap up to 6 slots, then a
+    spread of them up to 12, so that every level of the table runs."""
+    for n in range(1, 13):
+        if n <= 6:
+            arities, caps = range(1, n + 1), range(1, n + 1)
+        else:
+            arities = sorted({1, 2, 3, n // 2, n - 1, n})
+            caps = sorted({1, 2, n // 2, n})
+        for arity in arities:
+            for cap_ in caps:
+                if n <= 10 or (arity + cap_) % 3 == 0 or arity == 3:
+                    yield n, arity, cap_
+
+
+def test_min_tuple_matches_the_sorted_scan():
+    kinds = [(3, 0.0), (2, 0.3), (50, 0.0), (5, 0.8), (1000, 0.1), (1, 1.0)]
+    seen_infinite = seen_arity = 0
+    for i, (n, arity, cap_) in enumerate(tuple_cases()):
+        levels, infinite = kinds[i % len(kinds)]
+        budget = Budget(part_cap=cap_)
+        slot_ids = ["s%d" % j for j in range(n)]
+        got_fn, got_calls = synthetic_objective(np.random.default_rng([500, i]), n, levels,
+                                                infinite)
+        want_fn, want_calls = synthetic_objective(np.random.default_rng([500, i]), n, levels,
+                                                  infinite)
+        got = _min_tuple(arity, got_fn, budget, slot_ids)
+        want = ref_min_tuple(arity, want_fn, budget, slot_ids)
+        assert _result(got) == _result(want), (n, arity, cap_, levels, infinite)
+        assert got_calls == want_calls
+        seen_infinite += got.value is INFINITE
+        seen_arity += n == 12 and arity >= 3
+    assert seen_infinite and seen_arity
+
+
+def test_min_tuple_keeps_its_checks_in_order():
+    ids = list(range(4))
+    for args, error, message in [
+            ((0, None, Budget(tuples=2, part_cap=0), ids), InputError, "arity must be positive"),
+            ((5, None, Budget(tuples=2, part_cap=0), ids), InputError, "arity 5 exceeds"),
+            ((2, None, Budget(tuples=3, part_cap=0), ids), BudgetError, "tuple budget 3"),
+            ((2, None, Budget(part_cap=0), ids), InputError, "part cap must be positive")]:
+        for fn in (_min_tuple, ref_min_tuple):
+            with pytest.raises(error, match=message):
+                fn(*args)
 
 
 # ---------------------------------------------------------------------------

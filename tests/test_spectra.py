@@ -19,7 +19,7 @@ from isocap.infinite_families import (FamilySpec, generate, line_domain,
                                       t3_example)
 from isocap.linear_core import (SPARSE_MAX_COUNT, SPARSE_MIN_DIM, _residual,
                                 lowest_eigenpairs)
-from isocap.verify import random_domain
+from isocap.testing import random_domain
 
 REL = 1e-11
 
@@ -110,6 +110,19 @@ def test_neumann_without_boundary_is_plain_laplacian():
     # plain Laplacian of the path: 2 - 2 cos(j pi / 4) over j = 0..3
     expect = [2.0 - 2.0 * math.cos(j * math.pi / 4.0) for j in range(4)]
     assert res.eigenvalues == pytest.approx(expect, abs=1e-11)
+
+
+def test_neumann_and_steklov_count_errors():
+    # one interior and one boundary vertex: no count above 1 is posed
+    g = unit_path(1)
+    dom = make_domain(g, [0])
+    for spectrum, size in ((neumann_spectrum, "Omega"), (steklov_spectrum, "boundary")):
+        assert len(spectrum(dom, 1).eigenvalues) == 1
+        with pytest.raises(InputError, match=r"count exceeds \|%s\|" % size):
+            spectrum(dom, 2)
+        for count in (0, -1):
+            with pytest.raises(InputError, match="count must be positive"):
+                spectrum(dom, count)
 
 
 def test_hm_triangle_oracle():

@@ -8,9 +8,8 @@ from isocap import (Budget, InputError, WeightedGraph, is_infinite,
                     make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
                                       t3_example)
-from isocap.verify import (FINITE_THEOREMS, K_THEOREMS, THEOREMS, check,
-                           check_equality_case, random_connected_graph,
-                           random_domain)
+from isocap.testing import random_connected_graph, random_domain
+from isocap.verify import FINITE_THEOREMS, K_THEOREMS, THEOREMS, check, check_equality_case
 
 
 def test_line_steklov_bracket_is_tight_above():
