@@ -171,91 +171,55 @@ def to_json(obj):
     raise InputError("unserializable object %r" % (obj,))
 
 
-def _ids(seq):
-    return [str(v) for v in seq]
+def _plain(value):
+    """A report value as JSON-ready data: a tuple of vertex ids as a list of
+    strings (a tuple of such tuples, a partition witness, as a list of
+    them), a vertex-keyed dict with string keys, an array as a list; any
+    other value as it is."""
+    if isinstance(value, tuple):
+        if value and all(isinstance(p, tuple) for p in value):
+            return [[str(v) for v in p] for p in value]
+        return [str(v) for v in value]
+    if isinstance(value, dict):
+        return {str(v): x for v, x in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
-def _witness(w):
-    if w is None:
-        return None
-    if not isinstance(w, tuple):
-        return str(w)
-    if w and all(isinstance(p, tuple) for p in w):
-        return [_ids(p) for p in w]
-    return _ids(w)
+# result type -> (report type, whether the report carries the caller's name,
+# the attributes reported, in report order)
+_REPORTS = {
+    BoundReport: ("bound", False, (
+        "theorem_id", "eigenvalue", "constant", "lower_bound", "upper_bound",
+        "lower_ok", "upper_ok", "ratio", "witness", "empirical_c", "sequences")),
+    ConstantResult: ("constant", True, ("value", "witness", "evaluations", "heuristic")),
+    SpectralResult: ("spectrum", True, ("eigenvalues", "residual_norm", "vertex_order")),
+    CapacityResult: ("capacity", False, ("value", "source", "sink", "potential")),
+    LimitReport: ("limit", True, (
+        "indices", "values", "limit_estimate", "error_bar", "monotone", "heuristic")),
+    EqualityReport: ("equality", False, (
+        "sigma1", "alpha_s", "equal", "status", "gap", "multiplicity", "witness")),
+}
+# attributes left out of a report while they are None
+_OMITTED_IF_NONE = ("empirical_c", "sequences")
 
 
 def project(result, name=None):
-    """Flatten a result object into a JSON-ready dict."""
-    if isinstance(result, BoundReport):
-        out = {
-            "type": "bound",
-            "theorem": result.theorem_id,
-            "eigenvalue": result.eigenvalue,
-            "constant": result.constant,
-            "lower_bound": result.lower_bound,
-            "upper_bound": result.upper_bound,
-            "lower_ok": result.lower_ok,
-            "upper_ok": result.upper_ok,
-            "ratio": result.ratio,
-            "witness": _witness(result.witness),
-        }
-        if result.empirical_c is not None:
-            out["empirical_c"] = result.empirical_c
-        if result.sequences is not None:
-            out["sequences"] = result.sequences
-        return out
-    if isinstance(result, ConstantResult):
-        return {
-            "type": "constant",
-            "name": name,
-            "value": result.value,
-            "witness": _witness(result.witness),
-            "evaluations": result.evaluations,
-            "heuristic": result.heuristic,
-        }
-    if isinstance(result, SpectralResult):
-        return {
-            "type": "spectrum",
-            "name": name,
-            "eigenvalues": list(result.eigenvalues),
-            "residual_norm": result.residual_norm,
-            "vertex_order": _ids(result.vertex_order or ()),
-        }
-    if isinstance(result, CapacityResult):
-        return {
-            "type": "capacity",
-            "value": result.value,
-            "source": _ids(result.source),
-            "sink": _ids(result.sink),
-            "potential": {str(v): x for v, x in result.potential.items()},
-        }
-    if isinstance(result, LimitReport):
-        return {
-            "type": "limit",
-            "name": name,
-            "indices": list(result.indices),
-            "values": list(result.values),
-            "limit_estimate": result.limit_estimate,
-            "error_bar": result.error_bar,
-            "monotone": result.monotone,
-            "heuristic": result.heuristic,
-        }
-    if isinstance(result, EqualityReport):
-        return {
-            "type": "equality",
-            "sigma1": result.sigma1,
-            "alpha_s": result.alpha_s,
-            "equal": result.equal,
-            "status": result.status,
-            "gap": result.gap,
-            "multiplicity": result.multiplicity,
-            "witness": None if result.witness is None else
-                       {str(v): x for v, x in result.witness.items()},
-        }
-    if isinstance(result, dict):
+    """Flatten a result object into a JSON-ready dict (_REPORTS); a plain
+    dict reports as a named sequence."""
+    if type(result) is dict:
         return {"type": "sequence", "name": name, **result}
-    raise InputError("unreportable result %r" % (result,))
+    if type(result) not in _REPORTS:
+        raise InputError("unreportable result %r" % (result,))
+    kind, named, attrs = _REPORTS[type(result)]
+    out = {"type": kind, "name": name} if named else {"type": kind}
+    for attr in attrs:
+        value = getattr(result, attr)
+        if value is None and attr in _OMITTED_IF_NONE:
+            continue
+        out["theorem" if attr == "theorem_id" else attr] = _plain(value)
+    return out
 
 
 def document(source, results, domain=None, diagnostics=None):
@@ -523,7 +487,28 @@ def _cmd_coarea(args):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser (its subparsers too) whose usage errors raise
-    InputError, so they end in the JSON error report like other bad input."""
+    InputError, so they end in the JSON error report like other bad input.
+
+    A parser with an optional positional (verify's file) parses its
+    arguments intermixed, so its options may stand before, between or after
+    the positionals: plain parsing fills the optional positional, empty,
+    together with the one before it, and then rejects a positional that
+    follows an option.  On older Pythons parse_known_intermixed_args calls
+    parse_known_args in turn; _intermixing sends those calls to the plain
+    parse.
+    """
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixing or all(a.nargs != argparse.OPTIONAL
+                                    for a in self._get_positional_actions()):
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
 
     def error(self, message):
         raise InputError("%s: %s" % (self.prog, message))
@@ -584,6 +569,8 @@ def _parser():
     p.add_argument("--steps", default=None)
     p.add_argument("-k", type=int, default=None)
     p.set_defaults(run=_cmd_verify)
+    # the usage that parse_known_intermixed_args would format on every call
+    p.usage = p.format_usage()[len("usage: "):].rstrip("\n")
 
     p = sub.add_parser("family", parents=[common])
     p.add_argument("family")
@@ -602,7 +589,10 @@ def run_command(argv):
     """Run one subcommand; prints the report JSON and returns the exit code."""
     try:
         args = _parser().parse_args(argv)
-        doc, code = args.run(args)
+        # floating-point warnings would print on stderr; an inf or nan that
+        # reaches the report raises InputError in to_json instead
+        with np.errstate(all="ignore"):
+            doc, code = args.run(args)
         text = to_json(doc)  # a non-finite value raises InputError here
     except SystemExit:  # --help; a usage error raises InputError (_Parser)
         return EXIT_OK

@@ -12,10 +12,11 @@ every caller that asks for it shares one array.  A dense matrix of more than
 DENSE_MAX_DIM rows is refused with a BudgetError before it is allocated.  A
 dense eigensolve diagonalizes the whole matrix but post-processes (orients,
 checks residuals of, returns) only the eigenpairs its caller asks for.
-schur_solver is the one elimination kernel: every DtN operator
-(spectra._eliminate) takes its Schur complement, the solver of the
-eliminated block and the coupling block from one call, and extends its
-eigenvectors through the same Cholesky factor.
+schur_solver is the one elimination kernel: spectra._eliminate, which serves
+the four eliminated spectra (Neumann and the three DtN operators), takes its
+Schur complement, the solver of the eliminated block and the coupling block
+from one call, and extends its eigenvectors through the same Cholesky
+factor.
 
 The lowest Dirichlet eigenpairs of a large window have a sparse route
 (lowest_eigenpairs).  When the block has at least SPARSE_MIN_DIM rows, at
@@ -33,7 +34,6 @@ less accurate: on a unit path with 399 window vertices its lambda_1 is
 imported on that route only.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -308,6 +308,12 @@ def schur_solver(K, keep, eliminate):
         factor = scipy.linalg.cho_factor(kee, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("eliminated block is not SPD") from exc
-    solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
+    c, lower = factor
+
+    def solve(b):
+        # cho_solve's LAPACK call, without its per-call argument checks:
+        # _eliminate makes one call per eigenvector
+        return scipy.linalg.lapack.dpotrs(c, b, lower=lower)[0]
+
     s = kkk - kek.T @ solve(kek)
     return 0.5 * (s + s.T), solve, kek

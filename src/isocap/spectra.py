@@ -5,12 +5,13 @@ complements) of the induced stiffness; the vanishing-vertex-weight sequences
 of rescaled graphs G^(k) are an independent verification route whose first
 non-trivial eigenvalue converges to the same quantities.
 
-The three DtN operators (Lambda_Omega, the grounded Lambda_W and the variant
-S_Omega) differ only in the stiffness block and the positions they keep and
-eliminate.  One routine, _eliminate, serves dtn_operator and all three
-spectra: it forms the Schur complement (linear_core.schur_solver), solves
-the eigenproblem, and extends each eigenvector harmonically through the
-eliminated block with the same Cholesky factor.
+The Neumann problem and the three DtN operators (Lambda_Omega, the grounded
+Lambda_W and the variant S_Omega) differ only in the stiffness block and the
+positions they keep and eliminate.  One routine, _eliminate, serves
+dtn_operator and all four spectra: it forms the Schur complement
+(linear_core.schur_solver), solves the eigenproblem, and extends each
+eigenvector through the eliminated block with the same Cholesky factor
+(harmonically for the DtN operators, by zero flux for Neumann).
 
 The Dirichlet problem is the one caller of linear_core.lowest_eigenpairs,
 which takes a sparse shift-invert route for a few pairs of a large window
@@ -37,8 +38,9 @@ class DtnOperator:
 
     form is the Schur complement of the induced stiffness eliminating the
     interior; applying it to boundary values f gives m(z) * du_f/dn(z).
-    (The grounded and variant operators of _eliminate hold their kept
-    vertices in boundary.)
+    (_eliminate builds one for each of its four spectra, and boundary holds
+    the kept vertices: W cap deltaU for the grounded operator, Omega for the
+    variant one and the interior for the Neumann problem.)
     """
 
     boundary: tuple
@@ -145,9 +147,12 @@ def dirichlet_spectrum(graph, interior, count=None):
 def neumann_spectrum(domain, count=None):
     """Eigenvalues of L f = lambda f on Omega with zero normal derivative.
 
-    Realized by eliminating the (diagonal, positive) boundary block of the
-    induced stiffness: (K_II - K_IB K_BB^{-1} K_BI) v = lambda M_I v.
-    lambda_0 = 0 with constant eigenfunction.
+    _eliminate with the interior kept and the (diagonal, positive) boundary
+    block of the induced stiffness eliminated:
+    (K_II - K_IB K_BB^{-1} K_BI) v = lambda M_I v, and the zero-flux
+    boundary values of each eigenfunction are solve(-K_BI v).  With no
+    boundary the form is K_II itself.  lambda_0 = 0 with constant
+    eigenfunction.
     """
     n = len(domain.interior)
     count = n if count is None else count
@@ -155,30 +160,10 @@ def neumann_spectrum(domain, count=None):
         raise InputError("count exceeds |Omega|")
     if count < 1:
         raise InputError("count must be positive")
-    k = stiffness_matrix(domain.induced)
-    kii = k[:n, :n]
-    if domain.boundary:
-        kib = k[:n, n:]
-        dbb = np.diag(k[n:, n:])  # diagonal: boundary-boundary edges are removed
-        khat = kii - (kib / dbb[None, :]) @ kib.T
-        # the product is not always bit-symmetric: mirror its upper triangle
-        khat = np.triu(khat) + np.triu(khat, 1).T
-    else:
-        khat = kii
-    mass = np.array([domain.graph.mass[v] for v in domain.interior])
-    res = sym_eig_generalized(khat, mass, vertex_order=domain.interior, count=count)
-    fields = []
-    for j in range(count):
-        v = res.vectors[:, j]
-        f = {x: float(v[domain.interior_index[x]]) for x in domain.interior}
-        if domain.boundary:
-            # zero flux determines boundary values: weighted neighbor average
-            fb = -(kib.T @ v) / dbb
-            for z in domain.boundary:
-                f[z] = float(fb[domain.boundary_index[z]])
-        fields.append(f)
-    res.fields = fields
-    return res
+    _, spectrum = _eliminate(stiffness_matrix(domain.induced), range(n),
+                             range(n, len(domain.closure)), domain.interior,
+                             domain.boundary, domain.graph.mass)
+    return spectrum(count)
 
 
 def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
@@ -190,7 +175,8 @@ def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
     and spectrum(count): the count lowest eigenpairs of form v = sigma M v
     with each eigenvector v extended through elim by solve(-K_EK v), one
     Cholesky factor for the form and every field, each field (keep ids,
-    then elim ids) checked and named in an error as harmonic_extension.
+    then elim ids), the fields checked together and named in an error as
+    harmonic_extension.
     """
     form, solve, k_ek = schur_solver(k, keep, elim)
     op = DtnOperator(boundary=tuple(keep_ids), form=form,
@@ -205,8 +191,8 @@ def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
             f = {x: float(v[i]) for i, x in enumerate(keep_ids)}
             if solve is not None:
                 f.update(zip(elim_ids, solve(minus_k_ek @ v).tolist()))
-            _check_finite(f, "harmonic_extension")
             res.fields.append(f)
+        _check_finite(res.fields, "harmonic_extension")
         return res
 
     return op, spectrum

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import isocap
 from isocap import INFINITE, BoundReport, InputError, SingularMatrixError
@@ -14,6 +18,7 @@ from isocap.cli_io import (EXIT_BUDGET, EXIT_FAILED, EXIT_INPUT, EXIT_OK,
                            _parser, emit_graph, parse_family_spec, parse_graph,
                            project, run_command, to_json)
 from isocap.infinite_families import generate_steps, t3_example
+from isocap.spectra import DOMAIN_SPECTRA
 from isocap.verify import K_THEOREMS, REGISTRY, STEPS, THEOREMS, check
 
 LINE5 = """# five-edge segment
@@ -158,6 +163,19 @@ def test_verify_k_in_name(capsys, t3_file):
                           "-k", "3"])
     assert code == EXIT_INPUT
     assert "disagrees" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("theorem", [t for t in K_THEOREMS if REGISTRY[t].kind != STEPS])
+def test_verify_takes_k_anywhere(capsys, t3_file, theorem):
+    # -k after the file, before it, or in the theorem word: one report
+    runs = []
+    for argv in ([theorem, t3_file, "-k", "1"], [theorem, "-k", "1", t3_file],
+                 ["%s(1)" % theorem, t3_file]):
+        code = run_command(["verify"] + argv)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == EXIT_OK
+    assert json.loads(runs[0][1])["results"][0]["theorem"] == "%s(1)" % theorem
 
 
 def test_family_commands(capsys):
@@ -553,3 +571,123 @@ def test_python_dash_m_runs_the_command_line(capsys, t3_file):
     assert proc.returncode == EXIT_OK
     assert proc.stdout == want
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: graph files and argv built from the grammars' tokens
+
+_FINITE = ("1", "0.5", "3", "1e-300", "5e-324", "1e300", "1.7976931348623157e308")
+_NUMBERS = _FINITE + ("1.8e308", "0", "-1", "nan", "inf", "x")
+_IDS = ("0", "1", "2", "3")
+_FILE = "FILE"  # stands for the fuzzed graph file in a fuzzed argv
+
+
+def _sometimes(draw):
+    # one draw in four; hypothesis favours the small end of a range
+    return draw(st.integers(0, 3)) == 3
+
+
+@st.composite
+def _graph_texts(draw):
+    """A graph on 2-4 vertices that holds a path through them, masses and
+    weights from _FINITE (from _NUMBERS, and with stray records, sometimes)."""
+    ids = _IDS[:draw(st.integers(2, len(_IDS)))]
+    number = st.sampled_from(_NUMBERS if _sometimes(draw) else _FINITE)
+    lines = ["v %s %s" % (v, draw(number)) for v in ids]
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    path = list(zip(ids, ids[1:]))
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for u, v in path + [p for p in extra if p not in path]:
+        lines.append("e %s %s %s" % (u, v, draw(number)))
+    if not _sometimes(draw):
+        omega = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        lines.append("omega " + " ".join(omega))
+    if _sometimes(draw):
+        tokens = st.sampled_from(("v", "e", "omega", "#") + ids + _NUMBERS)
+        record = " ".join(draw(st.lists(tokens, min_size=1, max_size=4)))
+        lines.insert(draw(st.integers(0, len(lines))), record)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with its positionals in order, its required options and
+    up to two others (sometimes one it does not take), each option at any
+    place among them."""
+    ids = st.lists(st.sampled_from(_IDS), min_size=1, max_size=3).map(",".join)
+    small = st.sampled_from(("1", "2", "3", "0", "-1", "x"))
+    field = st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_NUMBERS)),
+                     min_size=1, max_size=4).map(lambda kv: ",".join("%s=%s" % p for p in kv))
+    specs = st.sampled_from(("binary_tree:quotient", "path_segment", "t3",
+                             "lattice_box:2", "half_space:2:quotient"))
+    steps = ["--steps", st.sampled_from(("1..2", "1,3", "2..1", "x"))]
+    theorems = THEOREMS + tuple("%s(%d)" % (t, k) for t in K_THEOREMS for k in (1, 2))
+    k, heuristic = ["-k", small], ["--heuristic"]
+    # command -> (positionals, required options, other options it takes)
+    grammar = {
+        "spectrum": ([st.sampled_from(tuple(DOMAIN_SPECTRA))], [], [k]),
+        "cap": ([], [["-A", ids]], [["-B", ids]]),
+        "alpha": ([st.sampled_from(("d", "n", "s", "ds"))], [], [["-Y", ids], heuristic]),
+        "gamma": ([st.sampled_from(("d", "s"))], [k], [["-W", ids]]),
+        "kappa": ([], [k], []),
+        "verify": ([st.sampled_from(theorems)], [], [k, heuristic]),
+        "family": ([specs], [steps, ["--emit", st.sampled_from(("alpha", "cap", "sigma"))]],
+                   [heuristic]),
+        "coarea": ([], [["--field", field]], []),
+    }
+    budgets = [["--budget-single", small], ["--budget-pair", small]]
+    command = draw(st.sampled_from(tuple(grammar)))
+    positional, required, takes = grammar[command]
+    groups = [[draw(word)] for word in positional]
+    if command == "verify" and _sometimes(draw):
+        required = [["--family", specs], steps]
+    elif command != "family":
+        groups.append([_FILE])
+    pool = takes + budgets
+    if _sometimes(draw):
+        pool = [g for spec in grammar.values() for g in spec[1] + spec[2]]
+    options = required + draw(st.lists(st.sampled_from(pool), max_size=2,
+                                       unique_by=lambda g: g[0]))
+    for option in options:
+        group = [t if isinstance(t, str) else draw(t) for t in option]
+        groups.insert(draw(st.integers(0, len(groups))), group)
+    return [command] + [t for g in groups for t in g]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=_graph_texts(), argv=_argvs())
+@example(text="v 0 1e-200\nv 1 1\ne 0 1 5e-324\nomega 0 1\n",
+         argv=["verify", "dirichlet_1", _FILE])
+@example(text="v 0 0.5\nv 1 2\nv 2 3\ne 0 1 1e300\ne 0 2 5e-324\ne 1 2 5e-324\n"
+              "omega 1 2\n",
+         argv=["verify", "higher_dirichlet", "-k", "1", _FILE])
+@example(text="v 0 1e-200\nv 1 0.5\nv 2 2\nv 3 3\ne 0 1 1e300\n"
+              "e 0 2 1.7976931348623157e308\ne 1 2 1\ne 2 3 3\nomega 0 1 2\n",
+         argv=["coarea", "--field", "0=1,1=0.5,2=0.5,3=0", _FILE])
+def test_hostile_inputs_end_in_a_json_report(fuzz_dir, text, argv):
+    # any graph file parses or raises InputError; any argv prints one JSON
+    # report on stdout, nothing on stderr, and exits with a documented code
+    try:
+        parse_graph(text)
+    except InputError:
+        pass
+    path = fuzz_dir / "fuzz.graph"
+    path.write_text(text)
+    argv = [str(path) if t == _FILE else t for t in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run_command(argv)
+    doc = json.loads(out.getvalue())
+    assert err.getvalue() == ""
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_FAILED)
+    if code in (EXIT_INPUT, EXIT_BUDGET):
+        assert doc["error"]["kind"] in ("input", "numerical", "budget")
+    else:
+        assert "results" in doc

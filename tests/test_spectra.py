@@ -18,7 +18,7 @@ from isocap.errors import BudgetError
 from isocap.infinite_families import (FamilySpec, generate, line_domain,
                                       t3_example)
 from isocap.linear_core import (SPARSE_MAX_COUNT, SPARSE_MIN_DIM, _residual,
-                                lowest_eigenpairs)
+                                lowest_eigenpairs, schur_solver)
 from isocap.testing import random_domain
 
 REL = 1e-11
@@ -211,26 +211,34 @@ def test_schedule_validation():
     assert default_schedule(3).k_values == (1, 2, 4, 8)
 
 
-def test_neumann_eigenproblem_is_the_mirrored_elimination():
-    # K_II - K_IB K_BB^{-1} K_BI is often not bit-symmetric; the spectrum is
-    # that of its upper triangle mirrored onto the lower one
-    asymmetric = 0
+def test_neumann_eigenproblem_is_the_schur_elimination():
+    # the form is schur_solver's K_II - K_IB K_BB^{-1} K_BI, bit for bit; the
+    # diagonal elimination with its upper triangle mirrored is an oracle
     for seed in range(40):
         domain = random_domain(np.random.default_rng(seed))
-        n = len(domain.interior)
+        n, nb = len(domain.interior), len(domain.boundary)
         k = stiffness_matrix(domain.induced)
-        kib = k[:n, n:]
-        khat = k[:n, :n] - (kib / np.diag(k[n:, n:])[None, :]) @ kib.T
-        if np.array_equal(khat, khat.T):
-            continue
-        asymmetric += 1
         mass = np.array([domain.graph.mass[v] for v in domain.interior])
-        want = sym_eig_generalized(np.triu(khat) + np.triu(khat, 1).T, mass)
+        want = sym_eig_generalized(schur_solver(k, range(n), range(n, n + nb))[0], mass)
         got = neumann_spectrum(domain)
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.vectors, want.vectors)
         assert got.residual_norm == want.residual_norm
-    assert asymmetric >= 10
+        kib = k[:n, n:]
+        khat = k[:n, :n] - (kib / np.diag(k[n:, n:])[None, :]) @ kib.T
+        mirrored = sym_eig_generalized(np.triu(khat) + np.triu(khat, 1).T, mass)
+        top = abs(mirrored.eigenvalues[-1])
+        assert np.abs(got.eigenvalues - mirrored.eigenvalues).max() <= 1e-12 * top
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_neumann_line_closed_form(n):
+    # a unit path with both ends as boundary: zero flux there makes the
+    # interior a free path, lambda_j = 4 sin^2(pi j / (2 (n - 1)))
+    g, dom = line_domain(n)
+    res = neumann_spectrum(dom)
+    expect = [4.0 * math.sin(math.pi * j / (2 * (n - 1))) ** 2 for j in range(n - 1)]
+    assert res.eigenvalues == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +295,16 @@ def test_extensions_factor_once_and_match_per_vector_solves(seed, monkeypatch):
         v = res.vectors[:, j]
         own = {x: float(v[i]) for i, x in enumerate(omega)}
         assert _bits(f) == _bits(_per_vector(kw[n:, n:], -kw[n:, :n] @ v, drop, own))
+
+    sizes.clear()
+    res = neumann_spectrum(dom)
+    # K_BB, diagonal, once for the form and every zero-flux extension
+    assert sizes == [nb]
+    for j, f in enumerate(res.fields):
+        v = res.vectors[:, j]
+        own = {x: float(v[i]) for i, x in enumerate(dom.interior)}
+        assert _bits(f) == _bits(_per_vector(k[n:, n:], -k[n:, :n] @ v,
+                                             dom.boundary, own))
 
     sizes.clear()
     W = dom.interior + dom.boundary[:2]
