@@ -34,6 +34,7 @@ less accurate: on a unit path with 399 window vertices its lambda_1 is
 imported on that route only.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -308,12 +309,6 @@ def schur_solver(K, keep, eliminate):
         factor = scipy.linalg.cho_factor(kee, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("eliminated block is not SPD") from exc
-    c, lower = factor
-
-    def solve(b):
-        # cho_solve's LAPACK call, without its per-call argument checks:
-        # _eliminate makes one call per eigenvector
-        return scipy.linalg.lapack.dpotrs(c, b, lower=lower)[0]
-
+    solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
     s = kkk - kek.T @ solve(kek)
     return 0.5 * (s + s.T), solve, kek

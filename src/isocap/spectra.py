@@ -176,7 +176,8 @@ def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
     with each eigenvector v extended through elim by solve(-K_EK v), one
     Cholesky factor for the form and every field, each field (keep ids,
     then elim ids), the fields checked together and named in an error as
-    harmonic_extension.
+    harmonic_extension; a spectrum whose fields are finite but some kept
+    K_ii / m_i is not is an InputError too.
     """
     form, solve, k_ek = schur_solver(k, keep, elim)
     op = DtnOperator(boundary=tuple(keep_ids), form=form,
@@ -193,6 +194,11 @@ def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
                 f.update(zip(elim_ids, solve(minus_k_ek @ v).tolist()))
             res.fields.append(f)
         _check_finite(res.fields, "harmonic_extension")
+        # a form entry carries a rounding error of order u K_ii, so the
+        # eigenvalues are known only to about u max_i K_ii / m_i: past the
+        # float range, that error could pass for a finite eigenvalue
+        if not np.isfinite(k.diagonal()[list(keep)] / op.mass).all():
+            raise InputError("operator scale (stiffness over mass) is not finite")
         return res
 
     return op, spectrum

@@ -212,23 +212,31 @@ def test_schedule_validation():
 
 
 def test_neumann_eigenproblem_is_the_schur_elimination():
-    # the form is schur_solver's K_II - K_IB K_BB^{-1} K_BI, bit for bit; the
-    # diagonal elimination with its upper triangle mirrored is an oracle
+    # the independent check: the diagonal elimination with its upper triangle
+    # mirrored gives the same spectrum, to 1e-12 of its largest eigenvalue.
+    # The bit-equality half only pins the call sequence (schur_solver's form,
+    # then sym_eig_generalized); the unsymmetrized product is asymmetric on
+    # enough domains that schur_solver's symmetrization is exercised
+    asymmetric = 0
     for seed in range(40):
         domain = random_domain(np.random.default_rng(seed))
         n, nb = len(domain.interior), len(domain.boundary)
         k = stiffness_matrix(domain.induced)
         mass = np.array([domain.graph.mass[v] for v in domain.interior])
-        want = sym_eig_generalized(schur_solver(k, range(n), range(n, n + nb))[0], mass)
         got = neumann_spectrum(domain)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.vectors, want.vectors)
-        assert got.residual_norm == want.residual_norm
         kib = k[:n, n:]
         khat = k[:n, :n] - (kib / np.diag(k[n:, n:])[None, :]) @ kib.T
         mirrored = sym_eig_generalized(np.triu(khat) + np.triu(khat, 1).T, mass)
         top = abs(mirrored.eigenvalues[-1])
         assert np.abs(got.eigenvalues - mirrored.eigenvalues).max() <= 1e-12 * top
+        form, solve, _ = schur_solver(k, range(n), range(n, n + nb))
+        product = k[:n, :n] - kib @ solve(kib.T)
+        asymmetric += not np.array_equal(product, product.T)
+        want = sym_eig_generalized(form, mass)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert got.residual_norm == want.residual_norm
+    assert asymmetric >= 10
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -239,6 +247,25 @@ def test_neumann_line_closed_form(n):
     res = neumann_spectrum(dom)
     expect = [4.0 * math.sin(math.pi * j / (2 * (n - 1))) ** 2 for j in range(n - 1)]
     assert res.eigenvalues == pytest.approx(expect, abs=1e-12)
+
+
+def test_an_operator_scale_past_the_float_range_is_refused():
+    # one interior vertex and one boundary vertex joined by weight 0.5: the
+    # Schur form of either problem is 0.5 - 0.5 (1 - 2^-52) = 1.1e-16 where
+    # the exact value is 0; at unit masses that is the answer's rounding
+    # error, but over a mass of 5e-324 it would read as an eigenvalue of
+    # 2.2e307, so a K_ii / m_i past the float range is an InputError
+    def domain(masses):
+        graph = WeightedGraph([0, 1, 2], dict(enumerate(masses)),
+                              [(0, 1, 0.5), (1, 2, 5e-324)])
+        return make_domain(graph, [0])
+
+    for spectrum in (neumann_spectrum, steklov_spectrum):
+        assert abs(spectrum(domain([1.0, 1.0, 1.0])).eigenvalues[0]) <= 1e-15
+    with pytest.raises(InputError, match="operator scale"):
+        neumann_spectrum(domain([5e-324, 1.7976931348623157e308, 5e-324]))
+    with pytest.raises(InputError, match="operator scale"):
+        steklov_spectrum(domain([1.0, 5e-324, 1.0]))
 
 
 # ---------------------------------------------------------------------------
