@@ -17,7 +17,10 @@ non-finite number anywhere in a report included), "numerical" for a
 SingularMatrixError or a numpy LinAlgError, "budget" for a BudgetError.
 
 The argument parser is built once per process; argparse keeps no state
-between parse_args calls, so every call of run_command parses afresh.
+between parse_args calls, so every call of run_command parses afresh.  Each
+subcommand declares only those of the budget and heuristic flags that the
+constants it computes read (spectrum, cap and coarea none, verify all five);
+any other is a usage error.
 """
 
 import argparse
@@ -38,7 +41,7 @@ from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import WeightedGraph, energy, make_domain
-from .infinite_families import FamilySpec, default_source, generate_steps
+from .infinite_families import DIMENSIONED, FamilySpec, default_source, generate_steps
 from .infinity import is_infinite
 from .linear_core import SpectralResult
 from .spectra import DOMAIN_SPECTRA
@@ -244,26 +247,29 @@ _U_KINDS = ("binary_tree", "half_space")
 
 def parse_family_spec(text):
     """Family grammar: kind[:N][:quotient|:full][:summable],
-    e.g. lattice_box:3:quotient:summable."""
-    parts = text.split(":")
-    kind = parts[0]
-    dim = 1
-    quotient = False
-    mass_rule = None
-    for opt in parts[1:]:
+    e.g. lattice_box:3:quotient:summable.  Each option is given at most once,
+    and N only to a kind with a dimension (DIMENSIONED)."""
+    kind, *options = text.split(":")
+    fields = {}
+    for opt in options:
         if opt.isdigit():
-            dim = int(opt)
-        elif opt == "quotient":
-            quotient = True
-        elif opt == "full":
-            quotient = False
+            field, value = "dim", int(opt)
+        elif opt in ("quotient", "full"):
+            field, value = "quotient", opt == "quotient"
         elif opt == "summable":
             if kind != "lattice_box":
                 raise InputError("summable masses are a lattice_box option")
-            mass_rule = lambda x: 2.0 ** -max(abs(c) for c in x)
+            field, value = "mass_rule", lambda x: 2.0 ** -max(abs(c) for c in x)
         else:
             raise InputError("unknown family option %r" % opt)
-    return FamilySpec(kind, dim=dim, quotient=quotient, mass_rule=mass_rule)
+        if field in fields:
+            raise InputError("family spec %r sets its %s twice" % (text, field))
+        fields[field] = value
+    spec = FamilySpec(kind, **fields)
+    if "dim" in fields and kind not in DIMENSIONED:
+        raise InputError("family spec %r gives a dimension to %r, which has none"
+                         % (text, kind))
+    return spec
 
 
 def _parse_steps(text):
@@ -283,16 +289,18 @@ def _parse_steps(text):
 # ---------------------------------------------------------------------------
 # commands
 
+# Budget field -> the argparse dest of its flag
+_BUDGET_FLAGS = {"single": "budget_single", "pair": "budget_pair",
+                 "tuples": "budget_tuple", "part_cap": "part_cap"}
+
+
 def _budget(args):
-    """The budgets of the --budget-* flags.  A budget of 0 leaves the exact
-    enumerators nothing, so only --heuristic answers."""
-    base = Budget()
-    budget = Budget(
-        single=base.single if args.budget_single is None else args.budget_single,
-        pair=base.pair if args.budget_pair is None else args.budget_pair,
-        tuples=base.tuples if args.budget_tuple is None else args.budget_tuple,
-        part_cap=args.part_cap,
-    )
+    """The budgets of the --budget-* and --part-cap flags that the subcommand
+    declares (_parser); a flag it does not declare or is not given leaves
+    Budget()'s default.  A budget of 0 leaves the exact enumerators nothing,
+    so only --heuristic answers."""
+    given = {field: getattr(args, dest, None) for field, dest in _BUDGET_FLAGS.items()}
+    budget = Budget(**{field: value for field, value in given.items() if value is not None})
     for name in ("single", "pair", "tuples"):
         if getattr(budget, name) < 0:
             raise InputError("the %s budget must be nonnegative" % name)
@@ -423,7 +431,9 @@ def _cmd_verify(args):
             raise InputError("-k disagrees with %r" % args.theorem)
         k = int(m.group(2))
     budget = _budget(args)
-    if args.family:
+    if args.family is not None:
+        if args.file is not None:
+            raise InputError("verify takes a graph file or --family, not both")
         if not args.steps:
             raise InputError("--family needs --steps")
         spec = parse_family_spec(args.family)
@@ -432,6 +442,8 @@ def _cmd_verify(args):
         doc = document("family:" + args.family, [project(report)],
                        diagnostics={"steps": [s.index for s in steps]})
     else:
+        if args.steps is not None:
+            raise InputError("--steps needs --family")
         if not args.file:
             raise InputError("verify needs a graph file or --family")
         domain = _load_domain(args.file)
@@ -473,6 +485,10 @@ def _cmd_coarea(args):
         if "=" not in item:
             raise InputError("field entries look like id=value, got %r" % item)
         vid, _, val = item.partition("=")
+        if vid not in domain.closure_index:
+            raise InputError("field id %r is not a vertex of the closure" % vid)
+        if vid in field:
+            raise InputError("field id %r is given twice" % vid)
         try:
             field[vid] = float(val)
         except ValueError:
@@ -514,41 +530,47 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s: %s" % (self.prog, message))
 
 
+def _command(sub, name, *flags):
+    """The parser of one subcommand, with those of the budget and heuristic
+    flags that the constants it computes read."""
+    p = sub.add_parser(name)
+    for flag in flags:
+        if flag == "--heuristic":
+            p.add_argument(flag, action="store_true",
+                           help="certified upper bounds from guided candidates "
+                                "instead of exact enumeration")
+        else:
+            p.add_argument(flag, type=int, default=None)
+    return p
+
+
 @functools.cache
 def _parser():
     top = _Parser(prog="isocap",
                   description="capacities, boundary spectra, and two-sided "
                               "eigenvalue bounds on weighted graphs")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget-single", type=int, default=None)
-    common.add_argument("--budget-pair", type=int, default=None)
-    common.add_argument("--budget-tuple", type=int, default=None)
-    common.add_argument("--part-cap", type=int, default=None)
-    common.add_argument("--heuristic", action="store_true",
-                        help="certified upper bounds from guided candidates "
-                             "instead of exact enumeration")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common])
+    p = _command(sub, "spectrum")
     p.add_argument("mode", choices=tuple(DOMAIN_SPECTRA))
     p.add_argument("-k", type=int, default=None, help="number of eigenvalues")
     p.add_argument("file")
     p.set_defaults(run=_cmd_spectrum)
 
-    p = sub.add_parser("cap", parents=[common])
+    p = _command(sub, "cap")
     p.add_argument("-A", required=True, help="comma-separated source ids")
     p.add_argument("-B", default=None, help="comma-separated sink ids")
     p.add_argument("file")
     p.set_defaults(run=_cmd_cap)
 
-    p = sub.add_parser("alpha", parents=[common])
+    p = _command(sub, "alpha", "--budget-single", "--budget-pair", "--heuristic")
     p.add_argument("which", choices=tuple(_ALPHAS))
     p.add_argument("-Y", dest="window", default=None,
                    help="window for the ds variant (default: closure)")
     p.add_argument("file")
     p.set_defaults(run=_cmd_alpha)
 
-    p = sub.add_parser("gamma", parents=[common])
+    p = _command(sub, "gamma", "--budget-tuple", "--part-cap")
     p.add_argument("which", choices=("d", "s"))
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-W", dest="window", default=None,
@@ -556,12 +578,14 @@ def _parser():
     p.add_argument("file")
     p.set_defaults(run=_cmd_gamma)
 
-    p = sub.add_parser("kappa", parents=[common])
+    p = _command(sub, "kappa", "--budget-tuple", "--part-cap")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("file")
     p.set_defaults(run=_cmd_kappa)
 
-    p = sub.add_parser("verify", parents=[common])
+    p = _command(sub, "verify",
+                 "--budget-single", "--budget-pair", "--budget-tuple", "--part-cap",
+                 "--heuristic")
     p.add_argument("theorem", help="one of %s; the k-indexed %s take -k or the form id(k)"
                    % (", ".join(THEOREMS), ", ".join(K_THEOREMS)))
     p.add_argument("file", nargs="?", default=None)
@@ -572,13 +596,13 @@ def _parser():
     # the usage that parse_known_intermixed_args would format on every call
     p.usage = p.format_usage()[len("usage: "):].rstrip("\n")
 
-    p = sub.add_parser("family", parents=[common])
+    p = _command(sub, "family", "--budget-single", "--heuristic")
     p.add_argument("family")
     p.add_argument("--steps", required=True)
     p.add_argument("--emit", choices=("alpha", "cap", "sigma"), required=True)
     p.set_defaults(run=_cmd_family)
 
-    p = sub.add_parser("coarea", parents=[common])
+    p = _command(sub, "coarea")
     p.add_argument("file")
     p.add_argument("--field", required=True, help="comma-separated id=value pairs")
     p.set_defaults(run=_cmd_coarea)

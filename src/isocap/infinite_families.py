@@ -42,6 +42,9 @@ KINDS = ("path_segment", "t3", "binary_tree", "lattice_box", "half_space")
 # Kinds that admit a symmetry-reduced model.
 _REDUCIBLE = ("binary_tree", "lattice_box")
 
+# Kinds whose spec dimension is read; the others are one-dimensional.
+DIMENSIONED = ("lattice_box", "half_space")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -56,7 +59,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError("unknown family kind %r; known: %s" % (self.kind, ", ".join(KINDS)))
-        if self.kind in ("lattice_box", "half_space") and self.dim < 1:
+        if self.kind in DIMENSIONED and self.dim < 1:
             raise InputError("dimension must be >= 1")
         if self.quotient and self.kind not in _REDUCIBLE:
             raise InputError("no reduced model for kind %r" % self.kind)

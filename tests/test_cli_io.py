@@ -116,6 +116,20 @@ def test_family_spec_parsing():
         parse_family_spec("binary_tree:summable")
     with pytest.raises(InputError):
         parse_family_spec("")
+    # the specs the benchmark runs
+    for text in ("path_segment", "binary_tree", "binary_tree:quotient", "lattice_box:2",
+                 "lattice_box:3", "lattice_box:2:quotient", "lattice_box:3:quotient",
+                 "half_space:3"):
+        assert parse_family_spec(text).kind == text.split(":")[0]
+    # a token that would do nothing: a dimension of a kind without one, or a
+    # second value of one option
+    for text, message in [("binary_tree:7", "gives a dimension to 'binary_tree'"),
+                          ("path_segment:1", "gives a dimension to 'path_segment'"),
+                          ("lattice_box:2:3", "sets its dim twice"),
+                          ("lattice_box:quotient:full", "sets its quotient twice"),
+                          ("lattice_box:2:summable:summable", "sets its mass_rule twice")]:
+        with pytest.raises(InputError, match=message):
+            parse_family_spec(text)
 
 
 def run_json(capsys, argv):
@@ -226,6 +240,22 @@ def test_family_cap_on_path_segments(capsys):
 PATH4 = "v 0 1\nv 1 1\nv 2 1\nv 3 1\ne 0 1 1\ne 1 2 1\ne 2 3 1\nomega 1 2\n"
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--family", "path_segment", "--steps", "2..3"],
+     "verify takes a graph file or --family, not both"),
+    (["--steps", "1..3"], "--steps needs --family")])
+def test_verify_takes_a_file_or_a_family(capsys, tmp_path, extra, message):
+    path = tmp_path / "path4.graph"
+    path.write_text(PATH4)
+    theorem = "bottom" if "--family" in extra else "dirichlet_1"
+    alone = extra if "--family" in extra else [str(path)]
+    assert run_command(["verify", theorem] + alone) == EXIT_OK
+    capsys.readouterr()
+    code, doc = run_json(capsys, ["verify", theorem, str(path)] + extra)
+    assert code == EXIT_INPUT
+    assert doc["error"] == {"kind": "input", "message": message}
+
+
 @pytest.mark.parametrize("argv", [["alpha", "d", "--budget-single"],
                                   ["alpha", "s", "--budget-pair"]])
 def test_budget_zero_leaves_only_the_heuristic(capsys, tmp_path, argv):
@@ -245,13 +275,65 @@ def test_budget_zero_leaves_only_the_heuristic(capsys, tmp_path, argv):
 def test_negative_budget_is_an_input_error(capsys, tmp_path, flag):
     path = tmp_path / "path4.graph"
     path.write_text(PATH4)
-    code, doc = run_json(capsys, ["kappa", "-k", "1", flag, "-1", str(path)])
+    # a subcommand that reads the flag
+    command = {"--budget-single": ["alpha", "d"], "--budget-pair": ["alpha", "s"],
+               "--budget-tuple": ["kappa", "-k", "1"]}[flag]
+    code, doc = run_json(capsys, command + [flag, "-1", str(path)])
     assert code == EXIT_INPUT
     assert doc["error"]["kind"] == "input"
     assert "must be nonnegative" in doc["error"]["message"]
     if flag == "--budget-tuple":
-        code, doc = run_json(capsys, ["kappa", "-k", "1", flag, "0", str(path)])
+        code, doc = run_json(capsys, command + [flag, "0", str(path)])
         assert code == EXIT_BUDGET
+
+
+# subcommand -> the budget and heuristic flags it takes: those that the
+# constants it computes read
+BUDGET_FLAGS = ("--budget-single", "--budget-pair", "--budget-tuple", "--part-cap",
+                "--heuristic")
+FLAGS_TAKEN = {
+    "spectrum": (),
+    "cap": (),
+    "alpha": ("--budget-single", "--budget-pair", "--heuristic"),
+    "gamma": ("--budget-tuple", "--part-cap"),
+    "kappa": ("--budget-tuple", "--part-cap"),
+    "verify": BUDGET_FLAGS,
+    "family": ("--budget-single", "--heuristic"),
+    "coarea": (),
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, tmp_path):
+    sub = next(a for a in _parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(FLAGS_TAKEN)
+    taken = {}
+    for command, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        taken[command] = tuple(f for f in BUDGET_FLAGS if f in options)
+    assert taken == FLAGS_TAKEN
+    assert sum(len(flags) for flags in taken.values()) == 14
+    path = tmp_path / "path4.graph"
+    path.write_text(PATH4)
+    file = str(path)
+    # one invocation per subcommand that exits 0 without the flag
+    runs = {"spectrum": ["spectrum", "steklov", file], "cap": ["cap", "-A", "1", file],
+            "alpha": ["alpha", "s", file], "gamma": ["gamma", "s", "-k", "1", file],
+            "kappa": ["kappa", "-k", "1", file], "verify": ["verify", "steklov_1", file],
+            "family": ["family", "path_segment", "--steps", "2..3", "--emit", "cap"],
+            "coarea": ["coarea", file, "--field", "0=0,1=1,2=1,3=0"]}
+    for command, argv in runs.items():
+        assert run_command(argv) == EXIT_OK, argv
+        capsys.readouterr()
+        for flag in BUDGET_FLAGS:
+            if flag in FLAGS_TAKEN[command]:
+                continue
+            code = run_command(argv + ([flag] if flag == "--heuristic" else [flag, "3"]))
+            out, err = capsys.readouterr()
+            assert code == EXIT_INPUT, (command, flag)
+            assert json.loads(out)["error"] == {
+                "kind": "input", "message": "isocap: unrecognized arguments: %s"
+                % (flag if flag == "--heuristic" else flag + " 3")}
+            assert err == ""
 
 
 def test_coarea_command(capsys, line5):
@@ -261,6 +343,19 @@ def test_coarea_command(capsys, line5):
     res = doc["results"][0]
     assert res["holds"] is True
     assert res["value"] <= 2.0 * res["energy"] + 1e-12
+
+
+@pytest.mark.parametrize("field,message", [
+    ("0=0,1=1,2=1,3=0,zz=7", "field id 'zz' is not a vertex of the closure"),
+    ("0=0,1=1,2=1,3=0,1=5", "field id '1' is given twice")])
+def test_coarea_field_ids_are_each_a_closure_vertex_once(capsys, tmp_path, field, message):
+    path = tmp_path / "path4.graph"
+    path.write_text(PATH4)
+    code, doc = run_json(capsys, ["coarea", str(path), "--field", "0=0,1=1,2=1,3=0"])
+    assert code == EXIT_OK and doc["results"][0]["value"] == pytest.approx(1.0, rel=1e-12)
+    code, doc = run_json(capsys, ["coarea", str(path), "--field", field])
+    assert code == EXIT_INPUT
+    assert doc["error"] == {"kind": "input", "message": message}
 
 
 def test_exit_codes(capsys, tmp_path, t3_file, monkeypatch):
@@ -623,31 +718,35 @@ def _argvs(draw):
     steps = ["--steps", st.sampled_from(("1..2", "1,3", "2..1", "x"))]
     theorems = THEOREMS + tuple("%s(%d)" % (t, k) for t in K_THEOREMS for k in (1, 2))
     k, heuristic = ["-k", small], ["--heuristic"]
+    single, pair = ["--budget-single", small], ["--budget-pair", small]
+    tuples, part_cap = ["--budget-tuple", small], ["--part-cap", small]
     # command -> (positionals, required options, other options it takes)
     grammar = {
         "spectrum": ([st.sampled_from(tuple(DOMAIN_SPECTRA))], [], [k]),
         "cap": ([], [["-A", ids]], [["-B", ids]]),
-        "alpha": ([st.sampled_from(("d", "n", "s", "ds"))], [], [["-Y", ids], heuristic]),
-        "gamma": ([st.sampled_from(("d", "s"))], [k], [["-W", ids]]),
-        "kappa": ([], [k], []),
-        "verify": ([st.sampled_from(theorems)], [], [k, heuristic]),
+        "alpha": ([st.sampled_from(("d", "n", "s", "ds"))], [],
+                  [["-Y", ids], heuristic, single, pair]),
+        "gamma": ([st.sampled_from(("d", "s"))], [k], [["-W", ids], tuples, part_cap]),
+        "kappa": ([], [k], [tuples, part_cap]),
+        "verify": ([st.sampled_from(theorems)], [],
+                   [k, heuristic, single, pair, tuples, part_cap]),
         "family": ([specs], [steps, ["--emit", st.sampled_from(("alpha", "cap", "sigma"))]],
-                   [heuristic]),
+                   [heuristic, single]),
         "coarea": ([], [["--field", field]], []),
     }
-    budgets = [["--budget-single", small], ["--budget-pair", small]]
     command = draw(st.sampled_from(tuple(grammar)))
-    positional, required, takes = grammar[command]
+    positional, required, pool = grammar[command]
     groups = [[draw(word)] for word in positional]
     if command == "verify" and _sometimes(draw):
         required = [["--family", specs], steps]
     elif command != "family":
         groups.append([_FILE])
-    pool = takes + budgets
     if _sometimes(draw):
         pool = [g for spec in grammar.values() for g in spec[1] + spec[2]]
-    options = required + draw(st.lists(st.sampled_from(pool), max_size=2,
-                                       unique_by=lambda g: g[0]))
+    options = required
+    if pool:
+        options = options + draw(st.lists(st.sampled_from(pool), max_size=2,
+                                          unique_by=lambda g: g[0]))
     for option in options:
         group = [t if isinstance(t, str) else draw(t) for t in option]
         groups.insert(draw(st.integers(0, len(groups))), group)
