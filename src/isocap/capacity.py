@@ -17,7 +17,7 @@ import numpy as np
 from .constants import _limit
 from .errors import InfeasibleError, InputError
 from .graph_core import energy
-from .linear_core import solve_spd, stiffness_matrix
+from .linear_core import block_solver, block_stiffness
 
 
 @dataclass
@@ -38,7 +38,11 @@ def _check_sets(domain, A, B):
 
 
 def equilibrium_potential(domain, A, B):
-    """The capacity minimizer: 1 on A, 0 on B, grounded solve elsewhere."""
+    """The capacity minimizer: 1 on A, 0 on B, grounded solve elsewhere.
+
+    The free block is factored on the route of linear_core.block_stiffness:
+    a dense Cholesky below SPARSE_MIN_DIM free rows, a sparse LU of the CSR
+    stiffness from there, where the dense stiffness is never assembled."""
     _check_sets(domain, A, B)
     order = domain.closure
     idx = domain.closure_index
@@ -52,9 +56,9 @@ def equilibrium_potential(domain, A, B):
     pinned[b_idx] = True
     free = np.flatnonzero(~pinned)
     if free.size:
-        k = stiffness_matrix(domain.induced)
+        k = block_stiffness(domain.induced, free)
         b = -k[np.ix_(free, a_idx)].sum(axis=1)
-        f[free] = solve_spd(k[np.ix_(free, free)], b)
+        f[free] = block_solver(k, free)(b)
     # exact minimizer obeys the maximum principle; clip float noise
     np.clip(f, 0.0, 1.0, out=f)
     return {v: float(f[idx[v]]) for v in order}

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .capacity import (CapacityResult, cap, cap_exhaustion, cap_to_boundary,
                        coarea_value)
-from .constants import (Budget, ConstantResult, LimitReport, alpha_dirichlet,
+from .constants import (Budget, ConstantResult, LimitReport, Parts, alpha_dirichlet,
                         alpha_dirichlet_limit, alpha_ds, alpha_neumann,
                         alpha_steklov, alpha_steklov_limit, gamma_k_dirichlet,
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
@@ -176,12 +176,11 @@ def to_json(obj):
 
 def _plain(value):
     """A report value as JSON-ready data: a tuple of vertex ids as a list of
-    strings (a tuple of such tuples, a partition witness, as a list of
-    them), a vertex-keyed dict with string keys, an array as a list; any
-    other value as it is."""
+    strings, a witness of Parts as a list of them, a vertex-keyed dict with
+    string keys, an array as a list; any other value as it is."""
+    if isinstance(value, Parts):
+        return [[str(v) for v in p] for p in value]
     if isinstance(value, tuple):
-        if value and all(isinstance(p, tuple) for p in value):
-            return [[str(v) for v in p] for p in value]
         return [str(v) for v in value]
     if isinstance(value, dict):
         return {str(v): x for v, x in value.items()}

@@ -59,10 +59,17 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+class Parts(tuple):
+    """A witness made of parts, each a tuple of vertex ids: the pair of a
+    pair constant or the packing of a tuple constant.  Its type says that it
+    nests, since a single-set witness of tuple-valued ids (lattice points)
+    looks the same; it compares equal to the plain tuple of its parts."""
+
+
 @dataclass
 class ConstantResult:
     value: object  # float or INFINITE
-    witness: tuple
+    witness: tuple  # the vertex ids of a set, or Parts
     evaluations: int
     heuristic: bool = False
 
@@ -528,7 +535,7 @@ def _pair_constant(k_amb, order, universe, masses, over, field, connected=False)
         raise SingularMatrixError(
             "minimal pair value %r on a connected closure, where every capacity is "
             "positive: the eliminated block cancelled in floating point" % val)
-    return ConstantResult(val, (_ids(order, sa), _ids(order, sb)), n, heuristic=over)
+    return ConstantResult(val, Parts((_ids(order, sa), _ids(order, sb))), n, heuristic=over)
 
 
 @_finite
@@ -730,7 +737,7 @@ def _min_tuple(arity, objective, budget, slot_ids):
         return None
 
     packing = dfs(0, arity, size - 1)
-    witness = tuple(tuple(slot_ids[i] for i in slots) for slots in packing)
+    witness = Parts(tuple(slot_ids[i] for i in slots) for slots in packing)
     return ConstantResult(INFINITE if opt == top else finite[first[opt]], witness,
                           len(values))
 

@@ -12,26 +12,36 @@ every caller that asks for it shares one array.  A dense matrix of more than
 DENSE_MAX_DIM rows is refused with a BudgetError before it is allocated.  A
 dense eigensolve diagonalizes the whole matrix but post-processes (orients,
 checks residuals of, returns) only the eigenpairs its caller asks for.
-schur_solver is the one elimination kernel: spectra._eliminate, which serves
-the four eliminated spectra (Neumann and the three DtN operators), takes its
-Schur complement, the solver of the eliminated block and the coupling block
-from one call, and extends its eigenvectors through the same Cholesky
-factor.
+
+A factored principal block K[rows, rows] has two routes, chosen by
+block_stiffness from the number of rows: below SPARSE_MIN_DIM, cho_factor
+on the dense block, as before the sparse route existed, so those results
+keep their bits; from there, SuperLU (splu, minimum-degree ordering on
+K + K^T, symmetric mode) on the CSR block of sparse_stiffness (the same
+entries bit for bit), and the dense stiffness is never assembled.  Both
+callers take it: capacity.equilibrium_potential for its free block, and
+schur_solver, the one elimination kernel.  spectra._eliminate, which serves
+the four eliminated spectra (Neumann and the three DtN operators), takes
+from schur_solver the Schur complement over the kept rows (dense either
+way), the solver of the eliminated block and the coupling block, and
+extends its eigenvectors through the same factor.  Above the threshold the
+results agree with the dense route's to 1e-12 relative (4e-16 measured for
+capacities, 3.6e-15 of the largest eigenvalue for the spectra).
 
 The lowest Dirichlet eigenpairs of a large window have a sparse route
 (lowest_eigenpairs).  When the block has at least SPARSE_MIN_DIM rows, at
 most SPARSE_MAX_COUNT pairs are asked for and the block is SPD (the domain
-has a boundary), the graph's CSR stiffness (sparse_stiffness, the same
-entries bit for bit) is scaled to D K D, D = M^{-1/2}, and ARPACK's
-shift-invert Lanczos (scipy.sparse.linalg.eigsh, sigma = 0) finds the pairs
-from the fixed start vector sqrt(m), so repeated calls give the same bits.
-Its pairs get the same sign rule and the same residual rule.  Its
-eigenvalues agree with the dense route's to 1e-12 relative on lattice
-windows (2e-14 or better measured), its vectors up to sign where the
-eigenvalue is simple.  Where the two differ by more, the dense route is the
-less accurate: on a unit path with 399 window vertices its lambda_1 is
-1.8e-11 off the closed form, the sparse one 1.1e-13.  scipy.sparse is
-imported on that route only.
+has a boundary), the graph's CSR stiffness is scaled to D K D,
+D = M^{-1/2}, and ARPACK's shift-invert Lanczos
+(scipy.sparse.linalg.eigsh, sigma = 0) finds the pairs from the fixed start
+vector sqrt(m), so repeated calls give the same bits.  Its pairs get the
+same sign rule and the same residual rule.  Its eigenvalues agree with the
+dense route's to 1e-12 relative on lattice windows (2e-14 or better
+measured), its vectors up to sign where the eigenvalue is simple.  Where
+the two differ by more, the dense route is the less accurate: on a unit
+path with 399 window vertices its lambda_1 is 1.8e-11 off the closed form,
+the sparse one 1.1e-13.  scipy.sparse is imported on the sparse routes
+only.
 """
 
 import functools
@@ -44,17 +54,29 @@ import scipy.linalg
 from .errors import BudgetError, InputError, SingularMatrixError
 
 # Largest dense matrix, in rows, that is assembled or diagonalized: 128 MiB
-# per matrix.  The largest dense operators of the test suite and of the
-# benchmark have 1,215 rows; the largest one a documented command builds is
-# the 2,197-vertex graph of `family lattice_box:3 --steps 5..5 --emit alpha
-# --heuristic`.
+# per matrix.  Capacities and eliminated spectra whose factored block has
+# SPARSE_MIN_DIM rows or more assemble none, so the largest dense stiffness
+# of the benchmark has 405 rows (a grounded DtN spectrum of half_space:3 at
+# R = 3, 147 eliminated rows); the test suite builds larger ones, up to the
+# 3,610 rows of half_space:3 at R = 8, only to compare the two routes.  The
+# largest one a documented command builds is the 2,197-vertex graph of
+# `family lattice_box:3 --steps 5..5 --emit alpha --heuristic`.
 DENSE_MAX_DIM = 4096
 
-# The sparse route of lowest_eigenpairs: from SPARSE_MIN_DIM rows and for at
-# most SPARSE_MAX_COUNT pairs.  For one pair on a 2-core x86-64 host with one
-# BLAS thread, dense and sparse tie near 125 window vertices (2.3 vs 2.5 ms
-# on the 2-D box of 121); sparse is ahead from about 160 (4.0 vs 2.7 ms at
-# 169) and far ahead at 729 (90 vs 10 ms).
+# The sparse routes start at SPARSE_MIN_DIM rows: lowest_eigenpairs for at
+# most SPARSE_MAX_COUNT pairs, and block_stiffness for a factored principal
+# block.  Measured on a 2-core x86-64 host with one BLAS thread:
+# - one Dirichlet pair: dense and sparse tie near 125 window vertices (2.3 vs
+#   2.5 ms on the 2-D box of 121); sparse is ahead from about 160 (4.0 vs
+#   2.7 ms at 169) and far ahead at 729 (90 vs 10 ms);
+# - one factored block, the call timed with its stiffness assembly: a
+#   capacity ties near 195 free rows on the 2-D box (1.07 vs 1.09 ms), near
+#   200 on binary trees and near 340 on the 3-D box (2.25 vs 2.29 ms); a
+#   Schur complement ties near 210-230 eliminated rows on 2-D and 3-D boxes
+#   and trees, and a whole grounded DtN spectrum near 320 on half_space:3
+#   (5.2 vs 4.9 ms at 324).  The median tie, about 230 rows, is close
+#   enough to share the threshold.  Sparse is far ahead at 728 rows (a 3-D
+#   capacity, 14.9 vs 6.3 ms) and at 1,023 (a tree capacity, 35 vs 2.9 ms).
 SPARSE_MIN_DIM = 200
 SPARSE_MAX_COUNT = 4
 
@@ -290,25 +312,74 @@ def solve_spd(K, b):
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
+def block_stiffness(graph, rows):
+    """The stiffness of graph in the form that factors its principal block
+    K[rows, rows]: the dense array of stiffness_matrix below
+    SPARSE_MIN_DIM rows, the CSR of sparse_stiffness from there, so a
+    large block never assembles the dense matrix.  The type of the matrix
+    is the route: block_solver and schur_solver factor a dense block by
+    Cholesky and a CSR block by SuperLU."""
+    if len(rows) >= SPARSE_MIN_DIM:
+        return sparse_stiffness(graph)
+    return stiffness_matrix(graph)
+
+
+def block_solver(K, rows, message=None):
+    """solve(b) = K[rows, rows]^{-1} b for a stiffness K from block_stiffness.
+
+    A dense K is sliced and factored by cho_factor; a CSR K by splu
+    (MMD_AT_PLUS_A, SymmetricMode, as in _sparse_lowest) on its CSR block.
+    A principal block of a stiffness is symmetric and diagonally dominant,
+    so it is SPD exactly when it is nonsingular.  A factor that fails raises
+    SingularMatrixError with message, or the solver's own.
+    """
+    if isinstance(K, np.ndarray):
+        try:
+            factor = scipy.linalg.cho_factor(K[np.ix_(rows, rows)], check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(message or str(exc)) from exc
+        return functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
+    block = K[rows][:, rows]
+    # symmetric: the CSR arrays of the block are also its CSC arrays
+    block = csc_array((block.data, block.indices, block.indptr), shape=block.shape)
+    try:
+        lu = splu(block, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular factor
+        raise SingularMatrixError(message or str(exc)) from exc
+    return lu.solve
+
+
 def schur_solver(K, keep, eliminate):
-    """(S, solve, K_EK) for the positions keep (K) and eliminate (E) of K,
-    each in the order given: S = K_KK - K_KE K_EE^{-1} K_EK, solve(b) =
-    K_EE^{-1} b from the Cholesky factor that formed S, and the block K_EK.
-    With nothing to eliminate, S is K_KK and solve and K_EK are None.
+    """(S, solve, K_EK) for the positions keep (K) and eliminate (E) of a
+    stiffness K from block_stiffness, each in the order given:
+    S = K_KK - K_KE K_EE^{-1} K_EK, solve = block_solver(K, eliminate), the
+    factor that formed S, and the block K_EK.  With nothing to eliminate, S
+    is K_KK and solve and K_EK are None.
 
     A DtN operator forms S and extends its eigenvectors v through E by
-    solve(-K_EK v): one factorization, and each solve gives the bits of
-    solve_spd(K_EE, b).
+    solve(-K_EK v): one factorization for both.  On a dense K each solve
+    gives the bits of solve_spd(K_EE, b).  On a CSR K, S is the one dense
+    matrix (its rows checked against DENSE_MAX_DIM first), K_EK stays CSR,
+    and K_EE^{-1} K_EK is formed a band of kept columns at a time, each band
+    at most DENSE_MAX_DIM^2 entries, so a large eliminated block never
+    allocates more than the dense budget at once.
     """
-    kkk = K[np.ix_(keep, keep)]
-    if not len(eliminate):
-        return kkk, None, None
-    kee = K[np.ix_(eliminate, eliminate)]
+    keep, eliminate = list(keep), list(eliminate)
+    _check_dense(len(keep))
+    s = _dense(K[np.ix_(keep, keep)])
+    if not eliminate:
+        return s, None, None
     kek = K[np.ix_(eliminate, keep)]
-    try:
-        factor = scipy.linalg.cho_factor(kee, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("eliminated block is not SPD") from exc
-    solve = functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
-    s = kkk - kek.T @ solve(kek)
+    solve = block_solver(K, eliminate, "eliminated block is not SPD")
+    # one band on a dense K: its eliminated rows are within the dense budget
+    band = max(1, DENSE_MAX_DIM ** 2 // len(eliminate))
+    for j in range(0, len(keep), band):
+        s[:, j:j + band] -= kek.T @ solve(_dense(kek[:, j:j + band]))
     return 0.5 * (s + s.T), solve, kek
+
+
+def _dense(block):
+    return block if isinstance(block, np.ndarray) else block.toarray()

@@ -10,8 +10,11 @@ Lambda_W and the variant S_Omega) differ only in the stiffness block and the
 positions they keep and eliminate.  One routine, _eliminate, serves
 dtn_operator and all four spectra: it forms the Schur complement
 (linear_core.schur_solver), solves the eigenproblem, and extends each
-eigenvector through the eliminated block with the same Cholesky factor
-(harmonically for the DtN operators, by zero flux for Neumann).
+eigenvector through the eliminated block with the same factor
+(harmonically for the DtN operators, by zero flux for Neumann).  The factor
+is a dense Cholesky below 200 eliminated rows and a sparse LU of the CSR
+stiffness from there (linear_core.block_stiffness); the Schur form over the
+kept rows is dense either way.
 
 The Dirichlet problem is the one caller of linear_core.lowest_eigenpairs,
 which takes a sparse shift-invert route for a few pairs of a large window
@@ -28,8 +31,8 @@ import numpy as np
 from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
-from .linear_core import (lowest_eigenpairs, schur_solver, solve_spd, stiffness_matrix,
-                          sym_eig_generalized)
+from .linear_core import (block_stiffness, lowest_eigenpairs, schur_solver, solve_spd,
+                          stiffness_matrix, sym_eig_generalized)
 
 
 @dataclass
@@ -160,25 +163,25 @@ def neumann_spectrum(domain, count=None):
         raise InputError("count exceeds |Omega|")
     if count < 1:
         raise InputError("count must be positive")
-    _, spectrum = _eliminate(stiffness_matrix(domain.induced), range(n),
-                             range(n, len(domain.closure)), domain.interior,
-                             domain.boundary, domain.graph.mass)
+    _, spectrum = _eliminate(domain.induced, range(n), range(n, len(domain.closure)),
+                             domain.interior, domain.boundary, domain.graph.mass)
     return spectrum(count)
 
 
-def _eliminate(k, keep, elim, keep_ids, elim_ids, mass):
-    """The DtN operator of the stiffness block k on the positions keep, the
+def _eliminate(graph, keep, elim, keep_ids, elim_ids, mass):
+    """The DtN operator of the stiffness of graph on the positions keep, the
     positions elim eliminated; keep_ids and elim_ids name them in the same
     orders and mass maps ids to masses.
 
     Returns the operator, checked and named in an error as dtn_operator,
     and spectrum(count): the count lowest eigenpairs of form v = sigma M v
     with each eigenvector v extended through elim by solve(-K_EK v), one
-    Cholesky factor for the form and every field, each field (keep ids,
+    factor for the form and every field, each field (keep ids,
     then elim ids), the fields checked together and named in an error as
     harmonic_extension; a spectrum whose fields are finite but some kept
     K_ii / m_i is not is an InputError too.
     """
+    k = block_stiffness(graph, elim)
     form, solve, k_ek = schur_solver(k, keep, elim)
     op = DtnOperator(boundary=tuple(keep_ids), form=form,
                      mass=np.array([mass[v] for v in keep_ids]))
@@ -209,8 +212,8 @@ def _steklov(domain):
     if not domain.boundary:
         raise InputError("domain has no boundary")
     n = len(domain.interior)
-    return _eliminate(stiffness_matrix(domain.induced), range(n, len(domain.closure)),
-                      range(n), domain.boundary, domain.interior, domain.graph.mass)
+    return _eliminate(domain.induced, range(n, len(domain.closure)), range(n),
+                      domain.boundary, domain.interior, domain.graph.mass)
 
 
 @_finite
@@ -298,7 +301,7 @@ def grounded_dtn_spectrum(domain, W, count=None):
         raise InputError("count must be in 1..|W cap boundary|")
     # grounding keeps the weights of edges leaving W on the diagonal
     at = domain.closure_index
-    _, spectrum = _eliminate(stiffness_matrix(domain.induced), [at[z] for z in w_bnd],
+    _, spectrum = _eliminate(domain.induced, [at[z] for z in w_bnd],
                              [at[v] for v in w_int], w_bnd, w_int, domain.graph.mass)
     return spectrum(count)
 
@@ -323,7 +326,7 @@ def hm_dtn_spectrum(graph, omega, count=None):
     if not 1 <= count <= n:
         raise InputError("count must be in 1..|Omega|")
     at = graph.index
-    _, spectrum = _eliminate(stiffness_matrix(graph), [at[v] for v in keep],
+    _, spectrum = _eliminate(graph, [at[v] for v in keep],
                              [at[v] for v in drop], keep, drop, graph.mass)
     return spectrum(count)
 

@@ -179,8 +179,15 @@ def _window(domain, W):
 
 
 def _grounded(step, k, count=None):
+    """The k-th grounded DtN eigenvalue of a step, INFINITE past the
+    dimension.  A window that misses the boundary of U has no grounded
+    operator, and a bound on it would hold vacuously: an InputError."""
     spec = grounded_dtn_spectrum(step.domain, step.W, count=count)
-    if is_infinite(spec) or len(spec.eigenvalues) < k:
+    if is_infinite(spec):
+        raise InputError("the window of step %d does not meet the boundary of U: "
+                         "the grounded DtN operator needs a binary_tree or half_space "
+                         "family" % step.index)
+    if len(spec.eigenvalues) < k:
         return INFINITE
     return spec.eigenvalues[k - 1]
 

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from isocap import (InfeasibleError, InputError, LimitReport, WeightedGraph, cap,
                     cap_exhaustion, cap_to_boundary, coarea_value, energy,
-                    equilibrium_potential, laplacian_apply, make_domain)
+                    equilibrium_potential, laplacian_apply, linear_core, make_domain,
+                    solve_spd, stiffness_matrix)
 from isocap.infinite_families import (FamilySpec, default_source, generate_steps,
                                       line_domain, path_graph, t3_example)
+from isocap.linear_core import SPARSE_MIN_DIM
 from isocap.testing import random_domain
+from test_spectra import box_window
 
 
 def capacity_by_descent(domain, A, B, tol=1e-13, max_sweeps=200000):
@@ -183,3 +186,91 @@ def test_exhaustion_report_holds_the_per_step_capacities(spec):
     assert rep.limit_estimate == rep.values[-1]
     assert rep.error_bar == abs(rep.values[-1] - rep.values[-2])
     assert cap_exhaustion(steps[:1], source).error_bar == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the factored free block: dense below SPARSE_MIN_DIM rows, sparse from there
+
+
+def _step(spec, index):
+    steps = generate_steps(spec, [index])
+    return steps[-1].domain, default_source(spec), steps[-1].sink
+
+
+def _dense_potential(domain, A, B):
+    """The equilibrium potential by the dense arithmetic, written out."""
+    idx = domain.closure_index
+    f = np.zeros(len(domain.closure))
+    a_idx = sorted(idx[v] for v in set(A))
+    f[a_idx] = 1.0
+    pinned = set(a_idx) | {idx[v] for v in B}
+    free = [i for i in range(len(f)) if i not in pinned]
+    k = stiffness_matrix(domain.induced)
+    f[free] = solve_spd(k[np.ix_(free, free)], -k[np.ix_(free, a_idx)].sum(axis=1))
+    np.clip(f, 0.0, 1.0, out=f)
+    return {v: float(f[idx[v]]) for v in domain.closure}
+
+
+def _box_case(side):
+    g, W = box_window(side, 2, np.random.default_rng(side))
+    dom = make_domain(g, W)
+    return dom, [W[len(W) // 2]], dom.boundary
+
+
+def test_capacities_below_the_threshold_keep_the_dense_bits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sparse factor ran")
+
+    monkeypatch.setattr(linear_core, "sparse_stiffness", refuse)
+    cases = ([_step(FamilySpec("binary_tree"), i) for i in (3, 5, 7)]  # up to 127 free rows
+             + [_step(FamilySpec("lattice_box", dim=2), r) for r in (3, 6)]  # 48 and 168
+             # one free row short of the sparse route
+             + [(line_domain(SPARSE_MIN_DIM)[1], [0], [SPARSE_MIN_DIM])])
+    for seed in range(6):
+        dom = random_domain(np.random.default_rng(seed))
+        cases.append((dom, [dom.interior[0]], dom.boundary))
+    for dom, A, B in cases:
+        got = cap(dom, A, B)
+        want = _dense_potential(dom, A, B)
+        assert [x.hex() for x in got.potential.values()] == [x.hex() for x in want.values()]
+        assert got.value == energy(dom, want, want)
+
+
+ABOVE_THRESHOLD = (
+    [("binary_tree %d" % i, lambda i=i: _step(FamilySpec("binary_tree"), i)) for i in (8, 9)]
+    + [("half_space:3 R=%d" % r, lambda r=r: _step(FamilySpec("half_space", dim=3), r))
+       for r in range(4, 9)]
+    + [("lattice_box:2 r=%d" % r, lambda r=r: _step(FamilySpec("lattice_box", dim=2), r))
+       for r in (8, 10)]
+    + [("random 2-D box %d" % side, lambda side=side: _box_case(side)) for side in (15, 20, 30)]
+)
+
+
+@pytest.mark.parametrize("label,case", ABOVE_THRESHOLD, ids=[c[0] for c in ABOVE_THRESHOLD])
+def test_capacities_sparse_and_dense_agree(label, case, monkeypatch):
+    dom, A, B = case()
+    sparse = cap(dom, A, B)
+    assert len(dom.closure) - len(set(A)) - len(set(B)) >= SPARSE_MIN_DIM
+    monkeypatch.setattr(linear_core, "SPARSE_MIN_DIM", 10 ** 9)  # every block dense
+    dense = cap(*case())
+    assert abs(sparse.value - dense.value) <= 1e-12 * dense.value
+    # a potential lies in [0, 1] and is 1 on A
+    assert list(sparse.potential) == list(dense.potential)
+    assert max(abs(sparse.potential[v] - x) for v, x in dense.potential.items()) <= 1e-12
+
+
+def test_binary_tree_capacity_past_the_dense_budget():
+    # step 12 has 8,192 closure vertices, 4,095 of them free: past the dense
+    # budget, and Cap = 2^12 / (2^13 - 1) from the root to generation 12
+    spec = FamilySpec("binary_tree")
+    rep = cap_exhaustion(generate_steps(spec, [12]), default_source(spec))
+    assert abs(rep.values[0] - 4096 / 8191) <= 1e-12 * (4096 / 8191)
+
+
+def test_sparse_capacity_is_deterministic():
+    runs = [[cap(*_step(FamilySpec("half_space", dim=3), 5)), cap(*_box_case(20))]
+            for _ in range(2)]
+    for a, b in zip(*runs):
+        assert a.value.hex() == b.value.hex()
+        assert [x.hex() for x in a.potential.values()] == \
+            [x.hex() for x in b.potential.values()]

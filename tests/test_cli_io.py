@@ -18,6 +18,7 @@ from isocap.cli_io import (EXIT_BUDGET, EXIT_FAILED, EXIT_INPUT, EXIT_OK,
                            _parser, emit_graph, parse_family_spec, parse_graph,
                            project, run_command, to_json)
 from isocap.infinite_families import generate_steps, t3_example
+from isocap.linear_core import SPARSE_MIN_DIM
 from isocap.spectra import DOMAIN_SPECTRA
 from isocap.verify import K_THEOREMS, REGISTRY, STEPS, THEOREMS, check
 
@@ -790,3 +791,57 @@ def test_hostile_inputs_end_in_a_json_report(fuzz_dir, text, argv):
         assert doc["error"]["kind"] in ("input", "numerical", "budget")
     else:
         assert "results" in doc
+
+
+def _hanging_path(tmp_path, n, ends):
+    """A unit path on the vertices 1..n whose ends hang on edges of weight
+    5e-324 to the vertices in ends (0 and n + 1): each degree rounds back to
+    its unit sum, so the block of 1..n is exactly singular.  Every vertex but
+    n + 1 is in Omega."""
+    ids = [v for v in range(n + 2) if v in ends or 1 <= v <= n]
+    path = tmp_path / "hanging.graph"
+    path.write_text("".join("v %d 1\n" % v for v in ids)
+                    + ("e 0 1 5e-324\n" if 0 in ends else "")
+                    + "".join("e %d %d 1\n" % (v, v + 1) for v in range(1, n))
+                    + "e %d %d 5e-324\n" % (n, n + 1)
+                    + "omega " + " ".join(str(v) for v in ids if v <= n) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [SPARSE_MIN_DIM - 1, SPARSE_MIN_DIM])
+def test_a_singular_factored_block_is_a_numerical_error(capsys, tmp_path, n):
+    # a block of n rows: the dense route below SPARSE_MIN_DIM, the sparse one
+    # at it; either way the singular block is a numerical error
+    code, doc = run_json(capsys, ["cap", "-A", "0", _hanging_path(tmp_path, n, (0, n + 1))])
+    assert code == EXIT_INPUT and doc["error"]["kind"] == "numerical"
+    # Steklov eliminates the interior 1..n
+    code, doc = run_json(capsys, ["spectrum", "steklov", _hanging_path(tmp_path, n, (n + 1,))])
+    assert code == EXIT_INPUT
+    assert doc["error"] == {"kind": "numerical", "message": "eliminated block is not SPD"}
+
+
+@pytest.mark.parametrize("family,steps", [("path_segment", "2..3"), ("t3", "0..0")])
+def test_dtn_bottom_needs_a_grounded_window(capsys, family, steps):
+    # the grounded DtN operator of a window that misses the boundary of U is
+    # empty: a bound on it would hold vacuously, with ratio infinite/infinite
+    code, doc = run_json(capsys, ["verify", "dtn_bottom", "--family", family,
+                                  "--steps", steps])
+    assert code == EXIT_INPUT
+    assert doc["error"]["kind"] == "input"
+    assert "does not meet the boundary of U" in doc["error"]["message"]
+    code, doc = run_json(capsys, ["verify", "dtn_bottom", "--family", "half_space:2",
+                                  "--steps", "1..3"])
+    assert code == EXIT_OK and doc["results"][0]["upper_ok"] is True
+
+
+def test_witness_nesting_follows_the_constant(capsys):
+    # alpha_D's witness is one set: of lattice points, each id as one string
+    code, doc = run_json(capsys, ["verify", "bottom", "--family", "lattice_box:1",
+                                  "--steps", "1..2"])
+    assert code == EXIT_OK
+    assert doc["results"][0]["witness"] == ["(-1,)", "(0,)", "(1,)"]
+    # a tuple constant's witness is a list of parts, whatever its ids are
+    code, doc = run_json(capsys, ["verify", "higher_steklov_infinite", "-k", "1",
+                                  "--family", "half_space:2", "--steps", "1..1"])
+    witness = doc["results"][0]["witness"]
+    assert len(witness) == 1 and all(isinstance(v, str) for v in witness[0])

@@ -10,7 +10,8 @@ from isocap import (InputError, SingularMatrixError, WeightedGraph, solve_spd,
 from isocap.infinite_families import path_graph
 from isocap import linear_core
 from isocap.errors import BudgetError
-from isocap.linear_core import (DENSE_MAX_DIM, _fix_signs, _residual, schur_solver,
+from isocap.linear_core import (DENSE_MAX_DIM, SPARSE_MIN_DIM, _fix_signs, _residual,
+                                block_solver, block_stiffness, schur_solver,
                                 sparse_stiffness)
 
 TOL = 1e-12
@@ -296,3 +297,63 @@ def test_schur_complement_index_checks_and_empty_elimination():
     for bad in ([4], [0, 7]):
         with pytest.raises(IndexError):
             schur_solver(K, [0], bad)
+
+
+def _random_graph(n, seed):
+    """A connected graph on n vertices: a random spanning tree plus n extra
+    edges, with log-uniform weights."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(pairs) < 2 * n - 1:
+        i, j = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        pairs.add((i, j))
+    return WeightedGraph(range(n), {v: 1.0 for v in range(n)},
+                         [(i, j, 10.0 ** rng.uniform(-1, 1)) for i, j in sorted(pairs)])
+
+
+def test_block_stiffness_takes_the_csr_from_the_sparse_threshold():
+    g = _random_graph(SPARSE_MIN_DIM + 10, 1)
+    assert block_stiffness(g, range(SPARSE_MIN_DIM - 1)) is stiffness_matrix(g)
+    assert block_stiffness(g, range(SPARSE_MIN_DIM)) is sparse_stiffness(g)
+
+
+def test_schur_solver_on_the_csr_stiffness_matches_the_dense_one():
+    g = _random_graph(60, 2)
+    rng = np.random.default_rng(3)
+    order = rng.permutation(60).tolist()
+    keep, elim = order[:15], order[15:]
+    dense = schur_solver(stiffness_matrix(g), keep, elim)
+    sparse = schur_solver(sparse_stiffness(g), keep, elim)
+    assert isinstance(sparse[0], np.ndarray)
+    assert np.abs(sparse[0] - dense[0]).max() <= 1e-13 * np.abs(dense[0]).max()
+    assert np.array_equal(sparse[0], sparse[0].T)
+    assert np.array_equal(sparse[2].toarray(), dense[2])
+    b = rng.normal(size=len(elim))
+    assert np.abs(sparse[1](b) - dense[1](b)).max() <= 1e-12 * np.abs(dense[1](b)).max()
+    # nothing to eliminate: K_KK itself, dense
+    S, solve, k_ek = schur_solver(sparse_stiffness(g), keep, [])
+    assert np.array_equal(S, stiffness_matrix(g)[np.ix_(keep, keep)])
+    assert solve is None and k_ek is None
+
+
+def test_sparse_schur_form_is_built_in_bands_of_kept_columns(monkeypatch):
+    g = _random_graph(60, 4)
+    keep, elim = list(range(20)), list(range(20, 60))
+    whole = schur_solver(sparse_stiffness(g), keep, elim)[0]
+    # 400 // 40 = 10 kept columns per band: two bands
+    monkeypatch.setattr(linear_core, "DENSE_MAX_DIM", 20)
+    banded = schur_solver(sparse_stiffness(g), keep, elim)[0]
+    assert np.abs(banded - whole).max() <= 1e-14 * np.abs(whole).max()
+    with pytest.raises(BudgetError):
+        schur_solver(sparse_stiffness(g), list(range(21)), list(range(21, 60)))
+
+
+def test_singular_blocks_raise_on_either_route():
+    # a whole connected graph's stiffness is singular: its rows sum to zero
+    g = path_graph(SPARSE_MIN_DIM)
+    rows = list(range(len(g.vertices)))
+    for K in (stiffness_matrix(g), sparse_stiffness(g)):
+        with pytest.raises(SingularMatrixError):
+            block_solver(K, rows)
+        with pytest.raises(SingularMatrixError, match="eliminated block is not SPD"):
+            schur_solver(K, [], rows)

@@ -15,7 +15,8 @@ from isocap import (INFINITE, InputError, WeightedGraph, WeightSchedule,
                     vanishing_weight_spectrum)
 from isocap import linear_core
 from isocap.errors import BudgetError
-from isocap.infinite_families import (FamilySpec, generate, line_domain,
+from isocap.cli_io import parse_family_spec
+from isocap.infinite_families import (FamilySpec, generate, generate_steps, line_domain,
                                       t3_example)
 from isocap.linear_core import (SPARSE_MAX_COUNT, SPARSE_MIN_DIM, _residual,
                                 lowest_eigenpairs, schur_solver)
@@ -451,3 +452,167 @@ def test_boundary_free_and_large_counts_take_the_dense_route(monkeypatch):
     whole = lowest_eigenpairs(g, len(g.vertices), [g.mass[v] for v in g.vertices], 1)
     assert whole.eigenvalues.tobytes() == sym_eig_generalized(
         k, [g.mass[v] for v in g.vertices], count=1).eigenvalues.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the factored block of the eliminated spectra: dense below SPARSE_MIN_DIM
+# eliminated rows, sparse from there
+
+
+def _grounded_case(step):
+    dom, wset = step.domain, set(step.W)
+    return (grounded_dtn_spectrum(dom, step.W), dom.induced, dom.graph.mass,
+            [z for z in dom.boundary if z in wset], [v for v in dom.interior if v in wset])
+
+
+def _steklov_case(dom):
+    return steklov_spectrum(dom), dom.induced, dom.graph.mass, dom.boundary, dom.interior
+
+
+def _neumann_case(dom):
+    return neumann_spectrum(dom), dom.induced, dom.graph.mass, dom.interior, dom.boundary
+
+
+def _hm_case(graph, omega):
+    oset = set(omega)
+    return (hm_dtn_spectrum(graph, omega), graph, graph.mass,
+            [v for v in graph.vertices if v in oset],
+            [v for v in graph.vertices if v not in oset])
+
+
+def _family_step(spec, index):
+    return generate_steps(parse_family_spec(spec), [index])[-1]
+
+
+def _dense_elimination(graph, mass, keep_ids, elim_ids, count):
+    """The eliminated spectrum by the dense arithmetic, written out: one
+    Cholesky factor of K_EE for the symmetrized Schur form and every field."""
+    k = stiffness_matrix(graph)
+    keep = [graph.index[v] for v in keep_ids]
+    elim = [graph.index[v] for v in elim_ids]
+    kek = k[np.ix_(elim, keep)]
+    factor = scipy.linalg.cho_factor(k[np.ix_(elim, elim)], check_finite=False)
+    s = k[np.ix_(keep, keep)] - kek.T @ scipy.linalg.cho_solve(factor, kek, check_finite=False)
+    res = sym_eig_generalized(0.5 * (s + s.T), [mass[v] for v in keep_ids], count=count)
+    for j in range(count):
+        v = res.vectors[:, j]
+        f = {x: float(v[i]) for i, x in enumerate(keep_ids)}
+        f.update(zip(elim_ids, scipy.linalg.cho_solve(factor, (-kek) @ v,
+                                                      check_finite=False).tolist()))
+        res.fields.append(f)
+    return res
+
+
+def _below_threshold_cases():
+    for r in (1, 2, 3):  # 9, 50 and 147 eliminated rows
+        yield _grounded_case(_family_step("half_space:3", r))
+    for i in (3, 5, 7):  # 7, 31 and 127
+        yield _grounded_case(_family_step("binary_tree", i))
+    # a unit path whose interior is one row short of the sparse route
+    yield _steklov_case(make_domain(unit_path(SPARSE_MIN_DIM + 1), range(SPARSE_MIN_DIM - 1)))
+    for seed in range(6):
+        dom = random_domain(np.random.default_rng(seed))
+        yield _steklov_case(dom)
+        yield _neumann_case(dom)
+        yield _hm_case(dom.graph, dom.interior)
+
+
+def test_eliminated_spectra_below_the_threshold_keep_the_dense_bits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sparse factor ran")
+
+    monkeypatch.setattr(linear_core, "sparse_stiffness", refuse)
+    for got, graph, mass, keep_ids, elim_ids in _below_threshold_cases():
+        assert len(elim_ids) < SPARSE_MIN_DIM
+        want = _dense_elimination(graph, mass, keep_ids, elim_ids, len(got.eigenvalues))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.residual_norm == want.residual_norm
+        assert [_bits(f) for f in got.fields] == [_bits(f) for f in want.fields]
+
+
+def _random_box(side, dim):
+    return box_window(side, dim, np.random.default_rng(side))
+
+
+# (label, the spectrum's case, run on either route)
+ABOVE_THRESHOLD = (
+    [("grounded half_space:3 R=%d" % r,
+      lambda r=r: _grounded_case(_family_step("half_space:3", r))) for r in range(4, 9)]
+    + [("grounded binary_tree %d" % i,
+        lambda i=i: _grounded_case(_family_step("binary_tree", i))) for i in (8, 9)]
+    + [("steklov half_space:3 R=4", lambda: _steklov_case(_family_step("half_space:3", 4).domain)),
+       ("hm half_space:3 R=4",
+        lambda: _hm_case(_family_step("half_space:3", 4).graph, _family_step("half_space:3", 4).W))]
+    + [("steklov random 2-D box %d" % side,
+        lambda side=side: _steklov_case(make_domain(*_random_box(side, 2)))) for side in (15, 20)]
+    + [("hm random 2-D box %d" % side,
+        lambda side=side: _hm_case(_random_box(side, 2)[0], _random_box(side, 2)[1][:side * 4]))
+       for side in (15, 20)]
+    # the boundary of a 2-D box reaches SPARSE_MIN_DIM rows only at side 50,
+    # where the dense Neumann eigensolve has 2,500 rows; a 3-D box of side 6
+    # has 216 boundary and 216 interior vertices
+    + [("neumann random 3-D box 6", lambda: _neumann_case(make_domain(*_random_box(6, 3))))]
+)
+
+
+@pytest.mark.parametrize("label,case", ABOVE_THRESHOLD, ids=[c[0] for c in ABOVE_THRESHOLD])
+def test_eliminated_spectra_sparse_and_dense_agree(label, case, monkeypatch):
+    sparse, _, _, keep_ids, elim_ids = case()
+    assert len(elim_ids) >= SPARSE_MIN_DIM
+    monkeypatch.setattr(linear_core, "SPARSE_MIN_DIM", 10 ** 9)  # every block dense
+    dense = case()[0]
+    a, b = sparse.eigenvalues, dense.eigenvalues
+    scale = np.abs(b).max()
+    # to 1e-12 of the largest eigenvalue (sigma_0 = 0 has no relative
+    # error), and of each one for a grounded operator, which is SPD
+    assert np.abs(a - b).max() <= 1e-12 * scale
+    if label.startswith("grounded"):
+        assert (np.abs(a - b) / b).max() <= 1e-12
+    assert sparse.residual_norm <= 1e-13 and dense.residual_norm <= 1e-13
+    assert abs(sparse.residual_norm - dense.residual_norm) <= 1e-12
+    # each field of a simple eigenvalue, up to sign, to 1e-12 of its largest
+    # value where its relative gap is 1e-2 or more; an eigenvector moves by
+    # about the form's rounding over the gap, so a closer pair gets
+    # 1e-14 / gap, and a pair closer than 1e-6 (a symmetry's repeated
+    # eigenvalue) has no one eigenvector to compare
+    gaps = np.minimum(np.diff(b, prepend=-np.inf), np.diff(b, append=np.inf)) / scale
+    compared = 0
+    for j, gap in enumerate(gaps):
+        if gap < 1e-6:
+            continue
+        assert list(sparse.fields[j]) == list(dense.fields[j])
+        fa = np.array(list(sparse.fields[j].values()))
+        fb = np.array(list(dense.fields[j].values()))
+        err = min(np.abs(fa - fb).max(), np.abs(fa + fb).max())
+        assert err <= 1e-14 / min(gap, 1e-2) * np.abs(fb).max()
+        compared += 1
+    assert compared >= 1
+
+
+def test_grounded_spectrum_past_the_dense_budget():
+    # half_space:3 at R = 9: a closure of 4,851 vertices, past the dense
+    # budget, with 3,249 eliminated and 361 kept rows
+    step = _family_step("half_space:3", 9)
+    res = grounded_dtn_spectrum(step.domain, step.W, count=1)
+    assert res.residual_norm <= 1e-14
+    # the grounded sigma_1 decreases along the half_space windows
+    smaller = _family_step("half_space:3", 8)
+    assert 0 < res.eigenvalues[0] < grounded_dtn_spectrum(smaller.domain, smaller.W,
+                                                          count=1).eigenvalues[0]
+    with pytest.raises(BudgetError):
+        stiffness_matrix(step.domain.induced)
+
+
+def test_sparse_factor_is_deterministic():
+    runs = []
+    for _ in range(2):
+        step = _family_step("half_space:3", 5)
+        g, W = _random_box(16, 2)
+        runs.append([grounded_dtn_spectrum(step.domain, step.W),
+                     steklov_spectrum(make_domain(g, W))])
+    for a, b in zip(*runs):
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.residual_norm == b.residual_norm
+        assert [_bits(f) for f in a.fields] == [_bits(f) for f in b.fields]
