@@ -1,17 +1,6 @@
 """Capacities, boundary spectra, and two-sided eigenvalue bounds on weighted
 graphs, with exhaustion limits for a few infinite families.
-
-Set ISOCAP_THREADS before importing to cap the BLAS thread pools; it only
-takes effect if this package is imported before numpy.
 """
-
-import os as _os
-
-_threads = _os.environ.get("ISOCAP_THREADS")
-if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"
 

@@ -41,7 +41,8 @@ from .constants import (Budget, ConstantResult, LimitReport, Parts, alpha_dirich
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import WeightedGraph, energy, make_domain
-from .infinite_families import DIMENSIONED, FamilySpec, default_source, generate_steps
+from .infinite_families import (KINDS, FamilyKind, FamilySpec, default_source,
+                                generate_steps, kinds_with)
 from .infinity import is_infinite
 from .linear_core import SpectralResult
 from .spectra import DOMAIN_SPECTRA
@@ -241,14 +242,13 @@ def document(source, results, domain=None, diagnostics=None):
 # ---------------------------------------------------------------------------
 # family specs
 
-_U_KINDS = ("binary_tree", "half_space")
-
-
 def parse_family_spec(text):
     """Family grammar: kind[:N][:quotient|:full][:summable],
     e.g. lattice_box:3:quotient:summable.  Each option is given at most once,
-    and N only to a kind with a dimension (DIMENSIONED)."""
+    N only to a kind with a dimension and summable only to a summable kind
+    (their entries in KINDS)."""
     kind, *options = text.split(":")
+    entry = KINDS.get(kind, FamilyKind(None, None))  # an unknown kind admits nothing
     fields = {}
     for opt in options:
         if opt.isdigit():
@@ -256,16 +256,18 @@ def parse_family_spec(text):
         elif opt in ("quotient", "full"):
             field, value = "quotient", opt == "quotient"
         elif opt == "summable":
-            if kind != "lattice_box":
-                raise InputError("summable masses are a lattice_box option")
+            if not entry.summable:
+                raise InputError("summable masses are a %s option" % kinds_with("summable"))
             field, value = "mass_rule", lambda x: 2.0 ** -max(abs(c) for c in x)
         else:
             raise InputError("unknown family option %r" % opt)
         if field in fields:
             raise InputError("family spec %r sets its %s twice" % (text, field))
         fields[field] = value
-    spec = FamilySpec(kind, **fields)
-    if "dim" in fields and kind not in DIMENSIONED:
+    # a kind without a dimension is checked at dim 1, so that FamilySpec's
+    # own messages come before this one, which names the spec
+    spec = FamilySpec(kind, **(fields if entry.dimensioned else dict(fields, dim=1)))
+    if "dim" in fields and not entry.dimensioned:
         raise InputError("family spec %r gives a dimension to %r, which has none"
                          % (text, kind))
     return spec
@@ -455,7 +457,7 @@ def _cmd_family(args):
     spec = parse_family_spec(args.family)
     steps = generate_steps(spec, _parse_steps(args.steps))
     budget = _budget(args)
-    grounded = spec.kind in _U_KINDS
+    grounded = KINDS[spec.kind].grounded
     if args.emit == "cap":
         res = cap_exhaustion(steps, default_source(spec))
         results = [project(res, "cap_exhaustion")]

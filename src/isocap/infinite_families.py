@@ -19,6 +19,9 @@ left-to-right float sum, from 0.0, of its members' rule values, in the order
 a loop over the full snapshot's points (then edges) meets them.  With the
 default unit rules a tree generation's totals are its exact counts, so the
 reduced tree costs O(depth) rather than O(2^depth).
+
+Every fact about a kind is in its entry of KINDS, and nothing else names a
+kind: a new kind is its builder and one entry, whose flags the tests check.
 """
 
 import functools
@@ -37,13 +40,18 @@ from .graph_core import WeightedGraph, make_domain
 
 FamilyStep = namedtuple("FamilyStep", "index graph domain W sink")
 
-KINDS = ("path_segment", "t3", "binary_tree", "lattice_box", "half_space")
 
-# Kinds that admit a symmetry-reduced model.
-_REDUCIBLE = ("binary_tree", "lattice_box")
+# build(spec, step) -> FamilyStep; source(spec): the default source set, in
+# every step's closure.  spec.dim is read by a dimensioned kind (others take
+# only 1), spec.quotient by a reducible one; grounded windows meet the boundary
+# of U; a single kind is one fixed graph, without rules; summable: CLI option.
+FamilyKind = namedtuple("FamilyKind", "build source dimensioned reducible grounded single "
+                        "summable", defaults=(False,) * 5)
 
-# Kinds whose spec dimension is read; the others are one-dimensional.
-DIMENSIONED = ("lattice_box", "half_space")
+
+def kinds_with(flag):
+    """The names of the kinds that set flag, in table order, joined by "or"."""
+    return " or ".join(name for name, kind in KINDS.items() if getattr(kind, flag))
 
 
 @dataclass(frozen=True)
@@ -59,10 +67,15 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError("unknown family kind %r; known: %s" % (self.kind, ", ".join(KINDS)))
-        if self.kind in DIMENSIONED and self.dim < 1:
+        entry = KINDS[self.kind]
+        if entry.dimensioned and self.dim < 1:
             raise InputError("dimension must be >= 1")
-        if self.quotient and self.kind not in _REDUCIBLE:
+        if self.quotient and not entry.reducible:
             raise InputError("no reduced model for kind %r" % self.kind)
+        if self.dim != 1 and not entry.dimensioned:
+            raise InputError("family kind %r has no dimension" % self.kind)
+        if entry.single and (self.mass_rule is not None or self.weight_rule is not None):
+            raise InputError("family kind %r is a fixed graph without rules" % self.kind)
 
     def mass(self, v):
         return 1.0 if self.mass_rule is None else float(self.mass_rule(v))
@@ -75,11 +88,7 @@ def path_graph(n, weight_rule=None, mass_rule=None):
     """Path on vertices 0..n with unit weights and masses by default."""
     if n < 1:
         raise InputError("path needs n >= 1")
-    spec = FamilySpec("path_segment", mass_rule=mass_rule, weight_rule=weight_rule)
-    vertices = list(range(n + 1))
-    masses = {v: spec.mass(v) for v in vertices}
-    edges = [(v, v + 1, spec.weight(v, v + 1)) for v in range(n)]
-    return WeightedGraph(vertices, masses, edges)
+    return _full_graph(mass_rule, weight_rule, list(range(n + 1)), range(n), range(1, n + 1))
 
 
 def line_domain(n, weight_rule=None, mass_rule=None):
@@ -101,10 +110,7 @@ _T3_EDGES = (
 def t3_example():
     """Ten-vertex tree: root x1, its three children, six leaves; omega is the
     root plus children."""
-    vertices = ["x%d" % k for k in range(1, 11)]
-    masses = {v: 1.0 for v in vertices}
-    edges = [(u, v, 1.0) for u, v in _T3_EDGES]
-    graph = WeightedGraph(vertices, masses, edges)
+    graph = _full_graph(None, None, ["x%d" % k for k in range(1, 11)], *zip(*_T3_EDGES))
     return graph, make_domain(graph, ("x1", "x2", "x3", "x4"))
 
 
@@ -122,12 +128,23 @@ def _left_sum(values, start=0.0):
     return functools.reduce(operator.add, values, start)
 
 
-def _full_graph(spec, vertices, us, vs):
+def _full_graph(mass_rule, weight_rule, vertices, us, vs):
     """The graph on `vertices` with edges (us[k], vs[k]); one rule call per
     vertex, then one per edge, in the order given."""
-    masses = dict(zip(vertices, _rule_values(spec.mass_rule, vertices)))
-    weights = _rule_values(spec.weight_rule, us, vs)
+    masses = dict(zip(vertices, _rule_values(mass_rule, vertices)))
+    weights = _rule_values(weight_rule, us, vs)
     return WeightedGraph(vertices, masses, list(zip(us, vs, weights)))
+
+
+def _interior_step(index, graph, domain):
+    # the window is the whole interior, so the sink is the boundary
+    return FamilyStep(index, graph, domain, domain.interior, domain.boundary)
+
+
+def _path_step(spec, n):
+    if n < 2:
+        raise InputError("path step needs n >= 2")
+    return _interior_step(n, *line_domain(n, spec.weight_rule, spec.mass_rule))
 
 
 def _binary_tree_step(spec, i):
@@ -165,7 +182,7 @@ def _binary_tree_step(spec, i):
     inner = range(2, 2 ** i + 1)
     us = [1, *inner, *inner]
     vs = [2, *range(3, top, 2), *range(4, top + 1, 2)]
-    graph = _full_graph(spec, range(1, top + 1), us, vs)
+    graph = _full_graph(spec.mass_rule, spec.weight_rule, range(1, top + 1), us, vs)
     domain = make_domain(graph, range(2, top + 1))
     window = tuple(range(1, 2 ** i + 1))
     sink = tuple(range(2 ** i + 1, top + 1))
@@ -200,10 +217,10 @@ def _lattice_box_step(spec, r):
     outer = r + 1
     points, coords, src, dst = _lattice([range(-outer, outer + 1)] * dim)
     if not spec.quotient:
-        graph = _full_graph(spec, points, _picks(points, src), _picks(points, dst))
-        window = tuple(itertools.compress(points, (np.abs(coords).max(axis=1) <= r).tolist()))
-        domain = make_domain(graph, window)
-        return FamilyStep(r, graph, domain, window, domain.boundary)
+        graph = _full_graph(spec.mass_rule, spec.weight_rule, points, _picks(points, src),
+                            _picks(points, dst))
+        window = itertools.compress(points, (np.abs(coords).max(axis=1) <= r).tolist())
+        return _interior_step(r, graph, make_domain(graph, window))
     # an orbit is the sorted |coordinates|; read as base-(outer+1) digits it
     # is an integer whose order is the order of the orbit tuples
     digits = np.sort(np.abs(coords), axis=1)
@@ -224,9 +241,7 @@ def _lattice_box_step(spec, r):
     a, b = np.divmod(keys, len(orbits))
     edges = list(zip(_picks(orbits, a), _picks(orbits, b), weights.tolist()))
     graph = WeightedGraph(orbits, dict(zip(orbits, masses.tolist())), edges)
-    window = tuple(v for v in orbits if v[-1] <= r)
-    domain = make_domain(graph, window)
-    return FamilyStep(r, graph, domain, window, domain.boundary)
+    return _interior_step(r, graph, make_domain(graph, (v for v in orbits if v[-1] <= r)))
 
 
 def _half_space_step(spec, R):
@@ -236,7 +251,8 @@ def _half_space_step(spec, R):
     outer = R + 1
     points, coords, src, dst = _lattice([range(-outer, outer + 1)] * (dim - 1)
                                         + [range(outer + 1)])
-    graph = _full_graph(spec, points, _picks(points, src), _picks(points, dst))
+    graph = _full_graph(spec.mass_rule, spec.weight_rule, points, _picks(points, src),
+                        _picks(points, dst))
     inside = coords[:, -1] >= 1
     domain = make_domain(graph, list(itertools.compress(points, inside.tolist())))
     in_w = np.abs(coords).max(axis=1) <= R
@@ -253,49 +269,45 @@ def _half_space_step(spec, R):
     return FamilyStep(R, graph, domain, window, sink)
 
 
-_BUILDERS = {
-    "binary_tree": _binary_tree_step,
-    "lattice_box": _lattice_box_step,
-    "half_space": _half_space_step,
+def _origin(spec):
+    return ((0,) * spec.dim,)
+
+
+# the family kinds, in the order that messages list them; a step index is a
+# segment length, a tree depth or a window radius (t3 ignores it)
+KINDS = {
+    # vertex 0 is in every step's sink
+    "path_segment": FamilyKind(_path_step, lambda spec: (1,)),
+    "t3": FamilyKind(lambda spec, step: _interior_step(0, *t3_example()), lambda spec: ("x1",),
+                     single=True),
+    # the root: label 1, or generation 0 of the quotient
+    "binary_tree": FamilyKind(_binary_tree_step, lambda spec: (0,) if spec.quotient else (1,),
+                              reducible=True, grounded=True),
+    "lattice_box": FamilyKind(_lattice_box_step, _origin, dimensioned=True, reducible=True,
+                              summable=True),
+    "half_space": FamilyKind(_half_space_step, _origin, dimensioned=True, grounded=True),
 }
 
 
 def generate(spec, step=None):
-    """The step-indexed snapshot of the family.
-
-    Trees are indexed by generation depth, boxes and slabs by window radius,
-    paths by segment length.  The t3 example has a single snapshot and
-    ignores the index.
-
-    The spec's rules are called once per vertex and once per edge of the
-    full snapshot, quotient or not; each quotient mass or weight is the
-    left-to-right sum, from 0.0, of its members' values in point order (for
-    tree weights: edges to odd children, then to even ones).  A quotient
-    tree with the default unit rules costs O(step): its generation totals
-    are the exact counts 2^(j-1) and 2^j.
-    """
-    if spec.kind == "t3":
-        graph, domain = t3_example()
-        return FamilyStep(0, graph, domain, domain.interior, domain.boundary)
-    if step is None:
+    """The step-indexed snapshot of the family, from its kind's builder; the
+    rules are called as the module docstring says (once per vertex and edge
+    of the full snapshot, quotient or not)."""
+    entry = KINDS[spec.kind]
+    if step is None and not entry.single:
         raise InputError("family kind %r needs a step index" % spec.kind)
-    if spec.kind == "path_segment":
-        if step < 2:
-            raise InputError("path step needs n >= 2")
-        graph, domain = line_domain(step, spec.weight_rule, spec.mass_rule)
-        return FamilyStep(step, graph, domain, domain.interior, domain.boundary)
-    return _BUILDERS[spec.kind](spec, step)
+    return entry.build(spec, step)
 
 
 def generate_steps(spec, indices):
-    """Snapshots for an increasing index sequence, validated as such.  The
-    single-snapshot t3 kind takes exactly one index."""
+    """Snapshots for an increasing index sequence, validated as such.  A
+    single-snapshot kind takes exactly one index."""
     indices = [int(i) for i in indices]
     if not indices:
         raise InputError("empty index sequence")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise InputError("step indices must be strictly increasing")
-    if spec.kind == "t3" and len(indices) > 1:
+    if KINDS[spec.kind].single and len(indices) > 1:
         raise InputError("family kind %r has a single snapshot; pass one step index"
                          % spec.kind)
     return [generate(spec, i) for i in indices]
@@ -303,13 +315,7 @@ def generate_steps(spec, indices):
 
 def default_source(spec):
     """A canonical small source set for capacity runs over the family."""
-    if spec.kind == "path_segment":
-        return (1,)  # vertex 0 is in every step's sink
-    if spec.kind == "t3":
-        return ("x1",)
-    if spec.kind == "binary_tree":
-        return (0,) if spec.quotient else (1,)
-    return ((0,) * spec.dim,)
+    return KINDS[spec.kind].source(spec)
 
 
 def half_space_test_field(N, r0, R):

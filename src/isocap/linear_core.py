@@ -14,19 +14,19 @@ dense eigensolve diagonalizes the whole matrix but post-processes (orients,
 checks residuals of, returns) only the eigenpairs its caller asks for.
 
 A factored principal block K[rows, rows] has two routes, chosen by
-block_stiffness from the number of rows: below SPARSE_MIN_DIM, cho_factor
-on the dense block, as before the sparse route existed, so those results
-keep their bits; from there, SuperLU (splu, minimum-degree ordering on
-K + K^T, symmetric mode) on the CSR block of sparse_stiffness (the same
-entries bit for bit), and the dense stiffness is never assembled.  Both
-callers take it: capacity.equilibrium_potential for its free block, and
-schur_solver, the one elimination kernel.  spectra._eliminate, which serves
-the four eliminated spectra (Neumann and the three DtN operators), takes
-from schur_solver the Schur complement over the kept rows (dense either
-way), the solver of the eliminated block and the coupling block, and
-extends its eigenvectors through the same factor.  Above the threshold the
-results agree with the dense route's to 1e-12 relative (4e-16 measured for
-capacities, 3.6e-15 of the largest eigenvalue for the spectra).
+block_stiffness from the number of rows: below SPARSE_MIN_DIM, cho_factor on
+the dense block, as before the sparse route existed, so those results keep
+their bits; from there, SuperLU (splu, minimum-degree ordering on K + K^T,
+symmetric mode) on the CSR block of sparse_stiffness (the same entries bit
+for bit), and the dense stiffness is never assembled.  It serves
+capacity.equilibrium_potential (the free block), spectra.harmonic_extension
+(K_II) and schur_solver, the one elimination kernel.  spectra._eliminate,
+which serves the four eliminated spectra (Neumann and the three DtN
+operators), takes from schur_solver the Schur complement over the kept rows
+(dense either way), the solver of the eliminated block and the coupling
+block, and extends its eigenvectors through the same factor.  Above the
+threshold the results agree with the dense route's to 1e-12 relative (4e-16
+measured for capacities, 3.6e-15 of the largest eigenvalue for the spectra).
 
 The lowest Dirichlet eigenpairs of a large window have a sparse route
 (lowest_eigenpairs).  When the block has at least SPARSE_MIN_DIM rows, at

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
-from .linear_core import (block_stiffness, lowest_eigenpairs, schur_solver, solve_spd,
+from .linear_core import (block_solver, block_stiffness, lowest_eigenpairs, schur_solver,
                           stiffness_matrix, sym_eig_generalized)
 
 
@@ -224,12 +224,14 @@ def dtn_operator(domain):
 
 @_finite
 def harmonic_extension(domain, boundary_values):
-    """Extend boundary data into Omega harmonically (w.r.t. G_Omega)."""
-    n = len(domain.interior)
-    k = stiffness_matrix(domain.induced)
+    """Extend boundary data into Omega harmonically (w.r.t. G_Omega), through
+    the factor of K_II that the Steklov fields take (block_solver)."""
+    interior = range(len(domain.interior))
+    k = block_stiffness(domain.induced, interior)
     vec = np.array([boundary_values[z] for z in domain.boundary])
     out = {z: float(boundary_values[z]) for z in domain.boundary}
-    out.update(zip(domain.interior, solve_spd(k[:n, :n], -k[:n, n:] @ vec).tolist()))
+    k_ib = k[np.ix_(interior, range(len(interior), len(domain.closure)))]
+    out.update(zip(domain.interior, block_solver(k, interior)(-k_ib @ vec).tolist()))
     return out
 
 

@@ -23,7 +23,7 @@ from .constants import (_monotone_scan, alpha_dirichlet, alpha_ds,
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .errors import InputError
 from .graph_core import SteklovDomain, make_domain
-from .infinite_families import FamilyStep
+from .infinite_families import FamilyStep, kinds_with
 from .linear_core import sym_eig_generalized
 from .spectra import (DOMAIN_SPECTRA, _finite, dirichlet_spectrum, dtn_operator,
                       grounded_dtn_spectrum)
@@ -185,8 +185,8 @@ def _grounded(step, k, count=None):
     spec = grounded_dtn_spectrum(step.domain, step.W, count=count)
     if is_infinite(spec):
         raise InputError("the window of step %d does not meet the boundary of U: "
-                         "the grounded DtN operator needs a binary_tree or half_space "
-                         "family" % step.index)
+                         "the grounded DtN operator needs a %s family"
+                         % (step.index, kinds_with("grounded")))
     if len(spec.eigenvalues) < k:
         return INFINITE
     return spec.eigenvalues[k - 1]

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import time
@@ -7,12 +8,13 @@ import pytest
 from isocap import (InputError, WeightedGraph, cap, cap_exhaustion,
                     dirichlet_spectrum, energy, grounded_dtn_spectrum,
                     make_domain)
-from isocap.cli_io import parse_family_spec
-from isocap.infinite_families import (FamilySpec, FamilyStep, default_source,
-                                      generate, generate_steps,
+from isocap.cli_io import parse_family_spec, run_command
+from isocap.infinite_families import (KINDS, FamilyKind, FamilySpec, FamilyStep,
+                                      default_source, generate, generate_steps,
                                       half_space_capacity_bound,
                                       half_space_test_field, line_domain,
                                       path_graph, t3_example)
+from isocap.infinity import is_infinite
 
 # frozen values of the slab capacity bound (dimension 3)
 HALF_SPACE_R30 = {
@@ -233,11 +235,12 @@ def test_deep_tree_quotient_is_cheap_and_exact():
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_non_finite_rules_are_rejected(bad):
-    for kind in ("binary_tree", "lattice_box", "half_space"):
+    # a tree has no dimension, so FamilySpec refuses dim 2 for it
+    for kind, dim in (("binary_tree", 1), ("lattice_box", 2), ("half_space", 2)):
         with pytest.raises(InputError, match="mass of .* must be"):
-            generate(FamilySpec(kind, dim=2, mass_rule=lambda v: bad), 2)
+            generate(FamilySpec(kind, dim=dim, mass_rule=lambda v: bad), 2)
         with pytest.raises(InputError, match="weight of .* must be"):
-            generate(FamilySpec(kind, dim=2, weight_rule=lambda u, v: bad), 2)
+            generate(FamilySpec(kind, dim=dim, weight_rule=lambda u, v: bad), 2)
     with pytest.raises(InputError, match="mass of .* must be"):
         generate(FamilySpec("lattice_box", dim=2, quotient=True, mass_rule=lambda v: bad), 2)
     with pytest.raises(InputError, match="must be"):
@@ -391,3 +394,99 @@ def test_tree_exhaustion_through_cap_sequence():
     expect = [2.0**i / (2.0 ** (i + 1) - 1.0) for i in range(1, 13)]
     assert seq.values == pytest.approx(expect, rel=1e-9)
     assert seq.limit_estimate == pytest.approx(0.5, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the table of kinds: each entry's flags against what its builder does
+
+
+def _forced(spec, **fields):
+    """A copy of spec with fields set past FamilySpec's checks, to see what
+    the kind's builder does with an option that the table refuses."""
+    spec = copy.copy(spec)
+    for name, value in fields.items():
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+def _shape(step):
+    """A snapshot's bits without its index."""
+    bits = snapshot_bits(step)
+    del bits["index"]
+    return bits
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_entry_matches_its_builder(kind):
+    entry = KINDS[kind]
+    spec = FamilySpec(kind)
+    first, second = (entry.build(spec, i) for i in (2, 3))
+    # single: the first steps give one snapshot
+    assert (_shape(first) == _shape(second)) == entry.single
+    # grounded: the windows meet the boundary of U
+    for step in (first, second):
+        assert (not is_infinite(grounded_dtn_spectrum(step.domain, step.W, count=1))) \
+            == entry.grounded
+    # dimensioned: dim 2 changes the snapshot, and only then is it accepted
+    assert (_shape(entry.build(_forced(spec, dim=2), 2)) != _shape(first)) == entry.dimensioned
+    # reducible: a quotient changes the snapshot, and only then is it accepted
+    assert (_shape(entry.build(_forced(spec, quotient=True), 2)) != _shape(first)) \
+        == entry.reducible
+    for fields, accepted in (({"dim": 2}, entry.dimensioned),
+                             ({"quotient": True}, entry.reducible)):
+        if accepted:
+            FamilySpec(kind, **fields)
+        else:
+            with pytest.raises(InputError):
+                FamilySpec(kind, **fields)
+    # summable: the CLI option is accepted exactly on these kinds
+    if entry.summable:
+        parse_family_spec(kind + ":summable")
+    else:
+        with pytest.raises(InputError, match="summable masses"):
+            parse_family_spec(kind + ":summable")
+    # the default source lies in the first step's closure, in every variant
+    variants = [{}] + [{"dim": 2}] * entry.dimensioned + [{"quotient": True}] * entry.reducible
+    for fields in variants:
+        variant = FamilySpec(kind, **fields)
+        assert set(default_source(variant)) <= set(generate(variant, 2).domain.closure)
+
+
+def test_a_spec_refuses_a_dimension_its_kind_ignores():
+    # a tree's builder never reads dim, so dim 7 would build the dim 1 tree
+    with pytest.raises(InputError, match="'binary_tree' has no dimension"):
+        FamilySpec("binary_tree", dim=7)
+    # the CLI's own message, which names the spec, still comes first
+    with pytest.raises(InputError, match="gives a dimension to 'binary_tree'"):
+        parse_family_spec("binary_tree:7")
+    with pytest.raises(InputError, match="no reduced model"):
+        parse_family_spec("t3:2:quotient")
+
+
+def test_a_spec_refuses_rules_for_a_fixed_graph():
+    # t3 is a fixed graph with unit masses and weights, whatever the rules
+    with pytest.raises(InputError, match="'t3' is a fixed graph"):
+        FamilySpec("t3", mass_rule=lambda v: 2.0)
+    with pytest.raises(InputError, match="'t3' is a fixed graph"):
+        FamilySpec("t3", weight_rule=lambda u, v: 2.0)
+    with pytest.raises(InputError, match="summable masses are a lattice_box option"):
+        parse_family_spec("t3:summable")
+
+
+def _family_outputs(capsys, kind, commands):
+    outs = []
+    for command in commands:
+        code = run_command([part.format(kind) for part in command])
+        outs.append((code, capsys.readouterr().out.replace(kind, "KIND")))
+    return outs
+
+
+def test_a_new_kind_is_one_entry(monkeypatch, capsys):
+    path = KINDS["path_segment"]
+    monkeypatch.setitem(KINDS, "segment_copy", FamilyKind(path.build, path.source))
+    commands = [["family", "{}", "--steps", "2..5", "--emit", emit]
+                for emit in ("cap", "alpha", "sigma")]
+    commands.append(["verify", "bottom", "--family", "{}", "--steps", "2..4"])
+    want = _family_outputs(capsys, "path_segment", commands)
+    assert [code for code, _ in want] == [0, 0, 0, 0]
+    assert _family_outputs(capsys, "segment_copy", commands) == want

@@ -616,3 +616,18 @@ def test_sparse_factor_is_deterministic():
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert a.residual_norm == b.residual_norm
         assert [_bits(f) for f in a.fields] == [_bits(f) for f in b.fields]
+
+
+def test_harmonic_extension_past_the_dense_budget():
+    # half_space:3 at R = 9: 4,851 closure vertices, 4,410 of them interior;
+    # the extension takes the sparse factor of the Steklov fields
+    domain = _family_step("half_space:3", 9).domain
+    res = steklov_spectrum(domain, 2)
+    boundary = {z: res.vectors[i, 1] for i, z in enumerate(domain.boundary)}
+    field = harmonic_extension(domain, boundary)
+    want = res.fields[1]
+    assert list(field) == list(want)
+    scale = max(abs(x) for x in want.values())
+    assert max(abs(field[v] - want[v]) for v in want) <= 1e-12 * scale
+    with pytest.raises(BudgetError):
+        stiffness_matrix(domain.induced)
