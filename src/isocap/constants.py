@@ -32,9 +32,11 @@ _CHUNK = 4096
 # 2-core x86-64), the kernel wins on all shapes above about 6,000 and on none
 # below about 2,300, and the summed time is least from 3,072.
 _CUBE_MIN = 3072
-# Elements (rows x d_amb^2) of one batched solve of _capacity_ratios: 8 MB of
-# float64, which bounds each of its gathered blocks; a candidate larger than
-# the budget is solved alone, as it would be unbatched.
+# Elements of one batched block, 8 MB of float64: rows x d_amb^2 of a
+# _capacity_ratios solve, which bounds each of its gathered blocks (a
+# candidate larger than the budget is solved alone, as it would be
+# unbatched), and unions x (splits + 1) of a _min_pair chunk, which bounds
+# each of its three union x split arrays, whatever the pair budget.
 _SOLVE_ELEMENTS = 1 << 20
 # The relative margin of _heuristic_single's screen is delta = _SCREEN_SLACK
 # * n * kappa^2 * u (_screen_single).  Over the oracle inputs of the tests and
@@ -291,6 +293,14 @@ def _min_pair(k_amb, universe, masses):
     any other chunk by the einsum; both give the same bits.  Raises
     InputError when no split value is a number (every Schur block
     overflowed).
+
+    Workspace: a chunk holds at most _CHUNK unions and three union x split
+    float arrays of at most _SOLVE_ELEMENTS entries each (the block budget
+    of _capacity_ratios): the forms, the A-masses, and one buffer for m_B,
+    min(m_A, m_B) and the split values in turn (from 22 slots a union's
+    splits alone exceed that).  So up to a pair budget of 21 the workspace
+    does not grow with it, and no bit depends on the chunk size: a union's
+    forms and masses are the same in a chunk of any size.
     """
     p = len(universe)
     universe = np.asarray(universe, dtype=int)
@@ -301,7 +311,7 @@ def _min_pair(k_amb, universe, masses):
     for u in range(2, p + 1):
         t, pos, cube = _split_table(u)
         combos = _combinations(p, u)
-        chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
+        chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (len(t) + 1)))
         for lo in range(0, len(combos), chunk):
             part = combos[lo : lo + chunk]
             rows = universe[part]
@@ -324,8 +334,11 @@ def _min_pair(k_amb, universe, masses):
                 m_a = np.einsum("ps,ns->np", t, m_u)
             else:
                 m_a = np.einsum("ps,ns->pn", t, m_u).T
-            m_b = m_u.sum(axis=1)[:, None] - m_a
-            vals = quad / np.minimum(m_a, m_b)
+            # m_b, then min(m_a, m_b), then the split values, in one buffer
+            # laid out like quad
+            vals = np.subtract(m_u.sum(axis=1)[:, None], m_a, out=np.empty_like(quad))
+            np.minimum(m_a, vals, out=vals)
+            np.divide(quad, vals, out=vals)
             examined += vals.size
             vmin = vals.min()
             # with vmin NaN no entry equals it; above the best, _better
@@ -485,8 +498,8 @@ def _over_budget(size, limit, message, heuristic):
     if size <= limit:
         return False
     if not heuristic:
-        raise BudgetError((message + "; pass heuristic=True for a certified upper bound")
-                          % (size, limit))
+        raise BudgetError((message + "; the heuristic (heuristic=True, or --heuristic on "
+                           "the command line) gives a certified upper bound") % (size, limit))
     return True
 
 

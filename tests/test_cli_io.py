@@ -272,6 +272,15 @@ def test_budget_zero_leaves_only_the_heuristic(capsys, tmp_path, argv):
     assert doc["results"][0]["value"] >= exact
 
 
+def test_budget_error_names_the_heuristic_flag(capsys):
+    # a 5 x 5 window: 25 interior vertices, over the single-set budget of 20
+    code, doc = run_json(capsys, ["family", "lattice_box:2", "--steps", "2..3",
+                                  "--emit", "alpha"])
+    assert code == EXIT_BUDGET
+    assert doc["error"]["kind"] == "budget"
+    assert "--heuristic" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("flag", ["--budget-single", "--budget-pair", "--budget-tuple"])
 def test_negative_budget_is_an_input_error(capsys, tmp_path, flag):
     path = tmp_path / "path4.graph"

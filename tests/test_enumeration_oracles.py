@@ -13,6 +13,7 @@ replaced.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from isocap import (INFINITE, Budget, BudgetError, ConstantResult, InputError, W
                     alpha_steklov, beta_tuple, cap, dirichlet_spectrum, gamma_k_dirichlet,
                     gamma_k_steklov, gamma_tilde_dirichlet, is_infinite, kappa_steklov,
                     make_domain, neumann_spectrum, steklov_spectrum)
-from isocap.constants import (_CHUNK, _CUBE_MIN, DEFAULT_BUDGET, _better, _combinations,
-                              _complement, _cube_forms, _first_tied_split,
+from isocap.constants import (_CHUNK, _CUBE_MIN, _SOLVE_ELEMENTS, DEFAULT_BUDGET, _better,
+                              _combinations, _complement, _cube_forms, _first_tied_split,
                               _grounded_values, _levels, _lex_first, _min_pair, _min_single,
                               _min_tuple, _split_forms, _split_table)
 from isocap.infinite_families import line_domain, t3_example
@@ -103,7 +104,7 @@ def ref_min_pair(k_amb, universe, masses, rng=None):
         combos = np.array(list(itertools.combinations(range(p), u)), dtype=int)
         if rng is not None:
             combos = combos[rng.permutation(len(combos))]
-        chunk = max(1, min(_CHUNK, (1 << 22) // max(1, len(bits))))
+        chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // max(1, len(bits))))
         for lo in range(0, len(combos), chunk):
             part = combos[lo : lo + chunk]
             rows = universe[part]
@@ -621,7 +622,7 @@ def test_cube_forms_are_bit_equal_to_the_einsum(u):
     rng = np.random.default_rng(u)
     t, pos, cube = _split_table(u)
     assert not t.flags.writeable and not pos.flags.writeable
-    chunk = max(1, min(_CHUNK, (1 << 22) // (len(t) + 1)))
+    chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (len(t) + 1)))
     sizes = [1, 2, 5]
     if u <= 9:  # the chunk _min_pair uses, while the einsum stays cheap
         sizes.append(chunk)
@@ -630,6 +631,41 @@ def test_cube_forms_are_bit_equal_to_the_einsum(u):
         got = _cube_forms(s_u, cube)
         assert got.shape == (n, len(t))
         assert np.array_equal(_bits(got), _bits(_einsum_forms(t, s_u))), (u, n)
+    # a union's forms and split masses do not depend on how many unions share
+    # its chunk, nor on its place there, so the chunk size decides no bit
+    s_u = _schur_entries(rng, chunk, u)
+    m_u = np.exp(rng.uniform(-30, 30, (chunk, u)))
+    forms = _cube_forms(s_u, cube)
+    masses = np.einsum("ps,ns->np", t, m_u)
+    assert np.array_equal(_bits(np.einsum("ps,ns->pn", t, m_u).T), _bits(masses))
+    for n in (1, 2, 7, 64, 513):
+        if n > chunk:
+            break
+        for part in (slice(None, n), slice(chunk - n, None)):
+            assert np.array_equal(_bits(_cube_forms(s_u[part], cube)), _bits(forms[part])), (u, n)
+            assert np.array_equal(_bits(np.einsum("ps,ns->np", t, m_u[part])),
+                                  _bits(masses[part])), (u, n)
+
+
+@pytest.mark.parametrize("dom, value, witness", [
+    (unit_star(16), "0.4999999999999996", ((1, 2, 3, 4, 5, 6, 7), (8, 9, 10, 11, 12, 13, 14))),
+    (random_star(16, np.random.default_rng(16)), "0.004801733313120055", ((7, 9, 11), (14,))),
+], ids=["unit", "random"])
+def test_pair_workspace_at_the_pair_budget(dom, value, witness):
+    p = DEFAULT_BUDGET.pair
+    for u in range(2, p + 1):  # the shared read-only tables are not workspace
+        _split_table(u)
+        _combinations(p, u)
+    tracemalloc.start()
+    try:
+        res = alpha_steklov(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk holds three union x split arrays of at most _SOLVE_ELEMENTS
+    # entries (8 MB): the peak is near 47 MB
+    assert peak < 64 * 2 ** 20
+    assert (repr(res.value), res.witness, res.evaluations) == (value, witness, 21457825)
 
 
 @pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
