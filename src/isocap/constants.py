@@ -21,22 +21,17 @@ from scipy.linalg import lapack
 
 from .errors import BudgetError, InputError, SingularMatrixError
 from .infinity import INFINITE, is_infinite
-from .linear_core import stiffness_matrix
+from .linear_core import block_stiffness, schur_solver, stiffness_matrix
 from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
                       steklov_spectrum)
 
 _CHUNK = 4096
-# Unions x splits of a _min_pair chunk from which _split_forms takes the
-# hypercube kernel instead of the einsum.  Timed on every chunk shape of one
-# round of the enum_ties and enum_generic benchmark workloads (1 BLAS thread,
-# 2-core x86-64), the kernel wins on all shapes above about 6,000 and on none
-# below about 2,300, and the summed time is least from 3,072.
-_CUBE_MIN = 3072
 # Elements of one batched block, 8 MB of float64: rows x d_amb^2 of a
 # _capacity_ratios solve, which bounds each of its gathered blocks (a
 # candidate larger than the budget is solved alone, as it would be
 # unbatched), and unions x (splits + 1) of a _min_pair chunk, which bounds
-# each of its three union x split arrays, whatever the pair budget.
+# each of its three union x split arrays (the split forms and the two
+# doubling buffers of _split_values), whatever the pair budget.
 _SOLVE_ELEMENTS = 1 << 20
 # The relative margin of _heuristic_single's screen is delta = _SCREEN_SLACK
 # * n * kappa^2 * u (_screen_single).  Over the oracle inputs of the tests and
@@ -180,63 +175,20 @@ def _combinations(p, s):
     return out
 
 
-@functools.lru_cache(maxsize=16)  # all u <= 16 (the pair budget): about 10 MB
+@functools.lru_cache(maxsize=16)  # all u <= 16 (the pair budget): about 2 MB
 def _split_table(u):
-    """The splits of a u-slot union with slot 0 in A and B nonempty, shared
-    read-only: the (2**(u-1) - 1, u) float table t (1.0 for A; row r puts
-    slot j + 1 in A when bit j of r is set), the int8 positions pos of
-    each split's slots (A's ascending, then B's ascending, each side padded
-    to u columns with u), and for each slot pair (s, q) in row-major order
-    the index of the splits holding both slots on the hypercube view of
-    _cube_forms."""
+    """The int8 positions of the splits of a u-slot union with slot 0 in A
+    and B nonempty, shared read-only: row r puts slot j + 1 in A when bit j
+    of r is set, and lists A's slots ascending, then B's ascending, each
+    side padded to u columns with u."""
     bits = np.arange((1 << (u - 1)) - 1)
-    t = np.zeros((len(bits), u))
-    t[:, 0] = 1.0
-    for j in range(u - 1):
-        t[:, j + 1] = (bits >> j) & 1
+    in_a = np.ones((len(bits), u), dtype=bool)
+    in_a[:, 1:] = (bits[:, None] >> np.arange(u - 1)) & 1
     slot = np.arange(u, dtype=np.int8)
-    pos = np.sort(np.hstack([np.where(t > 0, slot, u), np.where(t > 0, u, slot)])
-                  .reshape(len(t), 2, u), axis=2).reshape(len(t), 2 * u).astype(np.int8)
-    t.flags.writeable = pos.flags.writeable = False
-    cube = []
-    for s, q in itertools.product(range(u), repeat=2):
-        index = [slice(None)] * (u - 1)
-        for j in (s, q):
-            if j:  # slot 0 is in every A; slot j is axis u - 1 - j
-                index[u - 1 - j] = 1
-        cube.append(tuple(index))
-    return t, pos, tuple(cube)
-
-
-def _cube_forms(s_u, cube):
-    """The split forms of _split_forms on the split hypercube.
-
-    The split axis, plus the unused all-A split, is viewed as (2,) * (u - 1)
-    with the union axis last and contiguous; each Schur entry (s, q), in
-    row-major order, is added in place onto the splits that hold both slots.
-    That is the einsum's sum with its zero terms left out (it keeps about a
-    quarter of them), and for finite entries adding a zero changes no bit."""
-    n, u, _ = s_u.shape
-    out = np.zeros((1 << (u - 1), n))
-    view = out.reshape((2,) * (u - 1) + (n,))
-    entries = np.ascontiguousarray(s_u.transpose(1, 2, 0)).reshape(u * u, n)
-    for index, entry in zip(cube, entries):
-        sub = view[index]
-        np.add(sub, entry, out=sub)
-    return out[:-1].T
-
-
-def _split_forms(t, s_u, cube):
-    """quad[n, r] = t[r] @ s_u[n] @ t[r] for the 0/1 split rows t of
-    _split_table, bit for bit as np.einsum("ps,nst,pt->np", t, s_u, t).
-
-    Route: the hypercube kernel takes a chunk from _CUBE_MIN unions x splits
-    up, where its u * u vector adds beat the einsum; smaller chunks, and any
-    chunk with a non-finite Schur entry (where 0 * inf gives the einsum its
-    NaN pattern), take the einsum."""
-    if len(s_u) * len(t) < _CUBE_MIN or not np.isfinite(s_u).all():
-        return np.einsum("ps,nst,pt->np", t, s_u, t)
-    return _cube_forms(s_u, cube)
+    pos = np.sort(np.hstack([np.where(in_a, slot, u), np.where(in_a, u, slot)])
+                  .reshape(len(bits), 2, u), axis=2).reshape(len(bits), 2 * u).astype(np.int8)
+    pos.flags.writeable = False
+    return pos
 
 
 def _min_single(k_amb, universe, masses):
@@ -270,83 +222,128 @@ def _min_single(k_amb, universe, masses):
     return best[0], best[1], examined
 
 
-def _min_pair(k_amb, universe, masses):
-    """Exact min over disjoint nonempty pairs A, B subsets of the universe of
-    Cap(A, B)/(m(A) ^ m(B)); everything outside A u B is free.
+def _union_forms(parents, rank, combos, masks, bit):
+    """The (u, u, N) forms of the unions of combos ((N, u) ascending slot
+    rows with slot masks masks) from parents, the forms of the unions one
+    slot larger, their columns mapped from masks by rank.  U drops v, its
+    smallest missing slot, from the parent U | {v}, where v is position v:
+    S_U = S'[k, k] - (b_i * b_j) / c, k U's positions, b = S'[k, v] and
+    c = S'[v, v]."""
+    u = combos.shape[1]
+    w, stride = u + 1, parents.shape[2]
+    pos = np.arange(u)
+    v = (combos == pos).sum(axis=1)
+    keep = pos[:, None] + (pos[:, None] >= v)
+    col = rank[masks | bit[v]]
+    flat = parents.reshape(-1)
+    rows = keep * (w * stride) + col
+    forms = flat[rows[:, None, :] + keep * stride]
+    b = flat[rows + v * stride]
+    drop = b[:, None, :] * b
+    drop /= flat[v * ((w + 1) * stride) + col]
+    forms -= drop
+    return forms
 
-    Normalization: A holds the smallest index of the union.  For each union
-    U the Schur complement of k_amb onto U turns every split into a quadratic
-    form, batched over unions of equal size.  Witness rule: among the
-    minimal-value splits, the smallest (A, B) pair of slot tuples in Python
-    tuple order.  A chunk whose minimum is NaN or above the best so far
-    offers nothing; any other chunk picks its smallest tied split in numpy
-    (_first_tied_split: the tied entries are filtered key column by key
-    column, each column gathered from the union slots through the split
-    positions of _split_table, with no sorting) and offers only that one to
-    the running best.
 
-    Evaluation order: a split's form is the sum, from 0.0, of the Schur
-    entries of A x A in row-major slot order, which is what
-    np.einsum("ps,nst,pt->np") computes with the zero terms of B dropped.
-    Route (_split_forms): a chunk of at least _CUBE_MIN unions x splits
-    whose Schur entries are all finite is summed on the split hypercube,
-    any other chunk by the einsum; both give the same bits.  Raises
-    InputError when no split value is a number (every Schur block
-    overflowed).
+def _split_values(s_u, m_u, q, bufs):
+    """Values Cap(A, B) / min(m_A, m_B) of the splits of n unions, a
+    (splits, n) view of one of bufs, two flat buffers of n * (splits + 1)
+    floats: s_u (u, u, n) are the forms, m_u (n, u) the slot masses, and q
+    (splits, n) takes the split forms, in _split_table's row order.
 
-    Workspace: a chunk holds at most _CHUNK unions and three union x split
-    float arrays of at most _SOLVE_ELEMENTS entries each (the block budget
-    of _capacity_ratios): the forms, the A-masses, and one buffer for m_B,
-    min(m_A, m_B) and the split values in turn (from 22 slots a union's
-    splits alone exceed that).  So up to a pair budget of 21 the workspace
-    does not grow with it, and no bit depends on the chunk size: a union's
-    forms and masses are the same in a chunk of any size.
+    Doubling: A starts as {0} and slots s = 1..u-1 join in turn; the
+    splits with s in A are those without it, 2**(s-1) rows on (but the
+    all-A split).  q(A | {s}) = q(A) + e_s(A), where e_k(A) is
+    (2 S_0k + S_kk) + 2 S_ik + ... over A's other slots in order, and
+    e_k(A | {s}) = e_k(A) + 2 S_sk, m(A | {s}) = m(A) + m_s.  The columns
+    [e_k for k >= s, m] fill one (columns, rows, n) buffer; each step
+    writes them to the other without e_s.  All of it is elementwise."""
+    u, n = len(s_u), len(m_u)
+    inc = np.empty((u, u + 1, n))  # 2 S_sk and m_s, added when s joins A
+    np.add(s_u, s_u, out=inc[:, :u])
+    inc[:, u] = m_u.T
+    cols = bufs[0][: u * n].reshape(u, 1, n)
+    np.add(inc[0, 1:u], s_u.diagonal().T[1:], out=cols[: u - 1, 0])
+    cols[u - 1, 0] = m_u[:, 0]
+    q[0] = s_u[0, 0]
+    for s in range(1, u):
+        h = 1 << (s - 1)
+        k = h - (s == u - 1)
+        np.add(q[:k], cols[0, :k], out=q[h : h + k])
+        nxt = bufs[s % 2][: (u - s) * 2 * h * n].reshape(u - s, 2 * h, n)
+        nxt[:, :h] = cols[1:]
+        np.add(cols[1:, :k], inc[s, s + 1 :, None], out=nxt[:, h : h + k])
+        cols = nxt
+    vals = bufs[u % 2][: q.size].reshape(q.shape)
+    np.subtract(m_u.sum(axis=1), cols[0, : len(q)], out=vals)
+    np.minimum(cols[0, : len(q)], vals, out=vals)
+    return np.divide(q, vals, out=vals)
+
+
+def _level_best(forms, combos, masses, best):
+    """(best, count): the running best after the splits of the unions of
+    combos (columns of forms), in chunks of _min_pair's workspace."""
+    n_all, u = combos.shape
+    pos = _split_table(u)
+    chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (len(pos) + 1)))
+    q, *bufs = [np.empty(min(chunk, n_all) << (u - 1)) for _ in range(3)]
+    for lo in range(0, n_all, chunk):
+        part = combos[lo : lo + chunk]
+        vals = _split_values(forms[:, :, lo : lo + chunk], masses[part],
+                             q[: len(pos) * len(part)].reshape(len(pos), -1), bufs)
+        vmin = float(vals.min())
+        # with vmin NaN no entry equals it; above the best, _better
+        # would reject every tied split
+        if math.isnan(vmin) or (best is not None and vmin > best[0]):
+            continue
+        best = _better(best, vmin, _first_tied_split(part, pos, (vals == vmin).T))
+    return best, n_all * len(pos)
+
+
+def _min_pair(root, masses):
+    """Exact min over disjoint nonempty pairs A, B of the p slots of the
+    root form (_pair_root) of Cap(A, B)/(m(A) ^ m(B)); every slot outside
+    A u B is free.  A holds the smallest slot of the union.
+
+    Witness rule: among the minimal-value splits (exact float equality),
+    the smallest (A, B) pair of slot tuples in Python tuple order.  A chunk
+    whose minimum is NaN or above the best so far offers nothing; any
+    other offers its smallest tied split (_first_tied_split: the tied
+    entries filtered key column by key column, each column gathered from
+    the union slots through the split positions of _split_table, with no
+    sorting).  Raises InputError when no split value is a number.
+
+    Evaluation order: the unions go by size from p down to 2, a level of
+    _combinations rows at a time.  The root is the form of the p-slot
+    union; every other one is one rank-one step from its parent's
+    (_union_forms, the parent found by slot mask), so a fixed chain of
+    steps from the root.  Split forms and A-masses are then doubled over
+    A's slots in ascending order (_split_values): no bit depends on the
+    visit order or the chunk size.
+
+    Workspace: two levels of C(p, u) * u^2 floats, the parents and the
+    unions of one size (at most 7.4 MB at p = 16, growing with the budget), a
+    row table of 2^p integers by slot mask, and, allocated once per union
+    size, three union x split arrays of at most _SOLVE_ELEMENTS floats for
+    chunks of at most _CHUNK unions (the block budget of _capacity_ratios):
+    the split forms and two doubling buffers, which end as the A-masses
+    and the split values.
     """
-    p = len(universe)
-    universe = np.asarray(universe, dtype=int)
+    p = len(masses)
     masses = np.asarray(masses, dtype=float)
-    d_amb = k_amb.shape[0]
+    bit = np.left_shift(1, np.arange(p, dtype=np.int64))
+    rank = np.empty(1 << p, dtype=np.intp)
+    forms = np.array(root, dtype=float).reshape(p, p, 1)
     best = None
     examined = 0
-    for u in range(2, p + 1):
-        t, pos, cube = _split_table(u)
+    for u in range(p, 1, -1):
         combos = _combinations(p, u)
-        chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (len(t) + 1)))
-        for lo in range(0, len(combos), chunk):
-            part = combos[lo : lo + chunk]
-            rows = universe[part]
-            kuu = k_amb[rows[:, :, None], rows[:, None, :]]
-            d = d_amb - u
-            if d:
-                elim = _complement(rows, d_amb)
-                kue = k_amb[rows[:, :, None], elim[:, None, :]]
-                kee = k_amb[elim[:, :, None], elim[:, None, :]]
-                x = np.linalg.solve(kee, kue.transpose(0, 2, 1))
-                s_u = kuu - kue @ x
-            else:
-                s_u = kuu
-            quad = _split_forms(t, s_u, cube)
-            m_u = masses[part]
-            # the masses in the memory layout of quad (the hypercube gives a
-            # transposed view), so the division reads both alike; the einsum
-            # sums each entry in the same order for either output axis order
-            if quad.flags.c_contiguous:
-                m_a = np.einsum("ps,ns->np", t, m_u)
-            else:
-                m_a = np.einsum("ps,ns->pn", t, m_u).T
-            # m_b, then min(m_a, m_b), then the split values, in one buffer
-            # laid out like quad
-            vals = np.subtract(m_u.sum(axis=1)[:, None], m_a, out=np.empty_like(quad))
-            np.minimum(m_a, vals, out=vals)
-            np.divide(quad, vals, out=vals)
-            examined += vals.size
-            vmin = vals.min()
-            # with vmin NaN no entry equals it; above the best, _better
-            # would reject every tied split
-            if np.isnan(vmin) or (best is not None and vmin > best[0]):
-                continue
-            key = _first_tied_split(part, pos, vals == vmin)
-            best = _better(best, float(vmin), key)
+        masks = bit[combos].sum(axis=1)
+        if u < p:
+            forms = _union_forms(forms, rank, combos, masks, bit)
+        rank[masks] = np.arange(len(combos))
+        best, count = _level_best(forms, combos, masses, best)
+        examined += count
     if best is None:
         raise InputError("non-finite values in every pair split")
     return best[0], best[1], examined
@@ -443,15 +440,15 @@ def _heuristic_single(k_amb, universe, masses, field):
     return best[0], best[1], len(cands)
 
 
-def _heuristic_pair(k_amb, universe, masses, field):
-    """Upper bound for a pair constant: positive and negative superlevel sets
-    of a guiding field plus singletons, all disjoint combinations.  Pairs of
-    one shape share _capacity_ratios solves and the running best takes them
-    in candidate order: the bits of solving each pair on its own."""
-    universe = np.asarray(universe, dtype=int)
+def _heuristic_pair(root, masses, field):
+    """Upper bound for a pair constant on the slots of its root form:
+    positive and negative superlevel sets of a guiding field plus
+    singletons, all disjoint combinations.  Pairs of one shape share
+    _capacity_ratios solves and the running best takes them in candidate
+    order: the bits of solving each pair on its own."""
     masses = np.asarray(masses, dtype=float)
     vec = np.asarray(field, dtype=float)
-    singles = [(i,) for i in range(len(universe))]
+    singles = [(i,) for i in range(len(masses))]
     cands_a = list(dict.fromkeys(_levels(vec) + singles))
     cands_b = [(cb, set(cb)) for cb in dict.fromkeys(_levels(-vec) + singles)]
     # A holds the smaller first slot (candidates are ascending slot tuples)
@@ -460,7 +457,7 @@ def _heuristic_pair(k_amb, universe, masses, field):
 
     def ratios(a, b):
         mass = np.minimum(masses[a].sum(axis=1), masses[b].sum(axis=1))
-        return _capacity_ratios(k_amb, universe[a], mass, universe[b])
+        return _capacity_ratios(root, a, mass, b)
 
     best = None
     for key, val in zip(pairs, _by_shape(pairs, ratios)):
@@ -532,18 +529,29 @@ def alpha_dirichlet(domain, budget=None, heuristic=False):
     return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic)
 
 
-def _pair_constant(k_amb, order, universe, masses, over, field, connected=False):
-    """The pair constant on the universe rows of k_amb: by the heuristic when
-    over (_over_budget), else exactly.
+def _pair_root(graph, ids):
+    """(root, masses) of a pair constant over the vertices ids of graph:
+    the Schur complement of its stiffness onto them (the universe), every
+    other vertex eliminated as spectra._eliminate eliminates (a large block
+    by the sparse factor, so no dense ambient stiffness), and their masses."""
+    inside = set(ids)
+    elim = [i for i, v in enumerate(graph.vertices) if v not in inside]
+    root = schur_solver(block_stiffness(graph, elim), [graph.index[v] for v in ids], elim)[0]
+    return root, [graph.mass[v] for v in ids]
 
-    connected: the rows of k_amb are a connected closure, so every pair
+
+def _pair_constant(root, masses, order, over, field, connected=False):
+    """The pair constant on the slots of its root form (_pair_root): by the
+    heuristic when over (_over_budget), else exactly.
+
+    connected: the root comes from a connected closure, so every pair
     capacity is positive; a minimal value <= 0 then means the Schur
     complement cancelled in floating point (say weights over 1e-300..1e300),
     and raises SingularMatrixError instead of being reported."""
     if over:
-        val, (sa, sb), n = _heuristic_pair(k_amb, universe, masses, field())
+        val, (sa, sb), n = _heuristic_pair(root, masses, field())
     else:
-        val, (sa, sb), n = _min_pair(k_amb, universe, masses)
+        val, (sa, sb), n = _min_pair(root, masses)
     if connected and val <= 0:
         raise SingularMatrixError(
             "minimal pair value %r on a connected closure, where every capacity is "
@@ -554,44 +562,36 @@ def _pair_constant(k_amb, order, universe, masses, over, field, connected=False)
 @_finite
 def alpha_neumann(domain, budget=None, heuristic=False):
     """alpha_N(Omega): pairs of disjoint nonempty subsets of Omega, capacity
-    within G_Omega (boundary vertices stay free).  A minimal value <= 0,
-    which only cancellation can give, raises SingularMatrixError."""
+    within G_Omega (the boundary free, eliminated onto Omega's root form).
+    A minimal value <= 0 (only cancellation gives one) is a SingularMatrixError."""
     budget = budget or DEFAULT_BUDGET
     n = len(domain.interior)
     if n < 2:
         raise InputError("alpha_N needs |Omega| >= 2")
     over = _over_budget(n, budget.pair, _PAIR, heuristic)
-    k_amb = stiffness_matrix(domain.induced)
-    masses = [domain.graph.mass[v] for v in domain.interior]
+    root, masses = _pair_root(domain.induced, domain.interior)
 
     def field():
         return neumann_spectrum(domain, 2).vectors[:, 1]
 
-    return _pair_constant(
-        k_amb, domain.interior, list(range(n)), masses, over, field, connected=True
-    )
+    return _pair_constant(root, masses, domain.interior, over, field, connected=True)
 
 
 @_finite
 def alpha_steklov(domain, budget=None, heuristic=False):
     """alpha_S(Omega): pairs of disjoint nonempty boundary subsets, capacity
-    within G_Omega.  A minimal value <= 0, which only cancellation can give,
-    raises SingularMatrixError."""
+    within G_Omega (the interior eliminated onto the DtN form).  A minimal
+    value <= 0 (only cancellation gives one) is a SingularMatrixError."""
     budget = budget or DEFAULT_BUDGET
     if len(domain.boundary) < 2:
         raise InputError("alpha_S needs |delta Omega| >= 2")
     over = _over_budget(len(domain.boundary), budget.pair, _PAIR, heuristic)
-    k_amb = stiffness_matrix(domain.induced)
-    n = len(domain.interior)
-    universe = list(range(n, n + len(domain.boundary)))
-    masses = [domain.graph.mass[v] for v in domain.boundary]
+    root, masses = _pair_root(domain.induced, domain.boundary)
 
     def field():
         return steklov_spectrum(domain, 2).vectors[:, 1]
 
-    return _pair_constant(
-        k_amb, domain.boundary, universe, masses, over, field, connected=True
-    )
+    return _pair_constant(root, masses, domain.boundary, over, field, connected=True)
 
 
 @_finite
@@ -633,7 +633,8 @@ def alpha_ds(domain, Y, budget=None):
 @_finite
 def beta_steklov(graph, omega, budget=None, heuristic=False):
     """beta_S(Omega): pair constant with full-graph capacities (no edges
-    removed, everything outside the pair free)."""
+    removed, everything outside the pair free): the rest of the graph is
+    eliminated onto the root form of Omega, the variant DtN form."""
     budget = budget or DEFAULT_BUDGET
     graph.check_vertices(omega, "Omega")
     oset = set(omega)
@@ -643,14 +644,12 @@ def beta_steklov(graph, omega, budget=None, heuristic=False):
         raise InputError("Omega must be a proper subset")
     order = [v for v in graph.vertices if v in oset]
     over = _over_budget(len(order), budget.pair, _PAIR, heuristic)
-    k_amb = stiffness_matrix(graph)
-    universe = [graph.index[v] for v in order]
-    masses = [graph.mass[v] for v in order]
+    root, masses = _pair_root(graph, order)
 
     def field():
         return hm_dtn_spectrum(graph, order, 2).vectors[:, 1]
 
-    return _pair_constant(k_amb, order, universe, masses, over, field)
+    return _pair_constant(root, masses, order, over, field)
 
 
 # ---------------------------------------------------------------------------

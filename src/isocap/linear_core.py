@@ -44,12 +44,12 @@ the sparse one 1.1e-13.  scipy.sparse is imported on the sparse routes
 only.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import BudgetError, InputError, SingularMatrixError
 
@@ -327,18 +327,21 @@ def block_stiffness(graph, rows):
 def block_solver(K, rows, message=None):
     """solve(b) = K[rows, rows]^{-1} b for a stiffness K from block_stiffness.
 
-    A dense K is sliced and factored by cho_factor; a CSR K by splu
-    (MMD_AT_PLUS_A, SymmetricMode, as in _sparse_lowest) on its CSR block.
-    A principal block of a stiffness is symmetric and diagonally dominant,
-    so it is SPD exactly when it is nonsingular.  A factor that fails raises
-    SingularMatrixError with message, or the solver's own.
+    A dense K is sliced and factored by cho_factor, and solved by LAPACK's
+    potrs, the call (and bits) of cho_solve without its wrapper's overhead;
+    a CSR K by splu (MMD_AT_PLUS_A, SymmetricMode, as in _sparse_lowest) on
+    its CSR block.  A principal block of a stiffness is symmetric and
+    diagonally dominant, so it is SPD exactly when it is nonsingular.  A
+    factor that fails raises SingularMatrixError with message, or the
+    solver's own.
     """
     if isinstance(K, np.ndarray):
+        rows = np.asarray(rows, dtype=np.intp)
         try:
-            factor = scipy.linalg.cho_factor(K[np.ix_(rows, rows)], check_finite=False)
+            factor, _ = scipy.linalg.cho_factor(K[rows[:, None], rows], check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(message or str(exc)) from exc
-        return functools.partial(scipy.linalg.cho_solve, factor, check_finite=False)
+        return lambda b: lapack.dpotrs(factor, b)[0]
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
@@ -367,12 +370,13 @@ def schur_solver(K, keep, eliminate):
     at most DENSE_MAX_DIM^2 entries, so a large eliminated block never
     allocates more than the dense budget at once.
     """
-    keep, eliminate = list(keep), list(eliminate)
+    keep = np.asarray(keep, dtype=np.intp)
+    eliminate = np.asarray(eliminate, dtype=np.intp)
     _check_dense(len(keep))
-    s = _dense(K[np.ix_(keep, keep)])
-    if not eliminate:
+    s = _dense(K[keep[:, None], keep])
+    if not len(eliminate):
         return s, None, None
-    kek = K[np.ix_(eliminate, keep)]
+    kek = K[eliminate[:, None], keep]
     solve = block_solver(K, eliminate, "eliminated block is not SPD")
     # one band on a dense K: its eliminated rows are within the dense budget
     band = max(1, DENSE_MAX_DIM ** 2 // len(eliminate))

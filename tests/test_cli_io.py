@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -592,6 +593,28 @@ def test_dense_budget_is_an_exit_3_report_before_any_allocation(capsys, tmp_path
     assert code == EXIT_OK
     assert doc["results"][0]["eigenvalues"] == pytest.approx(
         [2.0 - 2.0 * np.cos(np.pi / n)], rel=1e-12)
+
+
+def test_verify_hm_steklov_1_past_the_dense_budget(capsys, tmp_path):
+    # a unit path of 5,000 vertices with 12 middle vertices as Omega: beta_S
+    # reduces onto Omega through the sparse factor, as the hm spectrum does,
+    # so no dense 5,000 x 5,000 stiffness is assembled; the minimum is three
+    # end vertices of Omega against the other three, 1 / (7 * 3)
+    n = 5000
+    omega = range(n // 2 - 6, n // 2 + 6)
+    path = tmp_path / "path5000.graph"
+    path.write_text("".join("v %d 1\n" % v for v in range(n))
+                    + "".join("e %d %d 1\n" % (v, v + 1) for v in range(n - 1))
+                    + "omega " + " ".join(map(str, omega)) + "\n")
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, ["verify", "hm_steklov_1", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == EXIT_OK
+    res = doc["results"][0]
+    assert res["upper_ok"] and res["lower_ok"]
+    assert res["constant"] == pytest.approx(1 / 21, rel=1e-12)
+    assert res["witness"] == [["2494", "2495", "2496"], ["2503", "2504", "2505"]]
+    assert elapsed < 10.0  # about 0.15 s on a 2-core x86-64 host
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,24 @@ def test_beta_s_brute_force():
     free = make_domain(g, g.vertices)  # no boundary: capacities in G itself
     res = beta_steklov(g, dom.interior)
     assert res.value == pytest.approx(brute_pair(free, dom.interior), rel=1e-10)
+
+
+def test_beta_s_reduces_once_onto_omega():
+    # a unit path of 240 vertices, Omega its 12 middle ones: the rest is
+    # eliminated once onto a 12 x 12 root form, so the enumeration's
+    # workspace does not grow with the graph (741 MB traced when every union
+    # eliminated the rest itself); the minimum is 1 / (7 * 3)
+    g = WeightedGraph(range(240), {v: 1.0 for v in range(240)},
+                      [(v, v + 1, 1.0) for v in range(239)])
+    tracemalloc.start()
+    try:
+        res = beta_steklov(g, range(114, 126))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert res.value == pytest.approx(1 / 21, rel=1e-12)
+    assert res.witness == ((114, 115, 116), (123, 124, 125))
 
 
 def shuffle_combinations(monkeypatch, seed):
