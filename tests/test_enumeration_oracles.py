@@ -723,6 +723,32 @@ def _doubled(s_u, m_u):
 
 
 @pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
+def test_cube_forms_are_bit_equal_to_the_einsum(u):
+    # the splits of a u-slot union are the corners of a (u - 1)-cube, and
+    # the doubling walks it slot by slot.  On integer forms and masses every
+    # partial sum is exact, so any add order gives the same bits: a split
+    # that got another split's sum, or a missed term, shows as a bit change
+    rng = np.random.default_rng(u)
+    t = ref_split_rows(u)
+    chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (1 << (u - 1))))
+    sizes = [1, 2, 5]
+    if u <= 9:  # the chunk _min_pair uses, while the einsum stays cheap
+        sizes.append(chunk)
+    for n in sizes:
+        x = rng.integers(-(1 << 20), 1 << 20, (n, u, u)).astype(float)
+        s_u = np.ascontiguousarray((x + x.transpose(0, 2, 1)).transpose(1, 2, 0))
+        m_u = rng.integers(1, 1 << 20, (n, u)).astype(float)
+        vals, q, m_a = _doubled(s_u, m_u)
+        forms = np.einsum("ps,stn,pt->pn", t, s_u, t)
+        masses = np.einsum("ps,ns->pn", t, m_u)
+        want = forms / np.minimum(masses, m_u.sum(axis=1) - masses)
+        # + 0.0 folds a zero's sign, which the add order may decide
+        for got, ref in ((q, forms), (m_a, masses), (vals, want)):
+            assert got.shape == (len(t), n)
+            assert np.array_equal(_bits(got + 0.0), _bits(ref + 0.0)), (u, n)
+
+
+@pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
 def test_doubled_split_forms_and_masses_match_the_einsum(u):
     # each doubled sum and each einsum is within gamma_N of the exact sum of
     # the absolute terms, N <= u^2 adds for a form and u for a mass
