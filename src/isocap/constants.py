@@ -4,7 +4,10 @@ Single-set constants (alpha_D, alpha_DS) minimize a grounded capacity over
 mass; pair constants (alpha_N, alpha_S, beta_S) minimize a two-set capacity
 over the smaller mass; tuple constants (gamma-tilde, Gamma_k, kappa, beta_k+1)
 are min-max packings of disjoint parts, read from one table of the least
-largest-part rank over slot masks (_min_tuple).  All enumerators are
+largest-part rank over slot masks (_min_tuple); the alpha_DS part values of
+a window are one table by slot mask, built on its union lattice
+(_ds_table), the unions' Schur forms shared with the pair enumerator
+(_union_forms).  All enumerators are
 exhaustive within the budget and reduce by (value, lexicographic witness), so
 results do not depend on evaluation order or chunking.  The public
 enumerators run under spectra._finite: no floating-point warnings, and a
@@ -20,6 +23,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BudgetError, InputError, SingularMatrixError
+from .graph_core import is_connected
 from .infinity import INFINITE, is_infinite
 from .linear_core import block_stiffness, schur_solver, stiffness_matrix
 from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
@@ -29,9 +33,13 @@ _CHUNK = 4096
 # Elements of one batched block, 8 MB of float64: rows x d_amb^2 of a
 # _capacity_ratios solve, which bounds each of its gathered blocks (a
 # candidate larger than the budget is solved alone, as it would be
-# unbatched), and unions x (splits + 1) of a _min_pair chunk, which bounds
+# unbatched), unions x (splits + 1) of a _min_pair chunk, which bounds
 # each of its three union x split arrays (the split forms and the two
-# doubling buffers of _split_values), whatever the pair budget.
+# doubling buffers of _split_values), whatever the pair budget, and unions x
+# 2^r of a _ds_table chunk, which bounds its subset energies, masses and
+# part masks (_subset_values).  Within the tuple budget of 12 slots every
+# other _ds_table array (the table, one level of union forms, the inner
+# forms of one r) is under 2^17 elements.
 _SOLVE_ELEMENTS = 1 << 20
 # The relative margin of _heuristic_single's screen is delta = _SCREEN_SLACK
 # * n * kappa^2 * u (_screen_single).  Over the oracle inputs of the tests and
@@ -222,13 +230,14 @@ def _min_single(k_amb, universe, masses):
     return best[0], best[1], examined
 
 
-def _union_forms(parents, rank, combos, masks, bit):
+def _union_forms(parents, rank, combos, masks, bit, strict=False):
     """The (u, u, N) forms of the unions of combos ((N, u) ascending slot
     rows with slot masks masks) from parents, the forms of the unions one
     slot larger, their columns mapped from masks by rank.  U drops v, its
     smallest missing slot, from the parent U | {v}, where v is position v:
     S_U = S'[k, k] - (b_i * b_j) / c, k U's positions, b = S'[k, v] and
-    c = S'[v, v]."""
+    c = S'[v, v].  With strict, a pivot c <= 0 (the parent is not positive
+    definite in floating point) raises SingularMatrixError."""
     u = combos.shape[1]
     w, stride = u + 1, parents.shape[2]
     pos = np.arange(u)
@@ -240,7 +249,10 @@ def _union_forms(parents, rank, combos, masks, bit):
     forms = flat[rows[:, None, :] + keep * stride]
     b = flat[rows + v * stride]
     drop = b[:, None, :] * b
-    drop /= flat[v * ((w + 1) * stride) + col]
+    pivots = flat[v * ((w + 1) * stride) + col]
+    if strict and (pivots <= 0).any():
+        raise SingularMatrixError("Singular matrix")
+    drop /= pivots
     forms -= drop
     return forms
 
@@ -634,7 +646,9 @@ def alpha_ds(domain, Y, budget=None):
 def beta_steklov(graph, omega, budget=None, heuristic=False):
     """beta_S(Omega): pair constant with full-graph capacities (no edges
     removed, everything outside the pair free): the rest of the graph is
-    eliminated onto the root form of Omega, the variant DtN form."""
+    eliminated onto the root form of Omega, the variant DtN form.  On a
+    connected graph a minimal value <= 0 (only cancellation gives one) is a
+    SingularMatrixError; on a disconnected one, 0 can be the true value."""
     budget = budget or DEFAULT_BUDGET
     graph.check_vertices(omega, "Omega")
     oset = set(omega)
@@ -649,7 +663,7 @@ def beta_steklov(graph, omega, budget=None, heuristic=False):
     def field():
         return hm_dtn_spectrum(graph, order, 2).vectors[:, 1]
 
-    return _pair_constant(root, masses, order, over, field)
+    return _pair_constant(root, masses, order, over, field, connected=is_connected(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +696,9 @@ def _min_tuple(arity, objective, budget, slot_ids):
     objective is batched: it takes an (N, s) integer array holding every
     part of one size s, one ascending slot tuple per row in
     itertools.combinations order, and returns the N part values (floats or
-    INFINITE) in row order.  Every part counts as one evaluation.
+    INFINITE) in row order.  Every part counts as one evaluation.  The
+    alpha_DS objective of _tuple_constant reads them from its table of all
+    parts (_ds_table) by slot mask.
 
     The part values are ranked as integers: the sorted distinct floats, then
     INFINITE, and one rank past that for a slot mask that is no part (the
@@ -757,13 +773,15 @@ def _min_tuple(arity, objective, budget, slot_ids):
 def _tuple_constant(graph, W, what, arity, budget, inner=None):
     """_min_tuple over the window W of graph (checked as `what`; slots in
     vertex order), each part grounded outside itself in graph: its alpha_DS
-    with A inside the vertices of inner, or with inner None its first
-    Dirichlet eigenvalue.  The window's stiffness block and masses are
-    gathered at the first part evaluation, after _min_tuple's checks, so a
-    window past the tuple budget assembles nothing."""
+    with A inside the vertices of inner, read from the table of every
+    part's value (_ds_table), or with inner None its first Dirichlet
+    eigenvalue.  The window's stiffness block and masses are gathered, and
+    the table built, at the first part evaluation, after _min_tuple's
+    checks, so a window past the tuple budget assembles nothing."""
     graph.check_vertices(W, what)
     wset = set(W)
     order = [v for v in graph.vertices if v in wset]
+    budget = budget or DEFAULT_BUDGET
 
     @functools.cache
     def objective():
@@ -771,7 +789,18 @@ def _tuple_constant(graph, W, what, arity, budget, inner=None):
         block = stiffness_matrix(graph)[np.ix_(pos, pos)]
         masses = np.array([graph.mass[v] for v in order])
         if inner is not None:
-            return _ds_objective(block, [i for i, v in enumerate(order) if v in inner], masses)
+            slots = [i for i, v in enumerate(order) if v in inner]
+            n = len(order)
+            cap = n if budget.part_cap is None else min(budget.part_cap, n)
+            table = _ds_table(block, masses, slots, _closed_parts(graph, order), cap)
+            inner_mask = sum(1 << i for i in slots)
+
+            def values(parts):
+                masks = np.left_shift(1, parts).sum(axis=1)
+                return [v if has else INFINITE for v, has in
+                        zip(table[masks].tolist(), (masks & inner_mask != 0).tolist())]
+
+            return values
 
         def eigenvalues(parts):
             sub = block[parts[:, :, None], parts[:, None, :]]
@@ -780,40 +809,116 @@ def _tuple_constant(graph, W, what, arity, budget, inner=None):
 
         return eigenvalues
 
-    return _min_tuple(arity, lambda parts: objective()(parts), budget or DEFAULT_BUDGET, order)
+    return _min_tuple(arity, lambda parts: objective()(parts), budget, order)
 
 
-def _ds_objective(k_amb, boundary_slots, masses):
-    """Batched alpha_DS of parts, the objective for _min_tuple.
+def _closed_parts(graph, order):
+    """By slot mask of the window order (vertices of graph): whether no edge
+    of graph leaves the part.  Such a part's alpha_DS is 0, the value of
+    its empty sink (alpha_ds), decided here from the edges."""
+    n = len(order)
+    slot = dict(zip(order, range(n)))
+    masks = np.arange(1 << n)
+    closed = np.ones(1 << n, dtype=bool)
+    for i, v in enumerate(order):
+        # slot i's window neighbours, and bit n for one outside the window
+        reach = sum({1 << slot.get(y, n) for y, _ in graph.adjacency[v]})
+        closed &= (masks >> i & 1 == 0) | (reach & ~masks == 0)
+    return closed
 
-    A part's value is the min over nonempty A inside its boundary slots of
-    the grounded energy of A, with the rest of the part free and everything
-    outside it grounded (which is exact), over m(A); INFINITE when the part
-    has no boundary slot.  Slots are rows of k_amb and indices of masses.
-    The (part, A) candidates of each A size are solved in chunks of one
-    batched solve, with the same blocks as a per-part _min_single.
+
+def _ds_table(block, masses, inner, closed, cap):
+    """alpha_DS of every part of an n-slot window, by slot mask: the min
+    over nonempty A inside the part's inner slots of the energy of A, with
+    the rest of the part free and everything outside it grounded, over
+    m(A).  block is the window's stiffness block, grounded outside the
+    window, masses its slot masses, inner the slots that A may use and
+    closed the mask table of _closed_parts; a closed part with an inner
+    slot is 0.  Only parts of at most cap slots are exact; the others, and
+    those without an inner slot, hold inf or a partial min, read by no one.
+
+    Union lattice: with U = A | (W - P), the candidate (P, A) is 1_A^T S_U
+    1_A, S_U the Schur complement of block onto U, so every candidate of a
+    union U is read from its one form.  The unions go by size from n down
+    to n - cap + 1, a level of _combinations rows at a time; the block is
+    the root, and every other form is one rank-one step from its parent's
+    (_union_forms, strict: a pivot <= 0 raises SingularMatrixError).  Each
+    level hands its forms on the inner slots of each union to the group of
+    unions with the same number r of inner slots; each group is then
+    doubled in chunks of _SOLVE_ELEMENTS >> r unions, the 2^r - 1 subsets A
+    of a union over its inner slots in ascending order (_subset_values).  A
+    candidate's part P = A | (W - U) takes the min by np.minimum.at, which
+    is exact, so no bit depends on the order of the candidates.
     """
-    is_bnd = np.zeros(k_amb.shape[0], dtype=bool)
-    is_bnd[list(boundary_slots)] = True
+    n = len(masses)
+    full = (1 << n) - 1
+    bit = np.left_shift(1, np.arange(n, dtype=np.int64))
+    is_inner = np.zeros(n, dtype=bool)
+    is_inner[inner] = True
+    rank = np.empty(full + 1, dtype=np.intp)
+    forms = np.array(block, dtype=float).reshape(n, n, 1)
+    groups = [[] for _ in range(n + 1)]  # by r: (forms on the inner slots, slots, rest)
+    for u in range(n, n - cap, -1):
+        combos = _combinations(n, u)
+        masks = bit[combos].sum(axis=1)
+        if u < n:
+            forms = _union_forms(forms, rank, combos, masks, bit, strict=True)
+        rank[masks] = np.arange(len(combos))
+        flags = is_inner[combos]
+        counts = flags.sum(axis=1)
+        by_count = np.argsort(counts, kind="stable")
+        ends = np.cumsum(np.bincount(counts, minlength=u + 1)).tolist()
+        for r in range(1, u + 1):
+            sel = by_count[ends[r - 1] : ends[r]]
+            if len(sel):
+                p = np.nonzero(flags[sel])[1].reshape(-1, r).T  # inner positions in U
+                groups[r].append((forms[p[:, None], p, sel], combos[sel, p].T,
+                                  full ^ masks[sel]))
+    table = np.full(full + 1, np.inf)
+    for r, group in enumerate(groups):
+        if not group:
+            continue
+        s_a, slots, rest = zip(*group)
+        s_a, slots, rest = np.concatenate(s_a, axis=2), np.concatenate(slots), np.concatenate(rest)
+        step = max(1, _SOLVE_ELEMENTS >> r)
+        for lo in range(0, len(rest), step):
+            part = slots[lo : lo + step]
+            vals, parts = _subset_values(s_a[:, :, lo : lo + step], masses[part], bit[part],
+                                         rest[lo : lo + step])
+            np.minimum.at(table, parts, vals)
+    table[closed & (np.arange(full + 1) & bit[is_inner].sum() != 0)] = 0.0
+    return table
 
-    def objective(parts):
-        n, s = parts.shape
-        inner = is_bnd[parts]
-        best = np.full(n, np.inf)
-        for a in range(1, s + 1):
-            local = _combinations(s, a)
-            rest = _complement(local, s)
-            owner, pick = np.nonzero(inner[:, local].all(axis=2))
-            for lo in range(0, len(owner), _CHUNK):
-                i, j = owner[lo : lo + _CHUNK], pick[lo : lo + _CHUNK]
-                rows = parts[i[:, None], local[j]]
-                vals = _grounded_values(k_amb, rows, parts[i[:, None], rest[j]])
-                vals /= masses[rows].sum(axis=1)
-                np.minimum.at(best, i, vals)
-        return [v if has else INFINITE
-                for v, has in zip(best.tolist(), inner.any(axis=1).tolist())]
 
-    return objective
+def _subset_values(s_a, m_a, bits, rest):
+    """(values, parts), each (2^r - 1, N): the energy over the mass of
+    every nonempty subset A of the r slots of N unions, and the slot mask
+    of its part A | rest.  s_a (r, r, N) are the forms on those slots, m_a
+    and bits (N, r) their masses and slot bits, rest (N,) the masks of the
+    window outside each union.  Row j holds A = {slot t: bit t of j set}.
+
+    Doubling: A starts empty and slots s = 0..r-1 join in turn, rows
+    [2^s, 2^(s+1)) being rows [0, 2^s) with s added.  q(A | {s}) = q(A) +
+    e_s(A), where e_k(A) is S_kk + 2 S_ik + ... over A's slots in order, and
+    e_k(A | {s}) = e_k(A) + 2 S_sk; masses and part masks add m_s and slot
+    s's bit.  The columns e_k for k > s of the rows so far are the one
+    buffer carried between steps.  All of it is elementwise."""
+    r, _, n = s_a.shape
+    q, mass, parts = np.empty((1 << r, n)), np.empty((1 << r, n)), np.empty((1 << r, n), int)
+    q[0], mass[0], parts[0] = 0.0, 0.0, rest
+    two = s_a + s_a
+    cols = s_a.diagonal().T[:, None]
+    for s in range(r):
+        h = 1 << s
+        np.add(q[:h], cols[0], out=q[h : 2 * h])
+        np.add(mass[:h], m_a[:, s], out=mass[h : 2 * h])
+        np.add(parts[:h], bits[:, s], out=parts[h : 2 * h])
+        if s + 1 < r:
+            nxt = np.empty((r - s - 1, 2 * h, n))
+            nxt[:, :h] = cols[1:]
+            np.add(cols[1:], two[s, s + 1 :, None], out=nxt[:, h:])
+            cols = nxt
+    return np.divide(q[1:], mass[1:], out=q[1:]), parts[1:]
 
 
 @_finite

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocap import (INFINITE, Budget, BudgetError, InputError, SingularMatrixError,
                     WeightedGraph, alpha_dirichlet, alpha_dirichlet_limit, alpha_ds,
@@ -201,7 +203,7 @@ def test_budget_errors_and_heuristic_upper_bounds():
 
 def test_pair_value_at_most_zero_is_singular_for_alpha_n_and_s(monkeypatch):
     # a connected closure has positive pair capacities, so 0 can only come
-    # from cancellation; beta_S keeps its value
+    # from cancellation
     g, dom = t3_example()
     tight = Budget(pair=2)
     zero = (0.0, ((0,), (1,)), 1)
@@ -211,8 +213,31 @@ def test_pair_value_at_most_zero_is_singular_for_alpha_n_and_s(monkeypatch):
         for kw in ({}, {"budget": tight, "heuristic": True}):
             with pytest.raises(SingularMatrixError, match="minimal pair value 0.0"):
                 fn(dom, **kw)
-    for kw in ({}, {"budget": tight, "heuristic": True}):
-        assert beta_steklov(g, dom.interior, **kw).value == 0.0
+
+
+def test_beta_s_value_at_most_zero_is_singular_on_a_connected_graph(monkeypatch):
+    # on the path a - b - c - d with masses 1e-300, 1, 1e300, 1 and weights
+    # 1e300, 1e-300, 1e300, eliminating a and d cancels b's and c's Schur
+    # entries to 0, where beta_S({b, c}) is 1e-300 (the b - c edge alone)
+    path = WeightedGraph("abcd", {"a": 1e-300, "b": 1.0, "c": 1e300, "d": 1.0},
+                         [("a", "b", 1e300), ("b", "c", 1e-300), ("c", "d", 1e300)])
+    with pytest.raises(SingularMatrixError, match="minimal pair value 0.0"):
+        beta_steklov(path, ["b", "c"])
+    g, dom = t3_example()
+    tight = Budget(pair=2)
+    zero = (0.0, ((0,), (1,)), 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(constants, "_heuristic_pair", lambda *args: zero)
+        mp.setattr(constants, "_min_pair", lambda *args: zero)
+        for kw in ({}, {"budget": tight, "heuristic": True}):
+            with pytest.raises(SingularMatrixError, match="minimal pair value 0.0"):
+                beta_steklov(g, dom.interior, **kw)
+    # two components, 0 - 1 - 2 and 3 - 4: A = {0, 1} and B = {3} have no
+    # capacity between them, and the 0 is kept
+    split = WeightedGraph(range(5), {v: 1.0 for v in range(5)},
+                          [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+    res = beta_steklov(split, [0, 1, 3])
+    assert (res.value, res.witness) == (0.0, ((0, 1), (3,)))
 
 
 def test_budget_errors_come_before_any_assembly(monkeypatch):
@@ -417,6 +442,18 @@ def test_reversed_steps_raise_one_error_from_every_limit():
             limit()
 
 
+def test_gamma_1_steklov_over_the_closure_is_zero():
+    # no edge of G_Omega leaves the whole closure, so its part is 0.0 by
+    # alpha_DS's empty-sink convention, decided from the edges; the
+    # eliminations alone leave rounding noise of either sign there
+    for seed in range(40):
+        dom = random_domain(np.random.default_rng(seed), max_closure=10)
+        assert alpha_ds(dom, dom.closure).value == 0.0
+        res = gamma_k_steklov(dom, dom.closure, 1)
+        assert res.value == 0.0
+        assert res.witness == (tuple(dom.closure),)
+
+
 def test_gamma_k_steklov_window():
     g, dom = line_domain(6)
     res = gamma_k_steklov(dom, [0, 1, 2, 3], 1)
@@ -425,3 +462,54 @@ def test_gamma_k_steklov_window():
     assert res.value == pytest.approx(0.25, rel=1e-10)
     assert not is_infinite(gamma_k_steklov(dom, [0, 1], 1).value)
     assert is_infinite(gamma_k_steklov(dom, [1, 2], 1).value)
+
+
+def _tuple_constants(dom, k, window):
+    """name -> result of each of kappa_{k+1}, beta_{k+1}, Gamma_k^D over the
+    interior and Gamma_k^S over window that is defined at k."""
+    g, interior = dom.graph, dom.interior
+    out = {}
+    if k <= len(dom.boundary) - 1:
+        out["kappa"] = kappa_steklov(dom, k)
+    if k <= len(interior) - 1:
+        out["beta"] = beta_tuple(g, interior, k)
+    if k <= len(interior):
+        out["gamma_d"] = gamma_k_dirichlet(g, interior, k)
+    if k <= len(window):
+        out["gamma_s"] = gamma_k_steklov(dom, window, k)
+    return out
+
+
+def _scaled(dom, a, b):
+    """dom with every weight times 2^a and every mass times 2^b."""
+    g = dom.graph
+    graph = WeightedGraph(g.vertices, {v: g.mass[v] * 2.0 ** b for v in g.vertices},
+                          [(u, v, w * 2.0 ** a) for u, v, w in g.edges])
+    return make_domain(graph, dom.interior)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), k=st.integers(1, 3),
+       a=st.integers(-3, 3), b=st.integers(-3, 3))
+def test_tuple_constants_scale_exactly_and_ignore_labels(seed, k, a, b):
+    # every operation of a part value scales by a power of two exactly, so
+    # the values scale by 2^(a - b) bit for bit, with the same witness; the
+    # window leaves out the closure's last vertex, so no part of it is
+    # closed and no value is a cancelled 0
+    rng = np.random.default_rng(seed)
+    dom = random_domain(rng, max_closure=9)
+    window = list(dom.closure[:-1])
+    plain = _tuple_constants(dom, k, window)
+    scaled = _tuple_constants(_scaled(dom, a, b), k, window)
+    copy, back = _relabelled(dom, rng)
+    name = {old: new for new, old in back.items()}
+    relabelled = _tuple_constants(copy, k, [name[v] for v in window])
+    assert plain.keys() == scaled.keys() == relabelled.keys()
+    for key, want in plain.items():
+        got, again = scaled[key], relabelled[key]
+        if is_infinite(want.value):
+            assert is_infinite(got.value) and is_infinite(again.value), key
+            continue
+        assert got.value == want.value * 2.0 ** (a - b), key
+        assert got.witness == want.witness, key
+        assert again.value == pytest.approx(want.value, rel=REL, abs=0), key

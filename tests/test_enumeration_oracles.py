@@ -10,7 +10,10 @@ seeded shuffled order, against the library's one fixed order: visit order
 must decide nothing.  The pair reference takes the library's recursions
 (one rank-one step per union, doubled split sums) union by union; the
 per-union elimination it replaced, ref_min_pair_solve, is kept as the one
-value oracle compared within a tolerance.  The tuple packing reference, ref_min_tuple, is the
+value oracle compared within a tolerance.  In the same way the tuple part
+reference, ref_lattice_objective, takes the library's union lattice part by
+part, and the per-part elimination it replaced, ref_ds_objective, is the
+value oracle.  The tuple packing reference, ref_min_tuple, is the
 scan over parts in sorted value order that the library's min-max table
 replaced.
 """
@@ -22,14 +25,16 @@ import numpy as np
 import pytest
 
 import isocap.constants as constants
-from isocap import (INFINITE, Budget, BudgetError, ConstantResult, InputError, WeightedGraph,
+from isocap import (INFINITE, Budget, BudgetError, ConstantResult, InputError,
+                    SingularMatrixError, WeightedGraph,
                     alpha_steklov, beta_tuple, cap, dirichlet_spectrum, gamma_k_dirichlet,
                     gamma_k_steklov, gamma_tilde_dirichlet, is_infinite, kappa_steklov,
                     make_domain, neumann_spectrum, steklov_spectrum)
-from isocap.constants import (_CHUNK, _SOLVE_ELEMENTS, DEFAULT_BUDGET, _better, _combinations,
-                              _complement, _first_tied_split, _grounded_values, _levels,
-                              _lex_first, _min_pair, _min_single, _min_tuple, _pair_root,
-                              _split_table, _split_values)
+from isocap.constants import (_CHUNK, _SOLVE_ELEMENTS, DEFAULT_BUDGET, _better,
+                              _closed_parts, _combinations, _complement, _ds_table,
+                              _first_tied_split, _grounded_values, _levels, _lex_first,
+                              _min_pair, _min_single, _min_tuple, _pair_root, _split_table,
+                              _split_values)
 from isocap.infinite_families import line_domain, t3_example
 from isocap.linear_core import stiffness_matrix, sym_eig_generalized
 from isocap.spectra import _finite, dtn_operator
@@ -99,14 +104,14 @@ def ref_split_rows(u):
     return t
 
 
-def ref_union_forms(root):
-    """The Schur form of every union of the root's slots, by slot mask,
-    from the top down: each one drops v, the smallest slot missing from
-    it, from its parent by one rank-one step (v is the parent's position
-    v)."""
+def ref_union_forms(root, lowest=2):
+    """The Schur form of every union of the root's slots with at least
+    lowest slots, by slot mask, from the top down: each one drops v, the
+    smallest slot missing from it, from its parent by one rank-one step (v
+    is the parent's position v)."""
     p = len(root)
     forms = {(1 << p) - 1: np.array(root, dtype=float)}
-    for u in range(p - 1, 1, -1):
+    for u in range(p - 1, lowest - 1, -1):
         for combo in itertools.combinations(range(p), u):
             mask = sum(1 << i for i in combo)
             v = next(i for i in range(p) if not mask >> i & 1)
@@ -269,41 +274,92 @@ def per_part(objective):
     return lambda parts: [objective(tuple(row)) for row in parts.tolist()]
 
 
-def ref_ds_objective(k_amb, boundary_slots, masses):
+def ref_closed(graph, order):
+    """Whether no edge of graph leaves a part, a slot tuple of the window
+    order, read from the edge list."""
+    def closed(slots):
+        part = {order[i] for i in slots}
+        return not any((u in part) != (v in part) for u, v, _ in graph.edges)
+
+    return closed
+
+
+def ref_ds_objective(k_amb, boundary_slots, masses, closed):
+    """A part's alpha_DS by one elimination per (part, A): ref_min_single
+    on the part's block, every other window slot grounded."""
     def objective(slots):
         inner = [i for i, s in enumerate(slots) if s in boundary_slots]
         if not inner:
             return INFINITE
+        if closed(slots):
+            return 0.0
         sub = k_amb[np.ix_(slots, slots)]
         return ref_min_single(sub, inner, masses[[slots[i] for i in inner]])[0]
 
     return per_part(objective)
 
 
-def ref_kappa(domain, k, budget):
+def ref_subset_value(s, m):
+    """1^T s 1 / (sum of m) with the floating point operations of
+    _subset_values: the slots join in order, slot j adding S_jj + 2 S_0j +
+    ... + 2 S_(j-1)j to the energy and m_j to the mass."""
+    q = mass = 0.0
+    for j in range(len(m)):
+        e = s[j, j]
+        for i in range(j):
+            e = e + (s[i, j] + s[i, j])
+        q, mass = q + e, mass + m[j]
+    return float(q / mass)
+
+
+def ref_lattice_objective(k_amb, boundary_slots, masses, closed):
+    """A part's alpha_DS on the union lattice of constants._ds_table, part
+    by part: the candidate A of part P reads the form of U = A | (W - P)
+    (ref_union_forms) and is summed by ref_subset_value, so the bits are the
+    library's."""
+    n = len(masses)
+    forms = ref_union_forms(k_amb, lowest=1)
+
+    def objective(slots):
+        inner = [s for s in slots if s in boundary_slots]
+        if not inner:
+            return INFINITE
+        if closed(slots):
+            return 0.0
+        rest = set(range(n)) - set(slots)
+        best = np.inf
+        for a in range(1, len(inner) + 1):
+            for A in itertools.combinations(inner, a):
+                union = sorted(rest | set(A))
+                pos = [union.index(i) for i in A]
+                form = forms[sum(1 << i for i in union)]
+                best = min(best, ref_subset_value(form[np.ix_(pos, pos)], masses[list(A)]))
+        return best
+
+    return per_part(objective)
+
+
+def ref_kappa(domain, k, budget, part=ref_lattice_objective):
     order = list(domain.closure)
     kmat = stiffness_matrix(domain.induced)
     masses = np.array([domain.graph.mass[v] for v in order])
     bnd = {domain.closure_index[v] for v in domain.boundary}
-    objective = ref_ds_objective(kmat, bnd, masses)
+    objective = part(kmat, bnd, masses, ref_closed(domain.induced, order))
     return ref_min_tuple(k + 1, objective, budget, order)
 
 
-def ref_beta_tuple(graph, omega, k, budget):
+def ref_beta_tuple(graph, omega, k, budget, part=ref_lattice_objective):
     order = list(graph.vertices)
     kmat = stiffness_matrix(graph)
     masses = np.array([graph.mass[v] for v in order])
-    objective = ref_ds_objective(kmat, {graph.index[v] for v in omega}, masses)
+    objective = part(kmat, {graph.index[v] for v in omega}, masses, ref_closed(graph, order))
     return ref_min_tuple(k + 1, objective, budget, order)
 
 
-def ref_gamma_k_steklov(domain, W, k, budget):
-    order = [v for v in domain.closure if v in set(W)]
-    kmat = stiffness_matrix(domain.induced)
-    pos = np.array([domain.closure_index[v] for v in order])
-    masses = np.array([domain.graph.mass[v] for v in order])
+def ref_gamma_k_steklov(domain, W, k, budget, part=ref_lattice_objective):
+    order, kmat, pos, masses = _window(domain.induced, W)
     bnd = {i for i, v in enumerate(order) if v in domain.boundary_index}
-    objective = ref_ds_objective(kmat[np.ix_(pos, pos)], bnd, masses)
+    objective = part(kmat[np.ix_(pos, pos)], bnd, masses, ref_closed(domain.induced, order))
     return ref_min_tuple(k, objective, budget, order)
 
 
@@ -315,15 +371,11 @@ def _window(graph, W):
     return order, kmat, pos, masses
 
 
-def ref_gamma_k_dirichlet(graph, W, k, budget):
+def ref_gamma_k_dirichlet(graph, W, k, budget, part=ref_lattice_objective):
     order, kmat, pos, masses = _window(graph, W)
-
-    def objective(slots):
-        rows = pos[list(slots)]
-        sub = kmat[np.ix_(rows, rows)]
-        return ref_min_single(sub, list(range(len(slots))), masses[list(slots)])[0]
-
-    return ref_min_tuple(k, per_part(objective), budget, order)
+    objective = part(kmat[np.ix_(pos, pos)], set(range(len(order))), masses,
+                     ref_closed(graph, order))
+    return ref_min_tuple(k, objective, budget, order)
 
 
 def ref_gamma_tilde_dirichlet(graph, W, k, budget):
@@ -838,6 +890,117 @@ def test_tuple_constants_match_per_part_reference(budget):
             if k <= len(W):
                 assert _result(gamma_k_steklov(dom, W, k, budget)) == \
                     _result(ref_gamma_k_steklov(dom, W, k, budget))
+
+
+# closures of 7 to 10 slots
+WIDE = [dom for dom in (random_domain(np.random.default_rng(70 + i), max_closure=10)
+                        for i in range(40)) if len(dom.closure) >= 7][:6]
+
+
+def tuple_windows(dom):
+    """(graph, window, inner vertices) of kappa_{k+1}, beta_{k+1}, Gamma_k^D
+    and Gamma_k^S on dom, as the library's entry points pass them."""
+    g = dom.graph
+    return [(dom.induced, dom.closure, dom.boundary_index), (g, g.vertices, set(dom.interior)),
+            (g, dom.interior, g.index), (dom.induced, list(dom.closure)[:8], dom.boundary_index)]
+
+
+def window_inputs(graph, W, inner):
+    """(order, block, masses, inner slots) of a window, as _tuple_constant
+    gathers them."""
+    order, kmat, pos, masses = _window(graph, W)
+    slots = [i for i, v in enumerate(order) if v in inner]
+    return order, kmat[np.ix_(pos, pos)], masses, slots
+
+
+def test_tuple_part_values_match_the_per_part_solve():
+    # the value oracle: every part of every window against its own
+    # eliminations; a closed part is 0.0 on both sides, from the edges
+    for dom in TUPLE_DOMAINS + WIDE:
+        for graph, W, inner in tuple_windows(dom):
+            order, block, masses, slots = window_inputs(graph, W, inner)
+            n = len(order)
+            table = _ds_table(block, masses, slots, _closed_parts(graph, order), n)
+            want = ref_ds_objective(block, set(slots), masses, ref_closed(graph, order))
+            parts = [c for s in range(1, n + 1) for c in itertools.combinations(range(n), s)]
+            for part, value in zip(parts, want(np.array(parts, dtype=object))):
+                got = table[sum(1 << i for i in part)]
+                if is_infinite(value):
+                    assert got == np.inf
+                else:
+                    assert got == pytest.approx(value, rel=SOLVE_REL, abs=0), (order, part)
+
+
+def test_tuple_constants_match_the_per_part_solve():
+    # random values have no exact ties, so the witnesses agree as well
+    budget = DEFAULT_BUDGET
+    solve = {"part": ref_ds_objective}
+    for dom in TUPLE_DOMAINS + WIDE:
+        g, interior = dom.graph, dom.interior
+        W = list(dom.closure)[:8]
+        pairs = []
+        for k in (1, 2, 3):
+            if k <= len(dom.boundary) - 1:
+                pairs.append((kappa_steklov(dom, k), ref_kappa(dom, k, budget, **solve)))
+            if k <= len(interior) - 1:
+                pairs.append((beta_tuple(g, interior, k),
+                              ref_beta_tuple(g, interior, k, budget, **solve)))
+            if k <= len(interior):
+                pairs.append((gamma_k_dirichlet(g, interior, k),
+                              ref_gamma_k_dirichlet(g, interior, k, budget, **solve)))
+            if k <= len(W):
+                pairs.append((gamma_k_steklov(dom, W, k),
+                              ref_gamma_k_steklov(dom, W, k, budget, **solve)))
+        for got, want in pairs:
+            if is_infinite(want.value):
+                assert is_infinite(got.value)
+            else:
+                assert got.value == pytest.approx(want.value, rel=SOLVE_REL, abs=0)
+            assert got.evaluations == want.evaluations
+            if dom not in TIED:
+                assert got.witness == want.witness
+
+
+def test_closed_parts_match_the_edge_list():
+    # two components, 0-1-2 and 3-4: the closed parts of the whole vertex
+    # set are its unions of components
+    split = _unit_graph(5, [(0, 1), (1, 2), (3, 4)])
+    windows = [(split, split.vertices), (split, [0, 1, 3, 4])]
+    for dom in TUPLE_DOMAINS[:4] + WIDE[:2]:
+        windows += [(graph, W) for graph, W, _ in tuple_windows(dom)]
+    for graph, W in windows:
+        order = _window(graph, W)[0]
+        got = _closed_parts(graph, order)
+        want = ref_closed(graph, order)
+        for mask in range(1, 1 << len(order)):
+            assert got[mask] == want([i for i in range(len(order)) if mask >> i & 1])
+    closed = _closed_parts(split, split.vertices)
+    assert np.flatnonzero(closed).tolist() == [0, 0b00111, 0b11000, 0b11111]
+
+
+def test_zero_pivot_is_a_singular_matrix_error():
+    # a - b - c with masses 1e-300, 1, 1e300 and weights 1e300, 1e-300:
+    # b's diagonal 1e300 + 1e-300 rounds to 1e300, so eliminating a leaves
+    # b's entry 1e300 - (1e300)^2 / 1e300, 0 in exact arithmetic and -inf
+    # in the rank-one step, whose product overflows: the pivot that removes
+    # b is not positive, where the true Schur entry is 1e-300
+    g = WeightedGraph("abc", {"a": 1e-300, "b": 1.0, "c": 1e300},
+                      [("a", "b", 1e300), ("b", "c", 1e-300)])
+    dom = make_domain(g, ["b"])
+    order, block, masses, slots = window_inputs(dom.induced, dom.closure, dom.boundary_index)
+    assert block[1, 1] == -block[0, 1] == block[0, 0] == 1e300
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularMatrixError, match="^Singular matrix$"):
+            _ds_table(block, masses, slots, _closed_parts(dom.induced, order), 3)
+    for call in (lambda: kappa_steklov(dom, 1), lambda: gamma_k_steklov(dom, order, 2)):
+        with pytest.raises(SingularMatrixError, match="^Singular matrix$"):
+            call()
+    # an exact 0: the component 3 - 4 of the vertex window has no edge out,
+    # so eliminating both its slots divides by 1 - 1 * 1 / 1 = 0 (the part
+    # {0, 3, 4} with A = {0} frees the whole component)
+    split = _unit_graph(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(SingularMatrixError, match="^Singular matrix$"):
+        beta_tuple(split, [0, 1, 3], 1)
 
 
 def test_parts_without_boundary_slot_are_infinite():
