@@ -6,10 +6,10 @@ over the smaller mass; tuple constants (gamma-tilde, Gamma_k, kappa, beta_k+1)
 are min-max packings of disjoint parts, read from one table of the least
 largest-part rank over slot masks (_min_tuple); the alpha_DS part values of
 a window are one table by slot mask, built on its union lattice
-(_ds_table), the unions' Schur forms shared with the pair enumerator
-(_union_forms).  All enumerators are
-exhaustive within the budget and reduce by (value, lexicographic witness), so
-results do not depend on evaluation order or chunking.  The public
+(_ds_table), the unions' Schur forms and the doubling kernel shared with
+the pair enumerator (_union_forms, _doubling).  All enumerators are
+exhaustive within the budget and reduce by (value, lexicographic witness),
+so results do not depend on evaluation order or chunking.  The public
 enumerators run under spectra._finite: no floating-point warnings, and a
 value that is not finite (other than INFINITE) is an InputError.
 """
@@ -33,13 +33,11 @@ _CHUNK = 4096
 # Elements of one batched block, 8 MB of float64: rows x d_amb^2 of a
 # _capacity_ratios solve, which bounds each of its gathered blocks (a
 # candidate larger than the budget is solved alone, as it would be
-# unbatched), unions x (splits + 1) of a _min_pair chunk, which bounds
-# each of its three union x split arrays (the split forms and the two
-# doubling buffers of _split_values), whatever the pair budget, and unions x
-# 2^r of a _ds_table chunk, which bounds its subset energies, masses and
-# part masks (_subset_values).  Within the tuple budget of 12 slots every
-# other _ds_table array (the table, one level of union forms, the inner
-# forms of one r) is under 2^17 elements.
+# unbatched), and the one buffer of a _min_pair or _ds_table chunk, which
+# holds every array of its doubling (_workspace), whatever the pair budget.
+# Within the tuple budget of 12 slots every other _ds_table array (the
+# table, one level of union forms, the inner forms of one r) is under 2^17
+# elements.
 _SOLVE_ELEMENTS = 1 << 20
 # The relative margin of _heuristic_single's screen is delta = _SCREEN_SLACK
 # * n * kappa^2 * u (_screen_single).  Over the oracle inputs of the tests and
@@ -148,27 +146,31 @@ def _lex_first(keys):
     return keys[np.lexsort(keys.T[::-1])[0]]
 
 
-def _first_tied_split(part, pos, tied):
+def _first_tied_split(ties):
     """The smallest (A, B) pair of slot tuples, in Python tuple order, among
-    the True entries of tied, a (unions, splits) mask over the rows of part
-    (ascending union slots, signed integers) and of pos (_split_table).
+    the tied splits of ties: (part, idx) records, part a chunk's union rows
+    (ascending slots, signed integers) and idx flat indices into its
+    (splits, unions) values, splits in _split_table's row order.
 
     Key column c of a (union, split) entry is part[union, pos[split, c]],
-    with -1 for the padding position u, so a shorter tuple orders before its
-    extensions.  The entries are filtered to the least value of each column
-    in turn, until one is left; distinct entries have distinct keys."""
-    ui, pi = np.nonzero(tied)
-    u = part.shape[1]
-    ext = np.hstack([part, np.full((len(part), 1), -1, dtype=part.dtype)])
-    for c in range(2 * u):
-        if len(ui) == 1:
-            break
-        col = ext[ui, pos[pi, c]]
-        sel = col == col.min()
-        ui, pi = ui[sel], pi[sel]
-    slots, cols = ext[ui[0]], pos[pi[0]]
-    return (tuple(slots[cols[:u][cols[:u] < u]].tolist()),
-            tuple(slots[cols[u:][cols[u:] < u]].tolist()))
+    pos = _split_table(u), with -1 for the padding position u, so a shorter
+    tuple orders before its extensions.  A record's entries are filtered to
+    the least value of each column in turn, until one is left (distinct
+    entries have distinct keys); the records' winners compare as tuples."""
+    firsts = []
+    for part, idx in ties:
+        u, pos = part.shape[1], _split_table(part.shape[1])
+        pi, ui = np.divmod(idx, len(part))
+        ext = np.hstack([part, np.full((len(part), 1), -1, dtype=part.dtype)])
+        for c in range(2 * u):
+            if len(ui) == 1:
+                break
+            col = ext[ui, pos[pi, c]]
+            sel = col == col.min()
+            ui, pi = ui[sel], pi[sel]
+        key = ext[ui[0], pos[pi[0]]].tolist()  # padded with -1, slots are >= 0
+        firsts.append((tuple(i for i in key[:u] if i >= 0), tuple(i for i in key[u:] if i >= 0)))
+    return min(firsts)
 
 
 @functools.lru_cache(maxsize=64)  # every size of a 20-slot universe: 10 MB
@@ -257,59 +259,77 @@ def _union_forms(parents, rank, combos, masks, bit, strict=False):
     return forms
 
 
-def _split_values(s_u, m_u, q, bufs):
-    """Values Cap(A, B) / min(m_A, m_B) of the splits of n unions, a
-    (splits, n) view of one of bufs, two flat buffers of n * (splits + 1)
-    floats: s_u (u, u, n) are the forms, m_u (n, u) the slot masses, and q
-    (splits, n) takes the split forms, in _split_table's row order.
+def _doubling(q, e, cols, init, two, inc):
+    """The doubling kernel of the pair and tuple enumerators, in place over
+    n unions (_slabs).  Step t adds one slot to a set A: rows [h, 2h), h =
+    2^t, are rows [0, h) with it.  q(A | {s}) = q(A) + e_s(A), e_s(A) =
+    init[t] + two[i, t] + ... over the slots i of A that joined at steps i
+    < t, in order: the scratch slab e takes init[t] and is doubled over
+    those steps before it is read.  Each slab of cols (masses, part masks)
+    adds inc[t] at step t.  No array is copied."""
+    for t in range(len(init)):
+        h = 1 << t
+        e[0] = init[t]
+        for i in range(t):
+            np.add(e[: 1 << i], two[i, t], out=e[1 << i : 2 << i])
+        np.add(q[:h], e[:h], out=q[h : 2 * h])
+        np.add(cols[:, :h], inc[t, :, None], out=cols[:, h : 2 * h])
 
-    Doubling: A starts as {0} and slots s = 1..u-1 join in turn; the
-    splits with s in A are those without it, 2**(s-1) rows on (but the
-    all-A split).  q(A | {s}) = q(A) + e_s(A), where e_k(A) is
-    (2 S_0k + S_kk) + 2 S_ik + ... over A's other slots in order, and
-    e_k(A | {s}) = e_k(A) + 2 S_sk, m(A | {s}) = m(A) + m_s.  The columns
-    [e_k for k >= s, m] fill one (columns, rows, n) buffer; each step
-    writes them to the other without e_s.  All of it is elementwise."""
+
+def _workspace(count, steps, columns, spare=0):
+    """(chunk, work): chunks of at most _CHUNK unions (at least one) whose
+    _doubling arrays stay within _SOLVE_ELEMENTS (the columns + 2 slabs of
+    _slabs, spare rows more and the steps x (steps + columns + 1) start
+    values and increments), and the slabs' buffer for count or fewer."""
+    rows = 1 << steps
+    chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (rows * (columns + 2 + spare)
+                                                   + steps * (steps + columns + 1))))
+    return chunk, np.empty(min(chunk, count) * rows * (columns + 2))
+
+
+def _slabs(work, n, steps, columns):
+    """(q, e, cols): the first columns + 2 slabs of 2^steps rows of n unions
+    in the flat buffer work, the last columns being cols."""
+    slabs = work[: (columns + 2) * n << steps].reshape(columns + 2, 1 << steps, n)
+    return slabs[0], slabs[1], slabs[2:]
+
+
+def _split_values(s_u, m_u, work):
+    """The (splits, n) values Cap(A, B) / min(m_A, m_B) of the splits of n
+    unions in _split_table's row order, from their forms s_u (u, u, n) and
+    slot masses m_u (n, u), doubled in work (_slabs over u - 1 steps and
+    one column, the A-mass).  A starts as {0} and slots 1..u-1 join (the
+    last row, all of the union, is no split): the row sum of slot k starts
+    as 2 S_0k + S_kk, a slot s before it adds 2 S_sk, and slot k adds m_k
+    to the A-mass.  The values overwrite the scratch slab."""
     u, n = len(s_u), len(m_u)
-    inc = np.empty((u, u + 1, n))  # 2 S_sk and m_s, added when s joins A
-    np.add(s_u, s_u, out=inc[:, :u])
-    inc[:, u] = m_u.T
-    cols = bufs[0][: u * n].reshape(u, 1, n)
-    np.add(inc[0, 1:u], s_u.diagonal().T[1:], out=cols[: u - 1, 0])
-    cols[u - 1, 0] = m_u[:, 0]
-    q[0] = s_u[0, 0]
-    for s in range(1, u):
-        h = 1 << (s - 1)
-        k = h - (s == u - 1)
-        np.add(q[:k], cols[0, :k], out=q[h : h + k])
-        nxt = bufs[s % 2][: (u - s) * 2 * h * n].reshape(u - s, 2 * h, n)
-        nxt[:, :h] = cols[1:]
-        np.add(cols[1:, :k], inc[s, s + 1 :, None], out=nxt[:, h : h + k])
-        cols = nxt
-    vals = bufs[u % 2][: q.size].reshape(q.shape)
-    np.subtract(m_u.sum(axis=1), cols[0, : len(q)], out=vals)
-    np.minimum(cols[0, : len(q)], vals, out=vals)
-    return np.divide(q, vals, out=vals)
+    q, e, cols = _slabs(work, n, u - 1, 1)
+    q[0], cols[0, 0] = s_u[0, 0], m_u[:, 0]
+    init = (s_u[0, 1:] + s_u[0, 1:]) + s_u.diagonal().T[1:]
+    _doubling(q, e, cols, init, s_u[1:, 1:] + s_u[1:, 1:], m_u.T[1:, None])
+    splits = len(q) - 1
+    mass, vals = cols[0, :splits], e[:splits]
+    np.subtract(m_u.sum(axis=1), mass, out=vals)
+    np.minimum(mass, vals, out=vals)
+    return np.divide(q[:splits], vals, out=vals)
 
 
-def _level_best(forms, combos, masses, best):
-    """(best, count): the running best after the splits of the unions of
-    combos (columns of forms), in chunks of _min_pair's workspace."""
+def _level_best(forms, combos, masses, best, ties):
+    """(best, ties, count) after the splits of the unions of combos
+    (columns of forms): best the least value so far and ties the (part,
+    idx) records of _first_tied_split of the chunks that hold it.  A chunk
+    whose minimum is NaN or above best adds none; one below starts over."""
     n_all, u = combos.shape
-    pos = _split_table(u)
-    chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (len(pos) + 1)))
-    q, *bufs = [np.empty(min(chunk, n_all) << (u - 1)) for _ in range(3)]
+    chunk, work = _workspace(n_all, u - 1, 1)
     for lo in range(0, n_all, chunk):
         part = combos[lo : lo + chunk]
-        vals = _split_values(forms[:, :, lo : lo + chunk], masses[part],
-                             q[: len(pos) * len(part)].reshape(len(pos), -1), bufs)
-        vmin = float(vals.min())
-        # with vmin NaN no entry equals it; above the best, _better
-        # would reject every tied split
-        if math.isnan(vmin) or (best is not None and vmin > best[0]):
-            continue
-        best = _better(best, vmin, _first_tied_split(part, pos, (vals == vmin).T))
-    return best, n_all * len(pos)
+        vals = _split_values(forms[:, :, lo : lo + chunk], masses[part], work)
+        vmin = vals.min()
+        if vmin < best:
+            best, ties = vmin, []
+        if vmin == best:
+            ties.append((part, np.flatnonzero(vals == vmin)))
+    return best, ties, n_all * ((1 << (u - 1)) - 1)
 
 
 def _min_pair(root, masses):
@@ -318,12 +338,11 @@ def _min_pair(root, masses):
     A u B is free.  A holds the smallest slot of the union.
 
     Witness rule: among the minimal-value splits (exact float equality),
-    the smallest (A, B) pair of slot tuples in Python tuple order.  A chunk
-    whose minimum is NaN or above the best so far offers nothing; any
-    other offers its smallest tied split (_first_tied_split: the tied
-    entries filtered key column by key column, each column gathered from
-    the union slots through the split positions of _split_table, with no
-    sorting).  Raises InputError when no split value is a number.
+    the smallest (A, B) pair of slot tuples in Python tuple order.  Each
+    chunk that holds the least value so far keeps the flat indices of its
+    tied entries (_level_best); the key is built once, at the end, over the
+    chunks of the final minimum (_first_tied_split, with no sorting).
+    Raises InputError when no split value is a number.
 
     Evaluation order: the unions go by size from p down to 2, a level of
     _combinations rows at a time.  The root is the form of the p-slot
@@ -334,31 +353,28 @@ def _min_pair(root, masses):
     visit order or the chunk size.
 
     Workspace: two levels of C(p, u) * u^2 floats, the parents and the
-    unions of one size (at most 7.4 MB at p = 16, growing with the budget), a
-    row table of 2^p integers by slot mask, and, allocated once per union
-    size, three union x split arrays of at most _SOLVE_ELEMENTS floats for
-    chunks of at most _CHUNK unions (the block budget of _capacity_ratios):
-    the split forms and two doubling buffers, which end as the A-masses
-    and the split values.
+    unions of one size (at most 7.4 MB at p = 16, growing with the budget),
+    a row table of 2^p integers by slot mask, the tied indices, and one
+    buffer of at most _SOLVE_ELEMENTS floats per union size for every array
+    of _split_values (_workspace).
     """
     p = len(masses)
     masses = np.asarray(masses, dtype=float)
     bit = np.left_shift(1, np.arange(p, dtype=np.int64))
     rank = np.empty(1 << p, dtype=np.intp)
     forms = np.array(root, dtype=float).reshape(p, p, 1)
-    best = None
-    examined = 0
+    best, ties, examined = math.inf, [], 0
     for u in range(p, 1, -1):
         combos = _combinations(p, u)
         masks = bit[combos].sum(axis=1)
         if u < p:
             forms = _union_forms(forms, rank, combos, masks, bit)
         rank[masks] = np.arange(len(combos))
-        best, count = _level_best(forms, combos, masses, best)
+        best, ties, count = _level_best(forms, combos, masses, best, ties)
         examined += count
-    if best is None:
+    if not ties:
         raise InputError("non-finite values in every pair split")
-    return best[0], best[1], examined
+    return float(best), _first_tied_split(ties), examined
 
 
 def _levels(vec):
@@ -688,29 +704,38 @@ def _submask_pairs(n, dtype):
     return out
 
 
-def _min_tuple(arity, objective, budget, slot_ids):
+@functools.lru_cache(maxsize=16)  # all n <= 12 (the tuple budget): 64 kB
+def _lex_masks(n):
+    """The nonempty slot masks of n slots in the Python order of their
+    ascending slot tuples, shared read-only.  Over slots b..n-1 they are
+    {b}, then {b} with each mask over the slots above b, then those."""
+    out = np.zeros(0, dtype=np.int64)
+    for b in range(n - 1, -1, -1):
+        out = np.concatenate([[1 << b], out | (1 << b), out])
+    out.flags.writeable = False
+    return out
+
+
+def _min_tuple(arity, part_table, budget, slot_ids):
     """Min over disjoint arity-tuples of nonempty parts of the max part
-    objective over the slots of slot_ids; parts capped at budget.part_cap
-    slots when set.
+    value over the slots of slot_ids; parts capped at budget.part_cap
+    slots when set.  part_table(cap), called once after the checks, returns
+    (values, infinite) by slot mask: each part's float value and whether it
+    is INFINITE, read for parts of at most cap slots.  Every part counts as
+    one evaluation.
 
-    objective is batched: it takes an (N, s) integer array holding every
-    part of one size s, one ascending slot tuple per row in
-    itertools.combinations order, and returns the N part values (floats or
-    INFINITE) in row order.  Every part counts as one evaluation.  The
-    alpha_DS objective of _tuple_constant reads them from its table of all
-    parts (_ds_table) by slot mask.
-
-    The part values are ranked as integers: the sorted distinct floats, then
-    INFINITE, and one rank past that for a slot mask that is no part (the
-    empty mask included).  best[j][M] is the least rank, over packings of j
-    disjoint parts inside slot mask M, of the largest part: best[0] is -1,
-    best[1] the subset minimum of the ranks, and best[j][M] the min over
-    submasks P of M of max(rank[P], best[j - 1][M ^ P]) (_submask_pairs).
-    The optimum is that recurrence for j = arity at the full mask only,
+    The part values are ranked as integers: the sorted distinct floats (of
+    the parts by size, then in _combinations order), then INFINITE, and
+    one rank past that for a slot mask that is no part (the empty mask
+    included).  best[j][M] is the least rank, over packings of j disjoint
+    parts inside slot mask M, of the largest part: best[0] is -1, best[1]
+    the subset minimum of the ranks, and best[j][M] the min over submasks
+    P of M of max(rank[P], best[j - 1][M ^ P]) (_submask_pairs).  The
+    optimum is that recurrence for j = arity at the full mask only,
     returned as the value of the first part of its rank.  The witness is
     the lexicographically smallest optimal packing (parts sorted by slot
-    tuple), found depth first over the parts of rank at most the optimum,
-    with best[j] as the test that j more parts fit.
+    tuple), found depth first over the parts of rank at most the optimum
+    in _lex_masks order, with best[j] as the test that j more parts fit.
     """
     n_slots = len(slot_ids)
     if arity < 1:
@@ -723,17 +748,13 @@ def _min_tuple(arity, objective, budget, slot_ids):
     cap = budget.part_cap if budget.part_cap is not None else n_slots
     if cap < 1:
         raise InputError("part cap must be positive")
-    values, tuples, masks = [], [], []
-    for s in range(1, min(cap, n_slots) + 1):
-        rows = _combinations(n_slots, s).astype(np.int64)
-        values.extend(objective(rows))
-        tuples.extend(map(tuple, rows.tolist()))
-        masks.append((1 << rows).sum(axis=1))
-    masks = np.concatenate(masks)
-    infinite = np.array([is_infinite(v) for v in values], dtype=bool)
-    finite = [v for v in values if not is_infinite(v)]
-    _, first, ranks = np.unique(np.array(finite, dtype=float), return_index=True,
-                                return_inverse=True)
+    cap = min(cap, n_slots)
+    masks = np.concatenate([(1 << _combinations(n_slots, s).astype(np.int64)).sum(axis=1)
+                            for s in range(1, cap + 1)])
+    values, infinite = part_table(cap)
+    infinite = infinite[masks]
+    finite = values[masks[~infinite]]
+    _, first, ranks = np.unique(finite, return_index=True, return_inverse=True)
     top = len(first)  # the rank of INFINITE
     size = 1 << n_slots
     dtype = np.min_scalar_type(-(size + 1)).type
@@ -749,67 +770,59 @@ def _min_tuple(arity, objective, budget, slot_ids):
         best.append(np.minimum.reduceat(np.maximum(rank[part], best[j - 1][other]), starts))
     # M ^ P is size - 1 - P at the full mask
     opt = int(np.maximum(rank, best[arity - 1][::-1]).min())
-    allowed = sorted((tuples[i], int(masks[i]))
-                     for i in np.flatnonzero(rank[masks] <= opt).tolist())
+    lex = _lex_masks(n_slots)
+    allowed = lex[rank[lex] <= opt].tolist()
 
     def dfs(start, need, free):
         if need == 0:
             return ()
         for i in range(start, len(allowed)):
-            slots, pmask = allowed[i]
+            pmask = allowed[i]
             rest = free & ~pmask
             if rest | pmask == free and best[need - 1][rest] <= opt:
                 sub = dfs(i + 1, need - 1, rest)
                 if sub is not None:
-                    return (slots,) + sub
+                    return (pmask,) + sub
         return None
 
-    packing = dfs(0, arity, size - 1)
-    witness = Parts(tuple(slot_ids[i] for i in slots) for slots in packing)
-    return ConstantResult(INFINITE if opt == top else finite[first[opt]], witness,
-                          len(values))
+    witness = Parts(tuple(slot_ids[i] for i in range(n_slots) if pmask >> i & 1)
+                    for pmask in dfs(0, arity, size - 1))
+    return ConstantResult(INFINITE if opt == top else float(finite[first[opt]]), witness,
+                          len(masks))
 
 
 def _tuple_constant(graph, W, what, arity, budget, inner=None):
     """_min_tuple over the window W of graph (checked as `what`; slots in
     vertex order), each part grounded outside itself in graph: its alpha_DS
-    with A inside the vertices of inner, read from the table of every
-    part's value (_ds_table), or with inner None its first Dirichlet
-    eigenvalue.  The window's stiffness block and masses are gathered, and
-    the table built, at the first part evaluation, after _min_tuple's
-    checks, so a window past the tuple budget assembles nothing."""
+    with A inside the vertices of inner, from the table of every part's
+    value (_ds_table; INFINITE for a part with no inner slot), or with
+    inner None its first Dirichlet eigenvalue, one batched eigensolve per
+    part size.  The window's stiffness block and masses are gathered, and
+    the table built, when _min_tuple asks for it after its checks, so a
+    window past the tuple budget assembles nothing."""
     graph.check_vertices(W, what)
     wset = set(W)
     order = [v for v in graph.vertices if v in wset]
     budget = budget or DEFAULT_BUDGET
 
-    @functools.cache
-    def objective():
+    def part_table(cap):
+        n = len(order)
         pos = [graph.index[v] for v in order]
         block = stiffness_matrix(graph)[np.ix_(pos, pos)]
         masses = np.array([graph.mass[v] for v in order])
         if inner is not None:
             slots = [i for i, v in enumerate(order) if v in inner]
-            n = len(order)
-            cap = n if budget.part_cap is None else min(budget.part_cap, n)
             table = _ds_table(block, masses, slots, _closed_parts(graph, order), cap)
-            inner_mask = sum(1 << i for i in slots)
-
-            def values(parts):
-                masks = np.left_shift(1, parts).sum(axis=1)
-                return [v if has else INFINITE for v, has in
-                        zip(table[masks].tolist(), (masks & inner_mask != 0).tolist())]
-
-            return values
-
-        def eigenvalues(parts):
-            sub = block[parts[:, :, None], parts[:, None, :]]
+            return table, np.arange(1 << n) & sum(1 << i for i in slots) == 0
+        table = np.empty(1 << n)
+        for s in range(1, cap + 1):
+            parts = _combinations(n, s)
             d = 1.0 / np.sqrt(masses[parts])
-            return np.linalg.eigvalsh(sub * d[:, :, None] * d[:, None, :])[:, 0].tolist()
+            sub = block[parts[:, :, None], parts[:, None, :]] * d[:, :, None] * d[:, None, :]
+            table[(1 << parts.astype(np.int64)).sum(axis=1)] = np.linalg.eigvalsh(sub)[:, 0]
+        return table, np.zeros(1 << n, dtype=bool)
 
-        return eigenvalues
-
-    return _min_tuple(arity, lambda parts: objective()(parts), budget, order)
+    return _min_tuple(arity, part_table, budget, order)
 
 
 def _closed_parts(graph, order):
@@ -845,8 +858,8 @@ def _ds_table(block, masses, inner, closed, cap):
     (_union_forms, strict: a pivot <= 0 raises SingularMatrixError).  Each
     level hands its forms on the inner slots of each union to the group of
     unions with the same number r of inner slots; each group is then
-    doubled in chunks of _SOLVE_ELEMENTS >> r unions, the 2^r - 1 subsets A
-    of a union over its inner slots in ascending order (_subset_values).  A
+    doubled in chunks of one _workspace buffer, the 2^r - 1 subsets A of a
+    union over its inner slots in ascending order (_subset_values).  A
     candidate's part P = A | (W - U) takes the min by np.minimum.at, which
     is exact, so no bit depends on the order of the candidates.
     """
@@ -880,45 +893,30 @@ def _ds_table(block, masses, inner, closed, cap):
             continue
         s_a, slots, rest = zip(*group)
         s_a, slots, rest = np.concatenate(s_a, axis=2), np.concatenate(slots), np.concatenate(rest)
-        step = max(1, _SOLVE_ELEMENTS >> r)
+        step, work = _workspace(len(rest), r, 2, spare=1)
         for lo in range(0, len(rest), step):
             part = slots[lo : lo + step]
             vals, parts = _subset_values(s_a[:, :, lo : lo + step], masses[part], bit[part],
-                                         rest[lo : lo + step])
+                                         rest[lo : lo + step], work)
             np.minimum.at(table, parts, vals)
     table[closed & (np.arange(full + 1) & bit[is_inner].sum() != 0)] = 0.0
     return table
 
 
-def _subset_values(s_a, m_a, bits, rest):
+def _subset_values(s_a, m_a, bits, rest, work):
     """(values, parts), each (2^r - 1, N): the energy over the mass of
     every nonempty subset A of the r slots of N unions, and the slot mask
     of its part A | rest.  s_a (r, r, N) are the forms on those slots, m_a
     and bits (N, r) their masses and slot bits, rest (N,) the masks of the
-    window outside each union.  Row j holds A = {slot t: bit t of j set}.
-
-    Doubling: A starts empty and slots s = 0..r-1 join in turn, rows
-    [2^s, 2^(s+1)) being rows [0, 2^s) with s added.  q(A | {s}) = q(A) +
-    e_s(A), where e_k(A) is S_kk + 2 S_ik + ... over A's slots in order, and
-    e_k(A | {s}) = e_k(A) + 2 S_sk; masses and part masks add m_s and slot
-    s's bit.  The columns e_k for k > s of the rows so far are the one
-    buffer carried between steps.  All of it is elementwise."""
+    window outside each union; doubled in work (_slabs, r steps, two
+    columns: the mass and the part mask, a float exact below 2^53) as slots
+    0..r-1 join an empty A, so row j holds slot t when bit t of j is set.
+    The row sum of slot k starts as S_kk and a slot s before it adds 2 S_sk."""
     r, _, n = s_a.shape
-    q, mass, parts = np.empty((1 << r, n)), np.empty((1 << r, n)), np.empty((1 << r, n), int)
-    q[0], mass[0], parts[0] = 0.0, 0.0, rest
-    two = s_a + s_a
-    cols = s_a.diagonal().T[:, None]
-    for s in range(r):
-        h = 1 << s
-        np.add(q[:h], cols[0], out=q[h : 2 * h])
-        np.add(mass[:h], m_a[:, s], out=mass[h : 2 * h])
-        np.add(parts[:h], bits[:, s], out=parts[h : 2 * h])
-        if s + 1 < r:
-            nxt = np.empty((r - s - 1, 2 * h, n))
-            nxt[:, :h] = cols[1:]
-            np.add(cols[1:], two[s, s + 1 :, None], out=nxt[:, h:])
-            cols = nxt
-    return np.divide(q[1:], mass[1:], out=q[1:]), parts[1:]
+    q, e, cols = _slabs(work, n, r, 2)
+    q[0], cols[0, 0], cols[1, 0] = 0.0, 0.0, rest
+    _doubling(q, e, cols, s_a.diagonal().T, s_a + s_a, np.stack([m_a.T, bits.T], axis=1))
+    return np.divide(q[1:], cols[0, 1:], out=q[1:]), cols[1, 1:].astype(np.intp)
 
 
 @_finite

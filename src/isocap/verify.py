@@ -18,14 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .constants import (_monotone_scan, alpha_dirichlet, alpha_ds,
-                        alpha_neumann, alpha_steklov, beta_steklov, beta_tuple,
-                        gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
+from .constants import (_PAIR, DEFAULT_BUDGET, _monotone_scan, _over_budget, _pair_constant,
+                        alpha_dirichlet, alpha_ds, alpha_neumann, alpha_steklov, beta_steklov,
+                        beta_tuple, gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .errors import InputError
 from .graph_core import SteklovDomain, make_domain
 from .infinite_families import FamilyStep, kinds_with
 from .linear_core import sym_eig_generalized
-from .spectra import (DOMAIN_SPECTRA, _finite, dirichlet_spectrum, dtn_operator,
+from .spectra import (DOMAIN_SPECTRA, _check_finite, _finite, dirichlet_spectrum, dtn_operator,
                       grounded_dtn_spectrum)
 from .infinity import INFINITE, is_infinite
 
@@ -303,7 +303,12 @@ def check_equality_case(domain, budget=None):
     op = dtn_operator(domain)
     spec = sym_eig_generalized(op.form, op.mass)
     sigma = spec.eigenvalues[1]
-    alpha = alpha_steklov(domain, budget=budget).value
+    # alpha_S enumerated on the same DtN form, the root that alpha_steklov
+    # would eliminate again, with its budget error and its name in an error
+    _over_budget(len(domain.boundary), (budget or DEFAULT_BUDGET).pair, _PAIR, False)
+    res = _pair_constant(op.form, op.mass, domain.boundary, False, None, connected=True)
+    _check_finite(res, "alpha_steklov")
+    alpha = res.value
     tol = 1e-8 * max(1.0, abs(sigma))
     equal = bool(abs(sigma - 2.0 * alpha) <= tol)
     gap = 2.0 * alpha - sigma

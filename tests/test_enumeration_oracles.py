@@ -34,7 +34,7 @@ from isocap.constants import (_CHUNK, _SOLVE_ELEMENTS, DEFAULT_BUDGET, _better,
                               _closed_parts, _combinations, _complement, _ds_table,
                               _first_tied_split, _grounded_values, _levels, _lex_first,
                               _min_pair, _min_single, _min_tuple, _pair_root, _split_table,
-                              _split_values)
+                              _split_values, _subset_values)
 from isocap.infinite_families import line_domain, t3_example
 from isocap.linear_core import stiffness_matrix, sym_eig_generalized
 from isocap.spectra import _finite, dtn_operator
@@ -761,17 +761,24 @@ def _symmetric_forms(rng, n, u):
 
 
 def _doubled(s_u, m_u):
-    """_split_values on fresh buffers: (values, split forms, A-masses).  The
-    A-masses are left in the first column of the buffer that the last
-    doubling step wrote.  Masses over e^-30..e^30 can leave m(B) = 0 after
-    the subtraction, and the value infinite or NaN."""
+    """_split_values on a fresh buffer: (values, split forms, A-masses).  The
+    A-masses are left in the one column of the doubling.  Masses over
+    e^-30..e^30 can leave m(B) = 0 after the subtraction, and the value
+    infinite or NaN."""
     u, n = len(s_u), len(m_u)
-    splits = (1 << (u - 1)) - 1
-    q = np.empty((splits, n))
-    bufs = (np.empty(n << (u - 1)), np.empty(n << (u - 1)))
+    rows = 1 << (u - 1)
+    work = np.empty(3 * rows * n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _split_values(s_u, m_u, q, bufs)
-    return vals, q, bufs[(u - 1) % 2][: splits * n].reshape(splits, n)
+        vals = _split_values(s_u, m_u, work)
+    q, _, cols = constants._slabs(work, n, u - 1, 1)
+    return vals, q[: rows - 1], cols[0, : rows - 1]
+
+
+def ref_subset_rows(r):
+    """The 0/1 rows of the nonempty subsets of r slots in _subset_values'
+    order: row j - 1 holds slot t when bit t of j is set."""
+    j = np.arange(1, 1 << r)
+    return ((j[:, None] >> np.arange(r)) & 1).astype(float)
 
 
 @pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
@@ -784,7 +791,7 @@ def test_cube_forms_are_bit_equal_to_the_einsum(u):
     t = ref_split_rows(u)
     chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (1 << (u - 1))))
     sizes = [1, 2, 5]
-    if u <= 9:  # the chunk _min_pair uses, while the einsum stays cheap
+    if u <= 9:  # a chunk of about 2^20 split entries, while the einsum stays cheap
         sizes.append(chunk)
     for n in sizes:
         x = rng.integers(-(1 << 20), 1 << 20, (n, u, u)).astype(float)
@@ -798,6 +805,30 @@ def test_cube_forms_are_bit_equal_to_the_einsum(u):
         for got, ref in ((q, forms), (m_a, masses), (vals, want)):
             assert got.shape == (len(t), n)
             assert np.array_equal(_bits(got + 0.0), _bits(ref + 0.0)), (u, n)
+    # the tuple caller of the same kernel, on r = u - 1 slots within the
+    # tuple budget: every nonempty subset's energy, mass, value and part
+    r = u - 1
+    if r > DEFAULT_BUDGET.tuples:
+        return
+    t = ref_subset_rows(r)
+    # _ds_table's chunk for r inner slots (constants._workspace)
+    chunk = _SOLVE_ELEMENTS // ((5 << r) + r * (r + 3))
+    for n in (1, 2, 5, chunk):
+        x = rng.integers(-(1 << 20), 1 << 20, (n, r, r)).astype(float)
+        s_a = np.ascontiguousarray((x + x.transpose(0, 2, 1)).transpose(1, 2, 0))
+        bits = np.left_shift(1, rng.permuted(np.tile(np.arange(12), (n, 1)), axis=1)[:, :r])
+        rest = rng.integers(0, 1 << 12, n) & ~bits.sum(axis=1)
+        energies = np.einsum("ps,stn,pt->pn", t, s_a, t)
+        # unit masses leave the energies as the values
+        for m_a in (rng.integers(1, 1 << 20, (n, r)).astype(float), np.ones((n, r))):
+            work = np.empty((4 * n) << r)
+            vals, parts = _subset_values(s_a, m_a, bits, rest, work)
+            masses = np.einsum("ps,ns->pn", t, m_a)
+            mass = constants._slabs(work, n, r, 2)[2][0, 1:]
+            for got, ref in ((vals, energies / masses), (mass, masses)):
+                assert got.shape == (len(t), n)
+                assert np.array_equal(_bits(got + 0.0), _bits(ref + 0.0)), (r, n)
+            assert np.array_equal(parts, rest + (t @ bits.T).astype(int)), (r, n)
 
 
 @pytest.mark.parametrize("u", range(2, DEFAULT_BUDGET.pair + 1))
@@ -1202,6 +1233,21 @@ def synthetic_objective(rng, n, levels, infinite):
     return objective, calls
 
 
+def synthetic_table(rng, n, levels, infinite):
+    """synthetic_objective's part values on an rng in the same state, as
+    _min_tuple reads them: (values, INFINITE mask) by slot mask.  It
+    records the cap of every call."""
+    values = rng.integers(0, levels, 1 << n) * 0.25
+    infinite = rng.random(1 << n) < infinite
+    caps = []
+
+    def part_table(cap):
+        caps.append(cap)
+        return values, infinite
+
+    return part_table, caps
+
+
 def tuple_cases():
     """(n, arity, part cap): every arity and cap up to 6 slots, then a
     spread of them up to 12, so that every level of the table runs."""
@@ -1224,14 +1270,15 @@ def test_min_tuple_matches_the_sorted_scan():
         levels, infinite = kinds[i % len(kinds)]
         budget = Budget(part_cap=cap_)
         slot_ids = ["s%d" % j for j in range(n)]
-        got_fn, got_calls = synthetic_objective(np.random.default_rng([500, i]), n, levels,
-                                                infinite)
+        got_fn, got_caps = synthetic_table(np.random.default_rng([500, i]), n, levels,
+                                           infinite)
         want_fn, want_calls = synthetic_objective(np.random.default_rng([500, i]), n, levels,
                                                   infinite)
         got = _min_tuple(arity, got_fn, budget, slot_ids)
         want = ref_min_tuple(arity, want_fn, budget, slot_ids)
         assert _result(got) == _result(want), (n, arity, cap_, levels, infinite)
-        assert got_calls == want_calls
+        # one table for every part size that the reference evaluates
+        assert got_caps == [len(want_calls)] == [min(cap_, n)]
         seen_infinite += got.value is INFINITE
         seen_arity += n == 12 and arity >= 3
     assert seen_infinite and seen_arity
@@ -1300,9 +1347,50 @@ def test_first_tied_split_matches_reference(u):
         parts = [combos[:n], combos[rng.permutation(len(combos))[:n]]]
         for part in parts:
             for tied in _tie_masks(rng, len(part), len(pos)):
-                got = _first_tied_split(part, pos, tied)
+                got = _first_tied_split([(part, np.flatnonzero(tied.T))])
                 assert got == ref_first_tied_split(part, t_in_a, tied, key_type), (u, p)
                 assert all(isinstance(i, int) for side in got for i in side)
+
+
+def _recording_ties(monkeypatch):
+    """Record the tie records of every _first_tied_split call as (union
+    size, tied entries) pairs, one list per call."""
+    calls = []
+    first = constants._first_tied_split
+
+    def recording(ties):
+        calls.append([(part.shape[1], len(idx)) for part, idx in ties])
+        return first(ties)
+
+    monkeypatch.setattr(constants, "_first_tied_split", recording)
+    return calls
+
+
+def test_the_tie_key_is_built_once_per_pair_minimum(monkeypatch):
+    # random stars: the best so far drops level after level, and the key
+    # is still built only once, at the end, for the one tied split
+    calls = _recording_ties(monkeypatch)
+    for p in range(10, 14):
+        for seed in range(3):
+            calls.clear()
+            _min_pair(*pair_inputs(random_star(p, np.random.default_rng([80, p, seed]))))
+            assert len(calls) == 1 and calls[0][0][1] == 1, (p, seed, calls)
+
+
+def test_a_tie_class_over_several_chunks_and_levels(monkeypatch):
+    # chunks of one or two unions: the unit stars' exact ties spread over
+    # many chunks, and over two union sizes at p = 4 and p = 10, and the
+    # witness is still ref_min_pair's
+    monkeypatch.setattr(constants, "_SOLVE_ELEMENTS", 64)
+    calls = _recording_ties(monkeypatch)
+    spread = set()
+    for p in range(3, 11):
+        calls.clear()
+        args = pair_inputs(unit_star(p))
+        _same(_min_pair(*args), ref_min_pair(*args))
+        (records,) = calls
+        spread.add((len(records) > 1, len({u for u, _ in records}) > 1))
+    assert (True, True) in spread
 
 
 # ---------------------------------------------------------------------------

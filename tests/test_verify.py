@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from isocap import (Budget, InputError, WeightedGraph, is_infinite,
-                    make_domain)
+import isocap.constants as constants
+from isocap import (Budget, BudgetError, InputError, SingularMatrixError, WeightedGraph,
+                    alpha_steklov, is_infinite, make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
                                       t3_example)
 from isocap.testing import random_connected_graph, random_domain
@@ -170,6 +171,28 @@ def test_equality_undecided_for_wide_boundaries():
     rep = check_equality_case(dom)
     assert rep.status == "undecided"
     assert rep.witness is None
+
+
+def test_equality_case_enumerates_alpha_s_on_the_dtn_form(monkeypatch):
+    # the DtN form of the eigenvalue side is the root of the pair
+    # enumeration: alpha_steklov's own elimination is never formed, and the
+    # value, the budget error and the cancellation check are alpha_steklov's
+    doms = [random_domain(np.random.default_rng([7, i]), max_closure=13) for i in range(30)]
+    want = [alpha_steklov(dom).value for dom in doms]
+    hostile = WeightedGraph("abc", {"a": 1e-300, "b": 1.0, "c": 1e300},
+                            [("a", "b", 1e300), ("b", "c", 1e-300)])
+
+    def no_root(*args):
+        raise AssertionError("the pair root was eliminated again")
+
+    monkeypatch.setattr(constants, "_pair_root", no_root)
+    for dom, value in zip(doms, want):
+        if len(dom.boundary) >= 2:
+            assert repr(check_equality_case(dom).alpha_s) == repr(value)
+    with pytest.raises(BudgetError, match="pair universe size 6 exceeds pair budget 5; "):
+        check_equality_case(t3_example()[1], budget=Budget(pair=5))
+    with pytest.raises(SingularMatrixError, match="on a connected closure"):
+        check_equality_case(make_domain(hostile, ["b"]))
 
 
 def test_random_generators_respect_ranges():
