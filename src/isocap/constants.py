@@ -7,7 +7,9 @@ are min-max packings of disjoint parts, read from one table of the least
 largest-part rank over slot masks (_min_tuple); the alpha_DS part values of
 a window are one table by slot mask, built on its union lattice
 (_ds_table), the unions' Schur forms and the doubling kernel shared with
-the pair enumerator (_union_forms, _doubling).  All enumerators are
+the pair enumerator (_union_forms, _doubling).  Every constant reads one
+operator, the Schur form of its universe (_reduce), never the dense
+stiffness of the whole graph.  All enumerators are
 exhaustive within the budget and reduce by (value, lexicographic witness),
 so results do not depend on evaluation order or chunking.  The public
 enumerators run under spectra._finite: no floating-point warnings, and a
@@ -25,14 +27,14 @@ from scipy.linalg import lapack
 from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import is_connected
 from .infinity import INFINITE, is_infinite
-from .linear_core import block_stiffness, schur_solver, stiffness_matrix
+from .linear_core import block_stiffness, schur_solver
 from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
                       steklov_spectrum)
 
 _CHUNK = 4096
-# Elements of one batched block, 8 MB of float64: rows x d_amb^2 of a
-# _capacity_ratios solve, which bounds each of its gathered blocks (a
-# candidate larger than the budget is solved alone, as it would be
+# Elements of one batched block, 8 MB of float64: rows x p^2 of a
+# _capacity_ratios solve on a p-slot root, which bounds each of its gathered
+# blocks (a candidate larger than the budget is solved alone, as it would be
 # unbatched), and the one buffer of a _min_pair or _ds_table chunk, which
 # holds every array of its doubling (_workspace), whatever the pair budget.
 # Within the tuple budget of 12 slots every other _ds_table array (the
@@ -96,39 +98,39 @@ def _complement(rows, n):
     return np.nonzero(mask)[1].reshape(m, n - rows.shape[1])
 
 
-def _grounded_values(k_amb, combos, free):
+def _grounded_values(root, combos, free):
     """Energies of the minimizers with f = 1 on each combo, solved on the
-    matching free rows; every other row of k_amb is grounded.
+    matching free rows; every other row of root is grounded.
 
-    Vertices absent from k_amb's index set are grounded implicitly: their
+    Vertices absent from root's index set are grounded implicitly: their
     edges only contribute to the retained diagonal.  combos (N, s) and free
     (N, d) are arrays of ascending row indices; one batched solve per call.
     """
-    kaa = k_amb[combos[:, :, None], combos[:, None, :]]
+    kaa = root[combos[:, :, None], combos[:, None, :]]
     tops = kaa.sum(axis=(1, 2))
     if free.shape[1] == 0:
         return tops
-    kfa = k_amb[free[:, :, None], combos[:, None, :]]
+    kfa = root[free[:, :, None], combos[:, None, :]]
     c = kfa.sum(axis=2)
-    kff = k_amb[free[:, :, None], free[:, None, :]]
+    kff = root[free[:, :, None], free[:, None, :]]
     x = np.linalg.solve(kff, c[..., None])[..., 0]
     return tops - np.einsum("nd,nd->n", c, x)
 
 
-def _capacity_ratios(k_amb, sources, divisors, sinks=None):
+def _capacity_ratios(root, sources, divisors, sinks=None):
     """Cap(A) / divisor for each row A of sources ((N, s) ascending rows of
-    k_amb): f = 1 on A, 0 on the rows of sinks ((N, t), when given) and off
-    k_amb, free elsewhere.  The one evaluator of single-set and pair
-    candidates, solved in chunks of _SOLVE_ELEMENTS // d_amb^2 rows (at
-    least one); each row is the arithmetic of a solve on its own."""
-    d_amb = k_amb.shape[0]
+    the p-row root): f = 1 on A, 0 on the rows of sinks ((N, t), when given)
+    and off root, free elsewhere.  The one evaluator of single-set and
+    heuristic pair candidates, solved in chunks of _SOLVE_ELEMENTS // p^2
+    rows (at least one); each row is the arithmetic of a solve on its own."""
+    p = root.shape[0]
     fixed = sources if sinks is None else np.hstack([sources, sinks])
-    step = max(1, _SOLVE_ELEMENTS // d_amb ** 2)
+    step = max(1, _SOLVE_ELEMENTS // p ** 2)
     caps = np.empty(len(sources))
     for lo in range(0, len(sources), step):
         rows = sources[lo : lo + step]
-        free = _complement(fixed[lo : lo + step], d_amb)
-        caps[lo : lo + step] = _grounded_values(k_amb, rows, free)
+        free = _complement(fixed[lo : lo + step], p)
+        caps[lo : lo + step] = _grounded_values(root, rows, free)
     return caps / divisors
 
 
@@ -201,25 +203,23 @@ def _split_table(u):
     return pos
 
 
-def _min_single(k_amb, universe, masses):
-    """Exact min over nonempty A of grounded-energy(A)/mass(A).
+def _min_single(root, masses):
+    """Exact min over nonempty sets A of the p slots of the root form
+    (_reduce) of grounded-energy(A)/mass(A): f = 1 on A, free on the other
+    slots.  Returns (value, witness slots, count).
 
-    universe: ascending row indices of k_amb that A may use; masses aligns
-    with universe.  Returns (value, witness slots into universe, count).
     Witness rule: among all candidates with the minimal value (exact float
     equality), the lexicographically smallest slot tuple.  Each subset size
     (one _capacity_ratios call) offers its smallest tied row once to the
     running best, none if a value is NaN or its minimum is above the best so
     far.  Raises InputError when no value is a number.
     """
-    p = len(universe)
-    universe = np.asarray(universe, dtype=int)
-    masses = np.asarray(masses, dtype=float)
+    p = len(masses)
     best = None
     examined = 0
     for s in range(1, p + 1):
         combos = _combinations(p, s)
-        vals = _capacity_ratios(k_amb, universe[combos], masses[combos].sum(axis=1))
+        vals = _capacity_ratios(root, combos, masses[combos].sum(axis=1))
         examined += len(combos)
         vmin = vals.min()
         if best is not None and vmin > best[0]:
@@ -239,7 +239,8 @@ def _union_forms(parents, rank, combos, masks, bit, strict=False):
     smallest missing slot, from the parent U | {v}, where v is position v:
     S_U = S'[k, k] - (b_i * b_j) / c, k U's positions, b = S'[k, v] and
     c = S'[v, v].  With strict, a pivot c <= 0 (the parent is not positive
-    definite in floating point) raises SingularMatrixError."""
+    definite in floating point) raises SingularMatrixError where b is
+    nonzero; with b = 0 (v floats free) the step subtracts nothing."""
     u = combos.shape[1]
     w, stride = u + 1, parents.shape[2]
     pos = np.arange(u)
@@ -253,7 +254,10 @@ def _union_forms(parents, rank, combos, masks, bit, strict=False):
     drop = b[:, None, :] * b
     pivots = flat[v * ((w + 1) * stride) + col]
     if strict and (pivots <= 0).any():
-        raise SingularMatrixError("Singular matrix")
+        bad = pivots <= 0
+        if b[:, bad].any():
+            raise SingularMatrixError("Singular matrix")
+        pivots[bad] = 1.0  # over b = 0
     drop /= pivots
     forms -= drop
     return forms
@@ -334,7 +338,7 @@ def _level_best(forms, combos, masses, best, ties):
 
 def _min_pair(root, masses):
     """Exact min over disjoint nonempty pairs A, B of the p slots of the
-    root form (_pair_root) of Cap(A, B)/(m(A) ^ m(B)); every slot outside
+    root form (_reduce) of Cap(A, B)/(m(A) ^ m(B)); every slot outside
     A u B is free.  A holds the smallest slot of the union.
 
     Witness rule: among the minimal-value splits (exact float equality),
@@ -359,7 +363,6 @@ def _min_pair(root, masses):
     of _split_values (_workspace).
     """
     p = len(masses)
-    masses = np.asarray(masses, dtype=float)
     bit = np.left_shift(1, np.arange(p, dtype=np.int64))
     rank = np.empty(1 << p, dtype=np.intp)
     forms = np.array(root, dtype=float).reshape(p, p, 1)
@@ -385,17 +388,17 @@ def _levels(vec):
     return out
 
 
-def _screen_single(k_amb, universe, masses, order, cands):
+def _screen_single(root, masses, order, cands):
     """The candidates of _heuristic_single that may be the exact minimum.
 
-    With G = k_amb^{-1}, Cap(A) = 1^T (G_AA)^{-1} 1.  The superlevel sets
+    With G = root^{-1}, Cap(A) = 1^T (G_AA)^{-1} 1.  The superlevel sets
     are the prefixes of order, so with L the lower Cholesky factor of
     G[order, order] and z = L^{-1} 1, Cap(prefix_k) = z_1^2 + ... + z_k^2;
-    a singleton's capacity is 1 / G_ii.  One factorization of k_amb, its
+    a singleton's capacity is 1 / G_ii.  One factorization of root, its
     inverse, one of the chain and one triangular solve screen them all.
 
     Margin: delta = _SCREEN_SLACK * n * kappa^2 * u, kappa the condition
-    number of k_amb (LAPACK's estimate on the same factor) and u the unit
+    number of root (LAPACK's estimate on the same factor) and u the unit
     roundoff; kappa is squared because G is formed explicitly.  If every
     screened value is within a relative delta of its exact value, the exact
     minimum, and every candidate tied with it, has a screened value of at
@@ -404,11 +407,11 @@ def _screen_single(k_amb, universe, masses, order, cands):
     fails, a screened value is not finite or delta >= 1/4.
     """
     keep_all = np.ones(len(cands), dtype=bool)
-    n = k_amb.shape[0]
-    upper, info = lapack.dpotrf(k_amb)
+    n = root.shape[0]
+    upper, info = lapack.dpotrf(root)
     if info:
         return keep_all
-    rcond, info = lapack.dpocon(upper, np.abs(k_amb).sum(axis=0).max())
+    rcond, info = lapack.dpocon(upper, np.abs(root).sum(axis=0).max())
     # delta >= 1/4 exactly when rcond^2 <= 4 * slack * n * u
     if info or not rcond * rcond > 4 * _SCREEN_SLACK * n * _UNIT_ROUNDOFF:
         return keep_all
@@ -417,7 +420,7 @@ def _screen_single(k_amb, universe, masses, order, cands):
     g = np.triu(g) + np.triu(g, 1).T
     sizes = np.array([len(slots) for slots in cands])
     chain = order[: sizes.max()]
-    lower, info = lapack.dpotrf(g[np.ix_(universe[chain], universe[chain])], lower=1)
+    lower, info = lapack.dpotrf(g[np.ix_(chain, chain)], lower=1)
     if info:
         return keep_all
     z, _ = lapack.dtrtrs(lower, np.ones(len(chain)), lower=1)
@@ -425,19 +428,19 @@ def _screen_single(k_amb, universe, masses, order, cands):
     mass = np.cumsum(masses[chain])
     first = np.array([slots[0] for slots in cands])
     vals = np.where(sizes == 1,
-                    1.0 / (g.diagonal()[universe[first]] * masses[first]),
+                    1.0 / (g.diagonal()[first] * masses[first]),
                     caps[sizes - 1] / mass[sizes - 1])
     if not np.isfinite(vals).all():
         return keep_all
     return vals <= vals.min() * ((1 + delta) / (1 - delta))
 
 
-def _heuristic_single(k_amb, universe, masses, field):
+def _heuristic_single(root, masses, field):
     """Certified upper bound from superlevel sets of a guiding field plus
     singletons: screen them all, then evaluate the survivors exactly.
 
     Screen (_screen_single): one O(n^3) pass gives every candidate's
-    capacity from a factorization of k_amb, and keeps each candidate whose
+    capacity from a factorization of root, and keeps each candidate whose
     screened value is within the relative margin delta = _SCREEN_SLACK *
     n * kappa^2 * u of the least one; all are kept when a factorization
     fails, a screened value is not finite or delta >= 1/4.  The keep-all
@@ -450,18 +453,16 @@ def _heuristic_single(k_amb, universe, masses, field):
     which counts every candidate, are bit-identical to solving every
     candidate exactly; the screen only decides which solves to skip.
     """
-    universe = np.asarray(universe, dtype=int)
-    masses = np.asarray(masses, dtype=float)
     vec = np.asarray(field, dtype=float)
     if vec.sum() < 0:
         vec = -vec
-    cands = list(dict.fromkeys(_levels(vec) + [(i,) for i in range(len(universe))]))
+    cands = list(dict.fromkeys(_levels(vec) + [(i,) for i in range(len(masses))]))
     # every superlevel set is a prefix of the slots in descending field order
     order = np.argsort(-vec, kind="stable")
-    keep = _screen_single(k_amb, universe, masses, order, cands)
+    keep = _screen_single(root, masses, order, cands)
     kept = [cands[c] for c in np.flatnonzero(keep)]
     vals = _by_shape([(c,) for c in kept],
-                     lambda a: _capacity_ratios(k_amb, universe[a], masses[a].sum(axis=1)))
+                     lambda a: _capacity_ratios(root, a, masses[a].sum(axis=1)))
     best = None
     for slots, val in zip(kept, vals):
         best = _better(best, val, slots)
@@ -474,7 +475,6 @@ def _heuristic_pair(root, masses, field):
     singletons, all disjoint combinations.  Pairs of one shape share
     _capacity_ratios solves and the running best takes them in candidate
     order: the bits of solving each pair on its own."""
-    masses = np.asarray(masses, dtype=float)
     vec = np.asarray(field, dtype=float)
     singles = [(i,) for i in range(len(masses))]
     cands_a = list(dict.fromkeys(_levels(vec) + singles))
@@ -528,22 +528,34 @@ def _over_budget(size, limit, message, heuristic):
     return True
 
 
+def _reduce(graph, ids, free=None):
+    """(root, masses) of a constant over its universe, the vertices ids of
+    graph: the Schur complement of the stiffness onto ids, the vertices free
+    eliminated (all others when None) as spectra._eliminate does and every
+    other vertex grounded, and their masses as a float array.  Schur
+    complements compose, so a candidate eliminates only root slots."""
+    if free is None:
+        inside = set(ids)
+        elim = [i for i, v in enumerate(graph.vertices) if v not in inside]
+    else:
+        elim = [graph.index[v] for v in free]
+    root = schur_solver(block_stiffness(graph, elim), [graph.index[v] for v in ids], elim)[0]
+    return root, np.array([graph.mass[v] for v in ids])
+
+
 def _alpha_d_raw(graph, subset, budget, heuristic):
-    """alpha_D of a subset against its own vertex boundary, ambient rows."""
+    """alpha_D of a subset against its own vertex boundary: the subset's
+    block of the stiffness, everything outside it grounded."""
     inside = set(subset)
     order = [v for v in graph.vertices if v in inside]
     over = _over_budget(len(order), budget.single, _SINGLE, heuristic)
-    k = stiffness_matrix(graph)
-    pos = [graph.index[v] for v in order]
-    k_amb = k[np.ix_(pos, pos)]
-    universe = list(range(len(order)))
-    masses = [graph.mass[v] for v in order]
+    root, masses = _reduce(graph, order, ())
     if over:
-        res = dirichlet_spectrum(graph, order, 1)
-        val, slots, n = _heuristic_single(k_amb, universe, masses, res.vectors[:, 0])
-        return ConstantResult(val, _ids(order, slots), n, heuristic=True)
-    val, slots, n = _min_single(k_amb, universe, masses)
-    return ConstantResult(val, _ids(order, slots), n)
+        field = dirichlet_spectrum(graph, order, 1).vectors[:, 0]
+        val, slots, n = _heuristic_single(root, masses, field)
+    else:
+        val, slots, n = _min_single(root, masses)
+    return ConstantResult(val, _ids(order, slots), n, heuristic=over)
 
 
 @_finite
@@ -551,25 +563,14 @@ def alpha_dirichlet(domain, budget=None, heuristic=False):
     """alpha_D(Omega) = min over nonempty A in Omega of Cap_Omega(A)/m(A).
 
     Exact within budget; ties go to the lexicographically smallest index set.
-    Rows of Omega agree in G and G_Omega, so the ambient stiffness serves.
+    Rows of Omega agree in G and G_Omega, so the block of G serves.
     """
     budget = budget or DEFAULT_BUDGET
     return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic)
 
 
-def _pair_root(graph, ids):
-    """(root, masses) of a pair constant over the vertices ids of graph:
-    the Schur complement of its stiffness onto them (the universe), every
-    other vertex eliminated as spectra._eliminate eliminates (a large block
-    by the sparse factor, so no dense ambient stiffness), and their masses."""
-    inside = set(ids)
-    elim = [i for i, v in enumerate(graph.vertices) if v not in inside]
-    root = schur_solver(block_stiffness(graph, elim), [graph.index[v] for v in ids], elim)[0]
-    return root, [graph.mass[v] for v in ids]
-
-
 def _pair_constant(root, masses, order, over, field, connected=False):
-    """The pair constant on the slots of its root form (_pair_root): by the
+    """The pair constant on the slots of its root form (_reduce): by the
     heuristic when over (_over_budget), else exactly.
 
     connected: the root comes from a connected closure, so every pair
@@ -597,7 +598,7 @@ def alpha_neumann(domain, budget=None, heuristic=False):
     if n < 2:
         raise InputError("alpha_N needs |Omega| >= 2")
     over = _over_budget(n, budget.pair, _PAIR, heuristic)
-    root, masses = _pair_root(domain.induced, domain.interior)
+    root, masses = _reduce(domain.induced, domain.interior)
 
     def field():
         return neumann_spectrum(domain, 2).vectors[:, 1]
@@ -614,7 +615,7 @@ def alpha_steklov(domain, budget=None, heuristic=False):
     if len(domain.boundary) < 2:
         raise InputError("alpha_S needs |delta Omega| >= 2")
     over = _over_budget(len(domain.boundary), budget.pair, _PAIR, heuristic)
-    root, masses = _pair_root(domain.induced, domain.boundary)
+    root, masses = _reduce(domain.induced, domain.boundary)
 
     def field():
         return steklov_spectrum(domain, 2).vectors[:, 1]
@@ -630,7 +631,7 @@ def alpha_ds(domain, Y, budget=None):
     INFINITE when Y has no boundary vertex.  When Y is the whole closure the
     sink is empty and the constant is 0 (a constant test function).  The
     equilibrium potential vanishes beyond the sink, so grounding everything
-    outside Y is exact.
+    outside Y is exact; Y minus dOmega is eliminated (_reduce).
     """
     budget = budget or DEFAULT_BUDGET
     domain.induced.check_vertices(Y, "Y")
@@ -648,14 +649,9 @@ def alpha_ds(domain, Y, budget=None):
         return ConstantResult(0.0, (inner[0],), 0)
     if len(inner) > budget.single:
         raise BudgetError(_SINGLE % (len(inner), budget.single))
-    k = stiffness_matrix(domain.induced)
-    pos = [domain.closure_index[v] for v in order]
-    k_amb = k[np.ix_(pos, pos)]
-    slot = {v: i for i, v in enumerate(order)}
-    universe = [slot[v] for v in inner]
-    masses = [domain.graph.mass[v] for v in inner]
-    val, slots, n = _min_single(k_amb, universe, masses)
-    return ConstantResult(val, tuple(inner[i] for i in slots), n)
+    free = [v for v in order if v not in domain.boundary_index]
+    val, slots, n = _min_single(*_reduce(domain.induced, inner, free))
+    return ConstantResult(val, _ids(inner, slots), n)
 
 
 @_finite
@@ -674,7 +670,7 @@ def beta_steklov(graph, omega, budget=None, heuristic=False):
         raise InputError("Omega must be a proper subset")
     order = [v for v in graph.vertices if v in oset]
     over = _over_budget(len(order), budget.pair, _PAIR, heuristic)
-    root, masses = _pair_root(graph, order)
+    root, masses = _reduce(graph, order)
 
     def field():
         return hm_dtn_spectrum(graph, order, 2).vectors[:, 1]
@@ -797,9 +793,9 @@ def _tuple_constant(graph, W, what, arity, budget, inner=None):
     with A inside the vertices of inner, from the table of every part's
     value (_ds_table; INFINITE for a part with no inner slot), or with
     inner None its first Dirichlet eigenvalue, one batched eigensolve per
-    part size.  The window's stiffness block and masses are gathered, and
-    the table built, when _min_tuple asks for it after its checks, so a
-    window past the tuple budget assembles nothing."""
+    part size.  The window's block and masses are taken (_reduce), and the
+    table built, when _min_tuple asks for it after its checks, so a window
+    past the tuple budget assembles nothing."""
     graph.check_vertices(W, what)
     wset = set(W)
     order = [v for v in graph.vertices if v in wset]
@@ -807,9 +803,7 @@ def _tuple_constant(graph, W, what, arity, budget, inner=None):
 
     def part_table(cap):
         n = len(order)
-        pos = [graph.index[v] for v in order]
-        block = stiffness_matrix(graph)[np.ix_(pos, pos)]
-        masses = np.array([graph.mass[v] for v in order])
+        block, masses = _reduce(graph, order, ())
         if inner is not None:
             slots = [i for i, v in enumerate(order) if v in inner]
             table = _ds_table(block, masses, slots, _closed_parts(graph, order), cap)
@@ -855,13 +849,14 @@ def _ds_table(block, masses, inner, closed, cap):
     union U is read from its one form.  The unions go by size from n down
     to n - cap + 1, a level of _combinations rows at a time; the block is
     the root, and every other form is one rank-one step from its parent's
-    (_union_forms, strict: a pivot <= 0 raises SingularMatrixError).  Each
-    level hands its forms on the inner slots of each union to the group of
-    unions with the same number r of inner slots; each group is then
-    doubled in chunks of one _workspace buffer, the 2^r - 1 subsets A of a
-    union over its inner slots in ascending order (_subset_values).  A
-    candidate's part P = A | (W - U) takes the min by np.minimum.at, which
-    is exact, so no bit depends on the order of the candidates.
+    (_union_forms, strict: a pivot <= 0 with a nonzero column raises
+    SingularMatrixError).  Each level hands its forms on the inner slots of
+    each union to the group of unions with the same number r of inner
+    slots; each group is then doubled in chunks of one _workspace buffer,
+    the 2^r - 1 subsets A of a union over its inner slots in ascending
+    order (_subset_values).  A candidate's part P = A | (W - U) takes the
+    min by np.minimum.at, which is exact, so no bit depends on the order of
+    the candidates.
     """
     n = len(masses)
     full = (1 << n) - 1

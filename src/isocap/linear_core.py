@@ -16,17 +16,19 @@ checks residuals of, returns) only the eigenpairs its caller asks for.
 A factored principal block K[rows, rows] has two routes, chosen by
 block_stiffness from the number of rows: below SPARSE_MIN_DIM, cho_factor on
 the dense block, as before the sparse route existed, so those results keep
-their bits; from there, SuperLU (splu, minimum-degree ordering on K + K^T,
-symmetric mode) on the CSR block of sparse_stiffness (the same entries bit
-for bit), and the dense stiffness is never assembled.  It serves
-capacity.equilibrium_potential (the free block), spectra.harmonic_extension
-(K_II) and schur_solver, the one elimination kernel.  spectra._eliminate,
-which serves the four eliminated spectra (Neumann and the three DtN
-operators), takes from schur_solver the Schur complement over the kept rows
-(dense either way), the solver of the eliminated block and the coupling
-block, and extends its eigenvectors through the same factor.  Above the
-threshold the results agree with the dense route's to 1e-12 relative (4e-16
-measured for capacities, 3.6e-15 of the largest eigenvalue for the spectra).
+their bits; from there, and on any graph past DENSE_MAX_DIM vertices,
+SuperLU (splu, minimum-degree ordering on K + K^T, symmetric mode) on the
+CSR block of sparse_stiffness (the same entries bit for bit), and the dense
+stiffness is never assembled.  It serves capacity.equilibrium_potential (the
+free block), spectra.harmonic_extension (K_II) and schur_solver, the one
+elimination kernel.  spectra._eliminate, which serves the four eliminated
+spectra (Neumann and the three DtN operators), takes from schur_solver the
+Schur complement over the kept rows (dense either way), the solver of the
+eliminated block and the coupling block, and extends its eigenvectors
+through the same factor; constants._reduce takes the Schur complement onto
+the universe of every isocapacitary constant.  Above the threshold the
+results agree with the dense route's to 1e-12 relative (4e-16 measured for
+capacities, 3.6e-15 of the largest eigenvalue for the spectra).
 
 The lowest Dirichlet eigenpairs of a large window have a sparse route
 (lowest_eigenpairs).  When the block has at least SPARSE_MIN_DIM rows, at
@@ -59,8 +61,9 @@ from .errors import BudgetError, InputError, SingularMatrixError
 # of the benchmark has 405 rows (a grounded DtN spectrum of half_space:3 at
 # R = 3, 147 eliminated rows); the test suite builds larger ones, up to the
 # 3,610 rows of half_space:3 at R = 8, only to compare the two routes.  The
-# largest one a documented command builds is the 2,197-vertex graph of
-# `family lattice_box:3 --steps 5..5 --emit alpha --heuristic`.
+# largest dense matrix a documented command builds is the 3,375-row window
+# block of `family lattice_box:3 --steps 7..7 --emit alpha --heuristic`,
+# taken from the CSR stiffness of its 4,913-vertex graph.
 DENSE_MAX_DIM = 4096
 
 # The sparse routes start at SPARSE_MIN_DIM rows: lowest_eigenpairs for at
@@ -315,11 +318,13 @@ def solve_spd(K, b):
 def block_stiffness(graph, rows):
     """The stiffness of graph in the form that factors its principal block
     K[rows, rows]: the dense array of stiffness_matrix below
-    SPARSE_MIN_DIM rows, the CSR of sparse_stiffness from there, so a
-    large block never assembles the dense matrix.  The type of the matrix
+    SPARSE_MIN_DIM rows, the CSR of sparse_stiffness from there and on any
+    graph of more than DENSE_MAX_DIM vertices, whose dense matrix could only
+    raise BudgetError.  So a large block, or any block or Schur form of a
+    large graph, never assembles the dense matrix.  The type of the matrix
     is the route: block_solver and schur_solver factor a dense block by
     Cholesky and a CSR block by SuperLU."""
-    if len(rows) >= SPARSE_MIN_DIM:
+    if len(rows) >= SPARSE_MIN_DIM or len(graph.vertices) > DENSE_MAX_DIM:
         return sparse_stiffness(graph)
     return stiffness_matrix(graph)
 

@@ -595,19 +595,23 @@ def test_dense_budget_is_an_exit_3_report_before_any_allocation(capsys, tmp_path
         [2.0 - 2.0 * np.cos(np.pi / n)], rel=1e-12)
 
 
+def _unit_path(tmp_path, n, omega):
+    """The file of a unit path of n vertices, omega its interior."""
+    path = tmp_path / ("path%d.graph" % n)
+    path.write_text("".join("v %d 1\n" % v for v in range(n))
+                    + "".join("e %d %d 1\n" % (v, v + 1) for v in range(n - 1))
+                    + "omega " + " ".join(map(str, omega)) + "\n")
+    return str(path)
+
+
 def test_verify_hm_steklov_1_past_the_dense_budget(capsys, tmp_path):
     # a unit path of 5,000 vertices with 12 middle vertices as Omega: beta_S
     # reduces onto Omega through the sparse factor, as the hm spectrum does,
     # so no dense 5,000 x 5,000 stiffness is assembled; the minimum is three
     # end vertices of Omega against the other three, 1 / (7 * 3)
-    n = 5000
-    omega = range(n // 2 - 6, n // 2 + 6)
-    path = tmp_path / "path5000.graph"
-    path.write_text("".join("v %d 1\n" % v for v in range(n))
-                    + "".join("e %d %d 1\n" % (v, v + 1) for v in range(n - 1))
-                    + "omega " + " ".join(map(str, omega)) + "\n")
+    path = _unit_path(tmp_path, 5000, range(2494, 2506))
     t0 = time.perf_counter()
-    code, doc = run_json(capsys, ["verify", "hm_steklov_1", str(path)])
+    code, doc = run_json(capsys, ["verify", "hm_steklov_1", path])
     elapsed = time.perf_counter() - t0
     assert code == EXIT_OK
     res = doc["results"][0]
@@ -615,6 +619,44 @@ def test_verify_hm_steklov_1_past_the_dense_budget(capsys, tmp_path):
     assert res["constant"] == pytest.approx(1 / 21, rel=1e-12)
     assert res["witness"] == [["2494", "2495", "2496"], ["2503", "2504", "2505"]]
     assert elapsed < 10.0  # about 0.15 s on a 2-core x86-64 host
+
+
+def test_every_constant_answers_past_the_dense_budget(capsys, tmp_path):
+    # every constant takes its operator from the Schur form of its universe,
+    # so a small universe on a graph past the dense budget of 4,096 rows
+    # answers.  On the 5,000-vertex unit path with 12 middle Omega vertices,
+    # alpha_D is Cap(A) / m(A) = (1/4 + 1/4) / 6 = 1/12 (A the middle six);
+    # the 12-vertex window's lambda_1 is 2 - 2 cos(pi / 13)
+    t0 = time.perf_counter()
+    path = _unit_path(tmp_path, 5000, range(2494, 2506))
+    code, doc = run_json(capsys, ["alpha", "d", path])
+    assert code == EXIT_OK
+    assert doc["results"][0]["value"] == pytest.approx(1 / 12, rel=1e-12)
+    code, doc = run_json(capsys, ["verify", "dirichlet_1", path])
+    assert code == EXIT_OK
+    assert doc["results"][0]["constant"] == pytest.approx(1 / 12, rel=1e-12)
+    code, doc = run_json(capsys, ["gamma", "d", "-k", "1", path])
+    assert code == EXIT_OK
+    tilde, gamma = (res["value"] for res in doc["results"])
+    assert tilde == pytest.approx(2 - 2 * np.cos(np.pi / 13), rel=1e-12)
+    assert gamma == pytest.approx(1 / 12, rel=1e-12)
+    # binary_tree step 12, 8,192 vertices: the alpha_DS universe is the root,
+    # and alpha_DS = Cap = 2^12 / (2^13 - 1) with both sides of dtn_bottom
+    family = ["--family", "binary_tree", "--steps", "12..12"]
+    code, doc = run_json(capsys, ["verify", "dtn_bottom"] + family)
+    assert code == EXIT_OK
+    assert doc["results"][0]["constant"] == pytest.approx(4096 / 8191, rel=1e-12)
+    code, doc = run_json(capsys, ["family", "binary_tree", "--steps", "12..12", "--emit", "alpha"])
+    assert code == EXIT_OK
+    assert doc["results"][0]["values"] == pytest.approx([4096 / 8191], rel=1e-12)
+    # the universe itself is still held to the dense budget: a 4,097-vertex
+    # window names its own size, not the graph's 4,099
+    path = _unit_path(tmp_path, 4099, range(1, 4098))
+    code, doc = run_json(capsys, ["alpha", "d", "--heuristic", path])
+    assert code == EXIT_BUDGET
+    assert doc["error"] == {"kind": "budget", "message": "a dense 4097 x 4097 operator "
+                            "exceeds the dense budget of 4096 rows"}
+    assert time.perf_counter() - t0 < 20.0  # about 1 s on a 2-core x86-64 host
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
