@@ -8,12 +8,14 @@ largest-part rank over slot masks (_min_tuple); the alpha_DS part values of
 a window are one table by slot mask, built on its union lattice
 (_ds_table), the unions' Schur forms and the doubling kernel shared with
 the pair enumerator (_union_forms, _doubling).  Every constant reads one
-operator, the Schur form of its universe (_reduce), never the dense
-stiffness of the whole graph.  All enumerators are
-exhaustive within the budget and reduce by (value, lexicographic witness),
-so results do not depend on evaluation order or chunking.  The public
-enumerators run under spectra._finite: no floating-point warnings, and a
-value that is not finite (other than INFINITE) is an InputError.
+operator, the Schur form of its universe (_reduce), on the route of
+linear_core.block_stiffness: from the dense stiffness of the whole graph
+only below SPARSE_MIN_DIM eliminated rows (graph vertices, if none).  All
+enumerators are exhaustive within the budget and reduce by (value,
+lexicographic witness), so results do not depend on evaluation order or
+chunking.  The public enumerators run under spectra._finite: no
+floating-point warnings, and a value that is not finite (other than
+INFINITE) is an InputError.
 """
 
 import functools
@@ -27,7 +29,8 @@ from scipy.linalg import lapack
 from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import is_connected
 from .infinity import INFINITE, is_infinite
-from .linear_core import block_stiffness, schur_solver
+# stiffness_matrix is unused: a name of this module that perfbench traces
+from .linear_core import block_stiffness, schur_solver, stiffness_matrix  # noqa: F401
 from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
                       steklov_spectrum)
 

@@ -26,7 +26,9 @@ spectra (Neumann and the three DtN operators), takes from schur_solver the
 Schur complement over the kept rows (dense either way), the solver of the
 eliminated block and the coupling block, and extends its eigenvectors
 through the same factor; constants._reduce takes the Schur complement onto
-the universe of every isocapacitary constant.  Above the threshold the
+the universe of every isocapacitary constant.  A block with nothing
+eliminated is only gathered, from the CSR stiffness on a graph of
+SPARSE_MIN_DIM vertices or more.  Above the threshold the
 results agree with the dense route's to 1e-12 relative (4e-16 measured for
 capacities, 3.6e-15 of the largest eigenvalue for the spectra).
 
@@ -320,11 +322,17 @@ def block_stiffness(graph, rows):
     K[rows, rows]: the dense array of stiffness_matrix below
     SPARSE_MIN_DIM rows, the CSR of sparse_stiffness from there and on any
     graph of more than DENSE_MAX_DIM vertices, whose dense matrix could only
-    raise BudgetError.  So a large block, or any block or Schur form of a
-    large graph, never assembles the dense matrix.  The type of the matrix
-    is the route: block_solver and schur_solver factor a dense block by
-    Cholesky and a CSR block by SuperLU."""
-    if len(rows) >= SPARSE_MIN_DIM or len(graph.vertices) > DENSE_MAX_DIM:
+    raise BudgetError.  With no rows, nothing is factored and the caller
+    only gathers a block, which is bit-equal on both routes; the graph's
+    own size then picks the route, so the dense matrix is assembled only
+    below SPARSE_MIN_DIM vertices, where its n^2 assembly costs less than
+    the CSR gather's fixed scipy indexing (about 0.1 ms on a 2-core x86-64
+    host).  So a large block, or any block or Schur form of a large graph,
+    never assembles the dense matrix.  The type of the matrix is the
+    route: block_solver and schur_solver factor a dense block by Cholesky
+    and a CSR block by SuperLU."""
+    n = len(graph.vertices)
+    if (len(rows) or n) >= SPARSE_MIN_DIM or n > DENSE_MAX_DIM:
         return sparse_stiffness(graph)
     return stiffness_matrix(graph)
 

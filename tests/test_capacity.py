@@ -265,6 +265,13 @@ def test_binary_tree_capacity_past_the_dense_budget():
     spec = FamilySpec("binary_tree")
     rep = cap_exhaustion(generate_steps(spec, [12]), default_source(spec))
     assert abs(rep.values[0] - 4096 / 8191) <= 1e-12 * (4096 / 8191)
+    # a free block of fewer than SPARSE_MIN_DIM rows on a 5,001-vertex
+    # graph: the sparse factor too, the dense stiffness never assembled.
+    # On the unit path, Cap({0..2400}, {2500..5000}) = 1/100
+    _, dom = line_domain(5000)
+    got = cap(dom, range(2401), range(2500, 5001))
+    assert abs(got.value - 0.01) <= 1e-12 * 0.01
+    assert getattr(dom.induced, "_stiffness", None) is None
 
 
 def test_sparse_capacity_is_deterministic():

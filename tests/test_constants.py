@@ -275,6 +275,27 @@ def test_budget_errors_come_before_any_assembly(monkeypatch):
     assert assembled == []
 
 
+def test_window_blocks_of_a_large_graph_are_gathered_from_the_csr(monkeypatch):
+    # alpha_D and the tuple windows eliminate nothing: on a graph of
+    # SPARSE_MIN_DIM vertices or more their block comes from the CSR
+    # stiffness, bit-equal to the dense one.  On the 301-vertex unit path
+    # with 12 middle interior vertices, alpha_D = (1/4 + 1/4) / 6
+    def run():
+        g, _ = line_domain(300)
+        dom = make_domain(g, range(144, 156))
+        return g, [alpha_dirichlet(dom), gamma_k_dirichlet(g, dom.interior, 2),
+                   gamma_tilde_dirichlet(g, dom.interior, 2)]
+
+    g, sparse = run()
+    assert getattr(g, "_stiffness", None) is None
+    assert sparse[0].value == pytest.approx(1 / 12, rel=REL)
+    monkeypatch.setattr(linear_core, "SPARSE_MIN_DIM", 10 ** 9)  # every block dense
+    g, dense = run()
+    assert g._stiffness is not None
+    assert [(r.value.hex(), r.witness) for r in sparse] == \
+        [(r.value.hex(), r.witness) for r in dense]
+
+
 def test_alpha_ds_conventions():
     g, dom = line_domain(4)
     assert is_infinite(alpha_ds(dom, [1, 2]).value)

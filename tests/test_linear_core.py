@@ -315,6 +315,10 @@ def test_block_stiffness_takes_the_csr_from_the_sparse_threshold():
     g = _random_graph(SPARSE_MIN_DIM + 10, 1)
     assert block_stiffness(g, range(SPARSE_MIN_DIM - 1)) is stiffness_matrix(g)
     assert block_stiffness(g, range(SPARSE_MIN_DIM)) is sparse_stiffness(g)
+    # nothing to factor: the graph's size picks the route
+    assert block_stiffness(g, []) is sparse_stiffness(g)
+    small = _random_graph(SPARSE_MIN_DIM - 1, 1)
+    assert block_stiffness(small, []) is stiffness_matrix(small)
 
 
 def test_schur_solver_on_the_csr_stiffness_matches_the_dense_one():
