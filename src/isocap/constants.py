@@ -7,10 +7,13 @@ are min-max packings of disjoint parts, read from one table of the least
 largest-part rank over slot masks (_min_tuple); the alpha_DS part values of
 a window are one table by slot mask, built on its union lattice
 (_ds_table), the unions' Schur forms and the doubling kernel shared with
-the pair enumerator (_union_forms, _doubling).  Every constant reads one
-operator, the Schur form of its universe (_reduce), on the route of
-linear_core.block_stiffness: from the dense stiffness of the whole graph
-only below SPARSE_MIN_DIM eliminated rows (graph vertices, if none).  All
+the pair enumerator (_union_forms, _doubling).  What a lattice level
+needs that depends only on its shape (its unions, their parents and the
+offsets of the rank-one step) is built once and cached (_level_plan).
+Every constant reads one operator, the Schur form of its universe
+(_reduce), on the route of linear_core.block_stiffness: from the dense
+stiffness of the whole graph only below SPARSE_MIN_DIM eliminated rows
+(graph vertices, if none).  All
 enumerators are exhaustive within the budget and reduce by (value,
 lexicographic witness), so results do not depend on evaluation order or
 chunking.  The public enumerators run under spectra._finite: no
@@ -22,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -38,8 +42,9 @@ _CHUNK = 4096
 # Elements of one batched block, 8 MB of float64: rows x p^2 of a
 # _capacity_ratios solve on a p-slot root, which bounds each of its gathered
 # blocks (a candidate larger than the budget is solved alone, as it would be
-# unbatched), and the one buffer of a _min_pair or _ds_table chunk, which
-# holds every array of its doubling (_workspace), whatever the pair budget.
+# unbatched), and the one buffer of a _min_pair or _ds_table call, which
+# holds every array of the doubling of its largest chunk (_workspace),
+# whatever the pair budget.
 # Within the tuple budget of 12 slots every other _ds_table array (the
 # table, one level of union forms, the inner forms of one r) is under 2^17
 # elements.
@@ -235,27 +240,68 @@ def _min_single(root, masses):
     return best[0], best[1], examined
 
 
-def _union_forms(parents, rank, combos, masks, bit, strict=False):
-    """The (u, u, N) forms of the unions of combos ((N, u) ascending slot
-    rows with slot masks masks) from parents, the forms of the unions one
-    slot larger, their columns mapped from masks by rank.  U drops v, its
-    smallest missing slot, from the parent U | {v}, where v is position v:
-    S_U = S'[k, k] - (b_i * b_j) / c, k U's positions, b = S'[k, v] and
-    c = S'[v, v].  With strict, a pivot c <= 0 (the parent is not positive
-    definite in floating point) raises SingularMatrixError where b is
-    nonzero; with b = 0 (v floats free) the step subtracts nothing."""
-    u = combos.shape[1]
-    w, stride = u + 1, parents.shape[2]
-    pos = np.arange(u)
-    v = (combos == pos).sum(axis=1)
-    keep = pos[:, None] + (pos[:, None] >= v)
-    col = rank[masks | bit[v]]
+class _Level(NamedTuple):
+    """The part of _union_forms that depends only on a level's shape: the
+    C(p, u) unions of u slots of p (rows of combos, ascending slots) from
+    their parents, the C(p, u + 1) unions one slot larger.  A union U drops
+    v, its smallest missing slot, from its parent: U's slots 0..v-1 keep
+    their positions there and the others move one up, k_i = i + (i >= v).
+    The parent level is held as (u + 1, u + 1, C(p, u + 1)) forms, so flat
+    offsets into it are fixed: S'[k_i, k_j] is at rows[i] + cols[j], b_i =
+    S'[k_i, v] at b_at[i] and c = S'[v, v] at c_at (_union_forms)."""
+
+    combos: np.ndarray
+    v: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    b_at: np.ndarray
+    c_at: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)  # every level of every p <= 16 (the pair budget): 13 MB
+def _level_plan(p, u):
+    """The _Level of the unions of u of p slots, shared read-only; the
+    p-slot level, the root, has no parent, and its offsets are None.  Each
+    level is made from the one above, every union as a child of its parent
+    P, in the order (j, P's row): P without its slot j, for each j before
+    P's smallest missing slot, is a union whose parent is P and whose v is
+    j.  Every union of u slots is one such child, once, so no lookup by
+    slot mask is needed; the order of the unions decides no bit of an
+    enumerator.  The offsets are int32 while they fit; with the slots and
+    v, every level of p = 16 holds 7.0 MB, of p = 13 0.7 MB."""
+    if u == p:
+        v = np.array([p])
+        v.flags.writeable = False
+        return _Level(_combinations(p, p), v, None, None, None, None)
+    parent = _level_plan(p, u + 1)
+    w, stride = u + 1, len(parent.v)
+    dtype = np.int32 if w * w * stride < 1 << 31 else np.int64
+    v, col = np.nonzero(np.arange(w)[:, None] < parent.v)
+    v, col = v.astype(dtype), col.astype(dtype)
+    pos = np.arange(u, dtype=dtype)[:, None]
+    keep = pos + (pos >= v)
+    cols = keep * stride
+    rows = cols * w + col
+    drop = v * stride
+    level = _Level(parent.combos[col[:, None], keep.T], v, rows, cols, rows + drop,
+                   drop * (w + 1) + col)
+    for a in level:
+        a.flags.writeable = False
+    return level
+
+
+def _union_forms(parents, level, strict=False):
+    """The (u, u, N) forms of the N unions of a _Level from parents, the
+    forms of the level above: S_U = S'[k, k] - (b_i * b_j) / c, k U's
+    positions in its parent, b = S'[k, v] and c = S'[v, v].  With strict,
+    a pivot c <= 0 (the parent is not positive definite in floating point)
+    raises SingularMatrixError where b is nonzero; with b = 0 (v floats
+    free) the step subtracts nothing."""
     flat = parents.reshape(-1)
-    rows = keep * (w * stride) + col
-    forms = flat[rows[:, None, :] + keep * stride]
-    b = flat[rows + v * stride]
+    forms = flat.take(np.add(level.rows[:, None, :], level.cols, dtype=np.intp))
+    b = flat.take(level.b_at)
     drop = b[:, None, :] * b
-    pivots = flat[v * ((w + 1) * stride) + col]
+    pivots = flat.take(level.c_at)
     if strict and (pivots <= 0).any():
         bad = pivots <= 0
         if b[:, bad].any():
@@ -271,27 +317,47 @@ def _doubling(q, e, cols, init, two, inc):
     n unions (_slabs).  Step t adds one slot to a set A: rows [h, 2h), h =
     2^t, are rows [0, h) with it.  q(A | {s}) = q(A) + e_s(A), e_s(A) =
     init[t] + two[i, t] + ... over the slots i of A that joined at steps i
-    < t, in order: the scratch slab e takes init[t] and is doubled over
-    those steps before it is read.  Each slab of cols (masses, part masks)
-    adds inc[t] at step t.  No array is copied."""
-    for t in range(len(init)):
+    < t, in order.  The row sums are doubled in the scratch slab e: those
+    of the first b steps, the most whose (b, 2^(b - 1)) block fits in it,
+    first and together, one call per earlier step i for all of them; each
+    later step then rebuilds its own there, one call per earlier step.
+    Each slab of cols (masses, part masks) adds inc[t] at step t.  No array
+    is copied."""
+    steps, n = init.shape
+    b = steps
+    while b << (b - 1) > len(e):
+        b -= 1
+    block = e[: b << (b - 1)].reshape(b, 1 << (b - 1), n)
+    block[:, 0] = init[:b]
+    for i in range(b - 1):
+        np.add(block[i + 1 :, : 1 << i], two[i, i + 1 : b, None],
+               out=block[i + 1 :, 1 << i : 2 << i])
+    for t in range(steps):
         h = 1 << t
-        e[0] = init[t]
-        for i in range(t):
-            np.add(e[: 1 << i], two[i, t], out=e[1 << i : 2 << i])
-        np.add(q[:h], e[:h], out=q[h : 2 * h])
+        if t >= b:
+            e[0] = init[t]
+            for i in range(t):
+                np.add(e[: 1 << i], two[i, t], out=e[1 << i : 2 << i])
+        np.add(q[:h], block[t, :h] if t < b else e[:h], out=q[h : 2 * h])
         np.add(cols[:, :h], inc[t, :, None], out=cols[:, h : 2 * h])
 
 
-def _workspace(count, steps, columns, spare=0):
-    """(chunk, work): chunks of at most _CHUNK unions (at least one) whose
-    _doubling arrays stay within _SOLVE_ELEMENTS (the columns + 2 slabs of
-    _slabs, spare rows more and the steps x (steps + columns + 1) start
-    values and increments), and the slabs' buffer for count or fewer."""
+def _chunk(steps, columns, spare=0):
+    """Unions per chunk of a _doubling over steps slots: at most _CHUNK (at
+    least one), so that their columns + 2 slabs (_slabs), spare rows more
+    and the steps x (steps + columns + 1) start values and increments stay
+    within _SOLVE_ELEMENTS."""
     rows = 1 << steps
-    chunk = max(1, min(_CHUNK, _SOLVE_ELEMENTS // (rows * (columns + 2 + spare)
+    return max(1, min(_CHUNK, _SOLVE_ELEMENTS // (rows * (columns + 2 + spare)
                                                    + steps * (steps + columns + 1))))
-    return chunk, np.empty(min(chunk, count) * rows * (columns + 2))
+
+
+def _workspace(levels, columns, spare=0):
+    """The one buffer of an enumerator call for the _slabs of its chunks
+    (_chunk): levels are its (unions, steps) pairs, and the buffer holds
+    the largest chunk."""
+    return np.empty(max((min(count, _chunk(steps, columns, spare)) * (columns + 2) << steps
+                         for count, steps in levels), default=0))
 
 
 def _slabs(work, n, steps, columns):
@@ -311,27 +377,28 @@ def _split_values(s_u, m_u, work):
     to the A-mass.  The values overwrite the scratch slab."""
     u, n = len(s_u), len(m_u)
     q, e, cols = _slabs(work, n, u - 1, 1)
+    two = s_u + s_u
     q[0], cols[0, 0] = s_u[0, 0], m_u[:, 0]
-    init = (s_u[0, 1:] + s_u[0, 1:]) + s_u.diagonal().T[1:]
-    _doubling(q, e, cols, init, s_u[1:, 1:] + s_u[1:, 1:], m_u.T[1:, None])
+    _doubling(q, e, cols, two[0, 1:] + s_u.diagonal().T[1:], two[1:, 1:], m_u.T[1:, None])
     splits = len(q) - 1
     mass, vals = cols[0, :splits], e[:splits]
-    np.subtract(m_u.sum(axis=1), mass, out=vals)
+    np.subtract(np.add.reduce(m_u, axis=1), mass, out=vals)
     np.minimum(mass, vals, out=vals)
     return np.divide(q[:splits], vals, out=vals)
 
 
-def _level_best(forms, combos, masses, best, ties):
+def _level_best(forms, combos, masses, best, ties, work):
     """(best, ties, count) after the splits of the unions of combos
-    (columns of forms): best the least value so far and ties the (part,
-    idx) records of _first_tied_split of the chunks that hold it.  A chunk
-    whose minimum is NaN or above best adds none; one below starts over."""
+    (columns of forms), doubled in chunks in work (_workspace): best the
+    least value so far and ties the (part, idx) records of
+    _first_tied_split of the chunks that hold it.  A chunk whose minimum is
+    NaN or above best adds none; one below starts over."""
     n_all, u = combos.shape
-    chunk, work = _workspace(n_all, u - 1, 1)
+    chunk = _chunk(u - 1, 1)
     for lo in range(0, n_all, chunk):
         part = combos[lo : lo + chunk]
         vals = _split_values(forms[:, :, lo : lo + chunk], masses[part], work)
-        vmin = vals.min()
+        vmin = np.minimum.reduce(vals, axis=None)
         if vmin < best:
             best, ties = vmin, []
         if vmin == best:
@@ -352,31 +419,29 @@ def _min_pair(root, masses):
     Raises InputError when no split value is a number.
 
     Evaluation order: the unions go by size from p down to 2, a level of
-    _combinations rows at a time.  The root is the form of the p-slot
-    union; every other one is one rank-one step from its parent's
-    (_union_forms, the parent found by slot mask), so a fixed chain of
-    steps from the root.  Split forms and A-masses are then doubled over
-    A's slots in ascending order (_split_values): no bit depends on the
-    visit order or the chunk size.
+    _level_plan at a time.  The root is the form of the p-slot union; every
+    other one is one rank-one step from its parent's (_union_forms, on the
+    level's cached offsets), so a fixed chain of steps from the root.
+    Split forms and A-masses are then doubled over A's slots in ascending
+    order (_split_values): no bit depends on the visit order or the chunk
+    size.
 
     Workspace: two levels of C(p, u) * u^2 floats, the parents and the
     unions of one size (at most 7.4 MB at p = 16, growing with the budget),
-    a row table of 2^p integers by slot mask, the tied indices, and one
-    buffer of at most _SOLVE_ELEMENTS floats per union size for every array
-    of _split_values (_workspace).
+    the tied indices, and one buffer of at most _SOLVE_ELEMENTS floats for
+    every array of _split_values (_workspace), sized for the largest level
+    and reused by all of them.  The levels' plans are shared, not
+    workspace: 7.0 MB at p = 16, held by _level_plan's cache.
     """
     p = len(masses)
-    bit = np.left_shift(1, np.arange(p, dtype=np.int64))
-    rank = np.empty(1 << p, dtype=np.intp)
+    work = _workspace([(math.comb(p, u), u - 1) for u in range(2, p + 1)], 1)
     forms = np.array(root, dtype=float).reshape(p, p, 1)
     best, ties, examined = math.inf, [], 0
     for u in range(p, 1, -1):
-        combos = _combinations(p, u)
-        masks = bit[combos].sum(axis=1)
+        level = _level_plan(p, u)
         if u < p:
-            forms = _union_forms(forms, rank, combos, masks, bit)
-        rank[masks] = np.arange(len(combos))
-        best, ties, count = _level_best(forms, combos, masses, best, ties)
+            forms = _union_forms(forms, level)
+        best, ties, count = _level_best(forms, level.combos, masses, best, ties, work)
         examined += count
     if not ties:
         raise InputError("non-finite values in every pair split")
@@ -850,31 +915,30 @@ def _ds_table(block, masses, inner, closed, cap):
     Union lattice: with U = A | (W - P), the candidate (P, A) is 1_A^T S_U
     1_A, S_U the Schur complement of block onto U, so every candidate of a
     union U is read from its one form.  The unions go by size from n down
-    to n - cap + 1, a level of _combinations rows at a time; the block is
-    the root, and every other form is one rank-one step from its parent's
-    (_union_forms, strict: a pivot <= 0 with a nonzero column raises
-    SingularMatrixError).  Each level hands its forms on the inner slots of
-    each union to the group of unions with the same number r of inner
-    slots; each group is then doubled in chunks of one _workspace buffer,
-    the 2^r - 1 subsets A of a union over its inner slots in ascending
-    order (_subset_values).  A candidate's part P = A | (W - U) takes the
-    min by np.minimum.at, which is exact, so no bit depends on the order of
-    the candidates.
+    to n - cap + 1, a level of _level_plan at a time; the block is the
+    root, and every other form is one rank-one step from its parent's
+    (_union_forms on the level's cached offsets, strict: a pivot <= 0 with
+    a nonzero column raises SingularMatrixError).  Each level hands its
+    forms on the inner slots of each union to the group of unions with the
+    same number r of inner slots; each group is then doubled in chunks, all
+    in one _workspace buffer sized for the largest, the 2^r - 1 subsets A
+    of a union over its inner slots in ascending order (_subset_values).
+    A candidate's part P = A | (W - U) takes the min by np.minimum.at,
+    which is exact, so no bit depends on the order of the candidates.
     """
     n = len(masses)
     full = (1 << n) - 1
     bit = np.left_shift(1, np.arange(n, dtype=np.int64))
     is_inner = np.zeros(n, dtype=bool)
     is_inner[inner] = True
-    rank = np.empty(full + 1, dtype=np.intp)
     forms = np.array(block, dtype=float).reshape(n, n, 1)
     groups = [[] for _ in range(n + 1)]  # by r: (forms on the inner slots, slots, rest)
     for u in range(n, n - cap, -1):
-        combos = _combinations(n, u)
-        masks = bit[combos].sum(axis=1)
+        level = _level_plan(n, u)
+        combos = level.combos
         if u < n:
-            forms = _union_forms(forms, rank, combos, masks, bit, strict=True)
-        rank[masks] = np.arange(len(combos))
+            forms = _union_forms(forms, level, strict=True)
+        masks = bit[combos].sum(axis=1)
         flags = is_inner[combos]
         counts = flags.sum(axis=1)
         by_count = np.argsort(counts, kind="stable")
@@ -886,12 +950,14 @@ def _ds_table(block, masses, inner, closed, cap):
                 groups[r].append((forms[p[:, None], p, sel], combos[sel, p].T,
                                   full ^ masks[sel]))
     table = np.full(full + 1, np.inf)
+    work = _workspace([(sum(len(rest) for _, _, rest in group), r)
+                       for r, group in enumerate(groups) if group], 2, spare=1)
     for r, group in enumerate(groups):
         if not group:
             continue
         s_a, slots, rest = zip(*group)
         s_a, slots, rest = np.concatenate(s_a, axis=2), np.concatenate(slots), np.concatenate(rest)
-        step, work = _workspace(len(rest), r, 2, spare=1)
+        step = _chunk(r, 2, spare=1)
         for lo in range(0, len(rest), step):
             part = slots[lo : lo + step]
             vals, parts = _subset_values(s_a[:, :, lo : lo + step], masses[part], bit[part],

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -110,11 +111,15 @@ def test_beta_s_reduces_once_onto_omega():
 
 
 def shuffle_combinations(monkeypatch, seed):
-    """Patch constants._combinations to hand out its rows in a seeded random
-    order, so the single-set and pair enumerators visit their candidates
-    shuffled; returns the list of (p, s) it is called with."""
+    """Patch constants._combinations to hand out its rows, and
+    constants._level_plan the unions of each lattice level, in a seeded
+    random order, so the single-set, pair and tuple enumerators visit their
+    candidates shuffled; returns the list of (p, s) _combinations is called
+    with.  The shuffled plans have a cache of their own: each level is
+    built from its shuffled parent, and none outlives the patch."""
     rng = np.random.default_rng(seed)
     original = constants._combinations
+    plan = constants._level_plan.__wrapped__
     calls = []
 
     def shuffled(p, s):
@@ -122,7 +127,16 @@ def shuffle_combinations(monkeypatch, seed):
         rows = original(p, s)
         return rows[rng.permutation(len(rows))]
 
+    def shuffled_plan(p, u):
+        level = plan(p, u)
+        if level.rows is None:
+            return level
+        perm = rng.permutation(len(level.v))
+        return constants._Level(level.combos[perm], level.v[perm],
+                                *(a[..., perm] for a in level[2:]))
+
     monkeypatch.setattr(constants, "_combinations", shuffled)
+    monkeypatch.setattr(constants, "_level_plan", functools.lru_cache(shuffled_plan))
     return calls
 
 

@@ -844,7 +844,7 @@ def test_cube_forms_are_bit_equal_to_the_einsum(u):
     if r > DEFAULT_BUDGET.tuples:
         return
     t = ref_subset_rows(r)
-    # _ds_table's chunk for r inner slots (constants._workspace)
+    # _ds_table's chunk for r inner slots (constants._chunk)
     chunk = _SOLVE_ELEMENTS // ((5 << r) + r * (r + 3))
     for n in (1, 2, 5, chunk):
         x = rng.integers(-(1 << 20), 1 << 20, (n, r, r)).astype(float)
@@ -1430,6 +1430,61 @@ def test_a_tie_class_over_several_chunks_and_levels(monkeypatch):
         (records,) = calls
         spread.add((len(records) > 1, len({u for u, _ in records}) > 1))
     assert (True, True) in spread
+
+
+# ---------------------------------------------------------------------------
+# cached level plans
+
+
+def _cold(call, *args):
+    """call(*args) with every level plan built afresh."""
+    constants._level_plan.cache_clear()
+    return call(*args)
+
+
+PLAN_DOMAINS = [unit_star(p) for p in range(2, 13)] + [
+    random_domain(np.random.default_rng([25, i]), max_closure=12) for i in range(12)]
+
+
+def test_cold_and_warm_level_plans_give_the_same_results():
+    # the plans are built from scratch before each cold call and read from
+    # the cache by the warm one: the same bits, witnesses and counts, and
+    # the pair minimum is the reference's
+    for dom in PLAN_DOMAINS:
+        args = pair_inputs(dom)
+        cold = _cold(_min_pair, *args)
+        _same(_min_pair(*args), cold)
+        if len(args[1]) <= 10:
+            _same(cold, ref_min_pair(*args))
+        for graph, W, inner in tuple_windows(dom):
+            order, block, masses, slots = window_inputs(graph, W, inner)
+            if len(order) > DEFAULT_BUDGET.tuples:
+                continue
+            table = (block, masses, slots, _closed_parts(graph, order), len(order))
+            assert np.array_equal(_bits(_cold(_ds_table, *table)), _bits(_ds_table(*table)))
+        if len(dom.closure) <= DEFAULT_BUDGET.tuples:
+            for k in range(1, min(3, len(dom.boundary))):
+                assert _result(_cold(kappa_steklov, dom, k)) == _result(kappa_steklov(dom, k))
+
+
+def test_level_plans_hold_every_union_once_and_are_read_only():
+    for p in range(1, 11):
+        for u in range(1, p + 1):
+            level = constants._level_plan(p, u)
+            rows = [tuple(r) for r in level.combos.tolist()]
+            assert sorted(rows) == list(itertools.combinations(range(p), u)), (p, u)
+            # v is each union's smallest missing slot (p for the root)
+            assert level.v.tolist() == [min(set(range(p + 1)) - set(r)) for r in rows]
+            arrays = [a for a in level if a is not None]
+            assert len(arrays) == (2 if u == p else 6)
+            assert not any(a.flags.writeable for a in arrays), (p, u)
+
+
+def test_level_plans_at_the_pair_budget_hold_under_16_mb():
+    p = DEFAULT_BUDGET.pair
+    size = sum(a.nbytes for u in range(1, p + 1) for a in constants._level_plan(p, u)
+               if a is not None)
+    assert size < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
