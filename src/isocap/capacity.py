@@ -16,7 +16,6 @@ import numpy as np
 
 from .constants import _limit
 from .errors import InfeasibleError, InputError
-from .graph_core import energy
 from .linear_core import block_solver, block_stiffness
 
 
@@ -37,16 +36,11 @@ def _check_sets(domain, A, B):
         raise InfeasibleError("source and sink overlap")
 
 
-def equilibrium_potential(domain, A, B):
-    """The capacity minimizer: 1 on A, 0 on B, grounded solve elsewhere.
-
-    The free block is factored on the route of linear_core.block_stiffness:
-    a dense Cholesky below SPARSE_MIN_DIM free rows, a sparse LU of the CSR
-    stiffness from there, where the dense stiffness is never assembled."""
+def _potential(domain, A, B):
+    """The equilibrium potential as an array in closure order."""
     _check_sets(domain, A, B)
-    order = domain.closure
     idx = domain.closure_index
-    n = len(order)
+    n = len(domain.closure)
     f = np.zeros(n)
     a_idx = np.array(sorted(idx[v] for v in set(A)), dtype=int)
     b_idx = np.array(sorted(idx[v] for v in set(B)), dtype=int)
@@ -61,17 +55,34 @@ def equilibrium_potential(domain, A, B):
         f[free] = block_solver(k, free)(b)
     # exact minimizer obeys the maximum principle; clip float noise
     np.clip(f, 0.0, 1.0, out=f)
-    return {v: float(f[idx[v]]) for v in order}
+    return f
+
+
+def equilibrium_potential(domain, A, B):
+    """The capacity minimizer: 1 on A, 0 on B, grounded solve elsewhere.
+
+    The free block is factored on the route of linear_core.block_stiffness:
+    a dense Cholesky below SPARSE_MIN_DIM free rows, a sparse LU of the CSR
+    stiffness from there, where the dense stiffness is never assembled."""
+    return dict(zip(domain.closure, _potential(domain, A, B).tolist()))
 
 
 def cap(domain, A, B):
     """Cap_Omega(A, B) with its equilibrium potential; source and sink are
-    listed in closure order, so reports do not depend on hashing."""
-    f = equilibrium_potential(domain, A, B)
+    listed in closure order, so reports do not depend on hashing.
+
+    The value is energy(domain, f, f) from the potential array, bit for
+    bit: the terms (w * d) * d of the induced edges, d = f(v) - f(u), summed
+    left to right (np.add.accumulate is sequential).  Starting from 0.0, as
+    energy() does, changes no bits, because every term is +0.0 or more, and
+    there is at least one term: the closure is connected and holds A and B."""
+    f = _potential(domain, A, B)
+    at = f[domain.induced.ends]
+    d = at[:, 1] - at[:, 0]
     A, B = set(A), set(B)
     return CapacityResult(
-        value=energy(domain, f, f),
-        potential=f,
+        value=float(np.add.accumulate(domain.induced.edge_weights * d * d)[-1]),
+        potential=dict(zip(domain.closure, f.tolist())),
         source=tuple(v for v in domain.closure if v in A),
         sink=tuple(v for v in domain.closure if v in B),
     )

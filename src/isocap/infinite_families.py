@@ -20,6 +20,13 @@ a loop over the full snapshot's points (then edges) meets them.  With the
 default unit rules a tree generation's totals are its exact counts, so the
 reduced tree costs O(depth) rather than O(2^depth).
 
+The builders hand integer endpoint positions to one graph builder (_graph).
+The structure they make (declared endpoints, no self-loop, parallel edge or
+isolated vertex) is valid by construction and is not validated again; only
+the rule values are checked, in bulk, after every rule call.  A mass or
+weight that is not a positive finite number is reported as the WeightedGraph
+constructor reports it: the same InputError for the same first fault.
+
 Every fact about a kind is in its entry of KINDS, and nothing else names a
 kind: a new kind is its builder and one entry, whose flags the tests check.
 """
@@ -36,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .graph_core import WeightedGraph, make_domain
+from .graph_core import SPARSE_MIN_DIM, WeightedGraph, _derived, make_domain
 
 FamilyStep = namedtuple("FamilyStep", "index graph domain W sink")
 
@@ -88,7 +95,8 @@ def path_graph(n, weight_rule=None, mass_rule=None):
     """Path on vertices 0..n with unit weights and masses by default."""
     if n < 1:
         raise InputError("path needs n >= 1")
-    return _full_graph(mass_rule, weight_rule, list(range(n + 1)), range(n), range(1, n + 1))
+    return _full_graph(mass_rule, weight_rule, list(range(n + 1)), np.arange(n),
+                       np.arange(1, n + 1))
 
 
 def line_domain(n, weight_rule=None, mass_rule=None):
@@ -99,18 +107,19 @@ def line_domain(n, weight_rule=None, mass_rule=None):
     return graph, make_domain(graph, range(1, n))
 
 
-_T3_EDGES = (
-    ("x1", "x2"), ("x1", "x3"), ("x1", "x4"),
-    ("x2", "x5"), ("x2", "x6"),
-    ("x3", "x7"), ("x3", "x8"),
-    ("x4", "x9"), ("x4", "x10"),
-)
+# (j, k) joins "xj" to "xk"
+_T3_EDGES = np.array([
+    (1, 2), (1, 3), (1, 4),
+    (2, 5), (2, 6),
+    (3, 7), (3, 8),
+    (4, 9), (4, 10),
+])
 
 
 def t3_example():
     """Ten-vertex tree: root x1, its three children, six leaves; omega is the
     root plus children."""
-    graph = _full_graph(None, None, ["x%d" % k for k in range(1, 11)], *zip(*_T3_EDGES))
+    graph = _full_graph(None, None, ["x%d" % k for k in range(1, 11)], *(_T3_EDGES - 1).T)
     return graph, make_domain(graph, ("x1", "x2", "x3", "x4"))
 
 
@@ -128,12 +137,41 @@ def _left_sum(values, start=0.0):
     return functools.reduce(operator.add, values, start)
 
 
-def _full_graph(mass_rule, weight_rule, vertices, us, vs):
-    """The graph on `vertices` with edges (us[k], vs[k]); one rule call per
-    vertex, then one per edge, in the order given."""
-    masses = dict(zip(vertices, _rule_values(mass_rule, vertices)))
-    weights = _rule_values(weight_rule, us, vs)
-    return WeightedGraph(vertices, masses, list(zip(us, vs, weights)))
+def _full_graph(mass_rule, weight_rule, vertices, src, dst):
+    """The graph on `vertices` with edges (vertices[src[k]], vertices[dst[k]]),
+    src and dst integer arrays with src < dst; one rule call per vertex,
+    then one per edge, in the order given."""
+    masses = list(_rule_values(mass_rule, vertices))
+    weights = ([1.0] * len(src) if weight_rule is None else
+               list(_rule_values(weight_rule, _picks(vertices, src), _picks(vertices, dst))))
+    return _graph(vertices, masses, src, dst, weights)
+
+
+def _graph(vertices, masses, src, dst, weights):
+    """The graph on `vertices` with these masses (a float list in vertex
+    order) and the edges (src[k], dst[k], weights[k]) of dense positions,
+    src < dst, the weights a float list.
+
+    A builder's structure is valid by construction, so only the values are
+    checked, in bulk, and the graph is made by graph_core._derived: with its
+    edges as tuples below SPARSE_MIN_DIM vertices, the form the domain loop
+    reads, and as arrays from there.  A mass or weight that is not a
+    positive finite number sends the whole input through the WeightedGraph
+    constructor, which raises the error it always raised for it."""
+    vertices = tuple(vertices)
+    if len(vertices) < SPARSE_MIN_DIM:
+        valid = all(0.0 < x < math.inf for x in itertools.chain(masses, weights))
+        pairs, values = tuple(zip(src.tolist(), dst.tolist())), tuple(weights)
+    else:
+        pairs, values = np.stack([src, dst], axis=1).astype(np.intp), np.array(weights)
+        valid = all(a.min() > 0 and a.max() < math.inf for a in (np.array(masses), values))
+        pairs.setflags(write=False)
+        values.setflags(write=False)
+    if not valid:
+        return WeightedGraph(vertices, dict(zip(vertices, masses)),
+                             list(zip(_picks(vertices, src), _picks(vertices, dst), weights)))
+    return _derived(vertices, dict(zip(vertices, range(len(vertices)))),
+                    dict(zip(vertices, masses)), pairs, values)
 
 
 def _interior_step(index, graph, domain):
@@ -174,15 +212,15 @@ def _binary_tree_step(spec, i):
             weights = [stem] + [
                 _left_sum(_rule_values(rule, g, range(2 * g.start, 2 * g.stop, 2)), total)
                 for g, total in zip(parents, odd)]
-        vertices = list(range(i + 2))
-        edges = [(j, j + 1, weights[j]) for j in range(i + 1)]
-        graph = WeightedGraph(vertices, dict(zip(vertices, masses)), edges)
+        graph = _graph(range(i + 2), masses, np.arange(i + 1), np.arange(1, i + 2), weights)
         domain = make_domain(graph, range(1, i + 2))
         return FamilyStep(i, graph, domain, tuple(range(i + 1)), (i + 1,))
-    inner = range(2, 2 ** i + 1)
-    us = [1, *inner, *inner]
-    vs = [2, *range(3, top, 2), *range(4, top + 1, 2)]
-    graph = _full_graph(spec.mass_rule, spec.weight_rule, range(1, top + 1), us, vs)
+    # positions are labels - 1: the stem, then each inner label's edges to
+    # its odd children, then those to its even children
+    inner = np.arange(1, 2 ** i)
+    src = np.concatenate([[0], inner, inner])
+    dst = np.concatenate([[1], 2 * inner, 2 * inner + 1])
+    graph = _full_graph(spec.mass_rule, spec.weight_rule, range(1, top + 1), src, dst)
     domain = make_domain(graph, range(2, top + 1))
     window = tuple(range(1, 2 ** i + 1))
     sink = tuple(range(2 ** i + 1, top + 1))
@@ -217,8 +255,7 @@ def _lattice_box_step(spec, r):
     outer = r + 1
     points, coords, src, dst = _lattice([range(-outer, outer + 1)] * dim)
     if not spec.quotient:
-        graph = _full_graph(spec.mass_rule, spec.weight_rule, points, _picks(points, src),
-                            _picks(points, dst))
+        graph = _full_graph(spec.mass_rule, spec.weight_rule, points, src, dst)
         window = itertools.compress(points, (np.abs(coords).max(axis=1) <= r).tolist())
         return _interior_step(r, graph, make_domain(graph, window))
     # an orbit is the sorted |coordinates|; read as base-(outer+1) digits it
@@ -238,9 +275,7 @@ def _lattice_box_step(spec, r):
     weights = np.zeros(len(keys))
     np.add.at(weights, pair, list(_rule_values(spec.weight_rule, _picks(points, src),
                                                _picks(points, dst))))
-    a, b = np.divmod(keys, len(orbits))
-    edges = list(zip(_picks(orbits, a), _picks(orbits, b), weights.tolist()))
-    graph = WeightedGraph(orbits, dict(zip(orbits, masses.tolist())), edges)
+    graph = _graph(orbits, masses.tolist(), *np.divmod(keys, len(orbits)), weights.tolist())
     return _interior_step(r, graph, make_domain(graph, (v for v in orbits if v[-1] <= r)))
 
 
@@ -251,8 +286,7 @@ def _half_space_step(spec, R):
     outer = R + 1
     points, coords, src, dst = _lattice([range(-outer, outer + 1)] * (dim - 1)
                                         + [range(outer + 1)])
-    graph = _full_graph(spec.mass_rule, spec.weight_rule, points, _picks(points, src),
-                        _picks(points, dst))
+    graph = _full_graph(spec.mass_rule, spec.weight_rule, points, src, dst)
     inside = coords[:, -1] >= 1
     domain = make_domain(graph, list(itertools.compress(points, inside.tolist())))
     in_w = np.abs(coords).max(axis=1) <= R

@@ -7,7 +7,7 @@ M is reduced to standard form by the M^{-1/2} scaling.
 Every dense operator is a plain float ndarray whose symmetry is exact by
 construction: a graph's stiffness matrix, its slices and the Schur
 complements below.  The stiffness is assembled once, from the graph's
-integer endpoint pairs and weights, and kept read-only on the graph, so
+(E, 2) endpoint array and weight array, and kept read-only on the graph, so
 every caller that asks for it shares one array.  A dense matrix of more than
 DENSE_MAX_DIM rows is refused with a BudgetError before it is allocated.  A
 dense eigensolve diagonalizes the whole matrix but post-processes (orients,
@@ -48,7 +48,6 @@ the sparse one 1.1e-13.  scipy.sparse is imported on the sparse routes
 only.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,10 +121,7 @@ def _edges(graph):
     weighted degrees.  Each degree sums its edges in edge order: the rows of
     ends interleave [i0, j0, i1, j1, ...], which keeps every degree
     bit-identical to adding the edges one at a time."""
-    pairs = graph.pairs
-    ends = np.fromiter(itertools.chain.from_iterable(pairs), np.intp,
-                       2 * len(pairs)).reshape(-1, 2)
-    w = np.array(graph.weights, dtype=float)
+    ends, w = graph.ends, graph.edge_weights
     deg = np.zeros(len(graph.vertices))
     np.add.at(deg, ends.ravel(), np.repeat(w, 2))
     return ends, w, deg

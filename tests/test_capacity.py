@@ -7,8 +7,8 @@ from isocap import (InfeasibleError, InputError, LimitReport, WeightedGraph, cap
                     cap_exhaustion, cap_to_boundary, coarea_value, energy,
                     equilibrium_potential, laplacian_apply, linear_core, make_domain,
                     solve_spd, stiffness_matrix)
-from isocap.infinite_families import (FamilySpec, default_source, generate_steps,
-                                      line_domain, path_graph, t3_example)
+from isocap.infinite_families import (KINDS, FamilySpec, default_source, generate,
+                                      generate_steps, line_domain, path_graph, t3_example)
 from isocap.linear_core import SPARSE_MIN_DIM
 from isocap.testing import random_domain
 from test_spectra import box_window
@@ -77,6 +77,38 @@ def test_capacity_value_equals_potential_energy():
     res = cap(dom, ["x5", "x6"], ["x9"])
     assert res.value == pytest.approx(energy(dom, res.potential, res.potential),
                                       rel=1e-12)
+
+
+def _pinned_weight(u, v):
+    # non-dyadic and position-dependent; ids are ints or int tuples, whose
+    # hashes do not depend on the interpreter's hash seed
+    return 1.0 + hash((u, v)) % 7 / 10
+
+
+def _bit_cases():
+    """(domain, A, B): steps 1-4 of every kind, with unit and non-dyadic
+    weights, and 40 random domains."""
+    for kind, entry in KINDS.items():
+        variants = [{}] + [{"dim": 2}, {"dim": 3}] * entry.dimensioned \
+            + [{"quotient": True}] * entry.reducible
+        for fields in variants:
+            for rule in [None] + [_pinned_weight] * (not entry.single):
+                spec = FamilySpec(kind, weight_rule=rule, **fields)
+                for i in range(2 if kind == "path_segment" else 1, 5):
+                    step = generate(spec, i)
+                    yield step.domain, default_source(spec), step.sink
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        dom = random_domain(rng)
+        size = int(rng.integers(1, len(dom.interior) + 1))
+        yield dom, dom.interior[:size], dom.boundary
+
+
+def test_cap_value_is_the_energy_of_its_potential_bit_for_bit():
+    for dom, A, B in _bit_cases():
+        res = cap(dom, A, B)
+        assert res.value.hex() == energy(dom, res.potential, res.potential).hex()
+        assert res.potential == equilibrium_potential(dom, A, B)
 
 
 def test_set_monotonicity():

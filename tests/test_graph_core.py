@@ -1,11 +1,16 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
 import isocap.infinite_families as infinite_families
-from isocap import (DomainError, FamilySpec, InputError, WeightedGraph, energy,
-                    generate, green_residual, laplacian_apply, make_domain,
+from isocap import (DomainError, FamilySpec, InputError, WeightedGraph, dirichlet_spectrum,
+                    energy, generate, green_residual, laplacian_apply, make_domain,
                     normal_derivative, stiffness_matrix, vertex_boundary)
 from isocap.graph_core import is_connected
+from isocap.linear_core import SPARSE_MIN_DIM
 from isocap.infinite_families import path_graph, t3_example
 
 
@@ -323,6 +328,89 @@ def test_family_domains_match_the_oracle(spec, monkeypatch):
     assert calls
     for graph, interior in calls:
         assert assert_matches_oracle(graph, interior)
+
+
+def large_graphs():
+    """Random connected graphs of 150-400 vertices, on both sides of
+    SPARSE_MIN_DIM: a random tree plus about n extra edges, integer, string
+    and tuple ids, edges shuffled and given either way round."""
+    rng = np.random.default_rng(9)
+    labels = [lambda k: k, lambda k: "v%d" % k, lambda k: (k % 7, k // 7)]
+    sizes = [150, SPARSE_MIN_DIM - 1, SPARSE_MIN_DIM, 400] + rng.integers(150, 401, 6).tolist()
+    for trial, n in enumerate(sizes):
+        name = labels[trial % 3]
+        pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+        pairs |= {(min(i, j), max(i, j)) for i, j in rng.integers(0, n, (n, 2)).tolist() if i != j}
+        pairs = sorted(pairs)
+        pairs = [pairs[t] for t in rng.permutation(len(pairs))]
+        pairs = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+        vertices = [name(int(k)) for k in rng.permutation(n)]
+        mass = {name(k): float(10.0 ** rng.uniform(-3, 3)) for k in range(n)}
+        edges = [(name(i), name(j), float(10.0 ** rng.uniform(-3, 3))) for i, j in pairs]
+        yield rng, WeightedGraph(vertices, mass, edges)
+
+
+def _ball(rng, graph, size):
+    """The first `size` vertices met breadth-first from a random vertex."""
+    seen = [graph.vertices[int(rng.integers(len(graph.vertices)))]]
+    for v in seen:
+        seen += [y for y, _ in graph.adjacency[v] if y not in seen]
+        if len(seen) >= size:
+            break
+    return seen[:size]
+
+
+def test_masked_domains_match_the_oracle_on_large_graphs():
+    built = failed = 0
+    for rng, g in large_graphs():
+        n = len(g.vertices)
+        scattered = [g.vertices[t] for t in rng.permutation(n)[:n // 3]]
+        ball = _ball(rng, g, int(rng.integers(1, n // 2)))
+        for interior in (ball, ball[::-1] + ball[:3], scattered, list(g.vertices),
+                         ball[:5] + ["nowhere"] + ball[5:]):
+            ok = assert_matches_oracle(g, interior)
+            built += ok
+            failed += not ok
+            if ok:
+                induced = make_domain(g, interior).induced
+                assert all(type(i) is int for pair in induced.pairs for i in pair)
+                assert all(type(w) is float for w in induced.weights)
+    assert built >= 20 and failed >= 15  # both outcomes are exercised
+
+
+def test_make_domain_returns_the_live_domain_of_its_graph():
+    g = path_graph(6)
+    dom = make_domain(g, [1, 2, 3])
+    assert make_domain(g, iter([1, 2, 3])) is dom
+    assert make_domain(g, dom.interior) is dom
+    # an interior out of ambient order is built anew, and is then the
+    # graph's live domain
+    other = make_domain(g, [3, 2, 1])
+    assert other is not dom and other.closure == dom.closure
+    assert make_domain(g, (1, 2, 3)) is other
+    # an equal graph is another graph
+    assert make_domain(path_graph(6), [3, 2, 1]) is not other
+    # the weak reference is not part of the graph's state
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and make_domain(copy, (1, 2, 3)).graph is copy
+
+
+@pytest.mark.parametrize("spec,step", [(FamilySpec("path_segment"), 5),
+                                       (FamilySpec("lattice_box", dim=2), 8)], ids=repr)
+def test_a_dropped_snapshot_is_freed_without_the_collector(spec, step):
+    # the graph holds its domain by a weak reference: no graph <-> domain
+    # cycle, so reference counting alone frees both
+    gc.disable()
+    try:
+        snapshot = generate(spec, step)
+        assert make_domain(snapshot.graph, snapshot.W) is snapshot.domain
+        dirichlet_spectrum(snapshot.graph, snapshot.W, count=1)
+        refs = [weakref.ref(x) for x in (snapshot.graph, snapshot.domain,
+                                         snapshot.domain.induced)]
+        del snapshot
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def _abc():

@@ -223,6 +223,126 @@ def test_box_quotient_calls_the_rules_on_the_full_box():
             assert rules.weight_calls == dim * (side - 1) * side ** (dim - 1)
 
 
+# ---------------------------------------------------------------------------
+# the rule contract of the positional builders: every mass call over the full
+# snapshot's points, then every weight call over its edges, whatever the
+# kind; a bad value is reported after the last call, as WeightedGraph reports
+# it for the same values
+
+def full_snapshot(kind, dim, i):
+    """(points, edges) of the unreduced snapshot, in rule-call order."""
+    if kind == "path_segment":
+        return list(range(i + 1)), [(k, k + 1) for k in range(i)]
+    if kind == "binary_tree":
+        inner = range(2, 2 ** i + 1)
+        return (list(range(1, 2 ** (i + 1) + 1)),
+                [(1, 2)] + [(k, 2 * k - 1) for k in inner] + [(k, 2 * k) for k in inner])
+    outer = i + 1
+    lateral = range(-outer, outer + 1)
+    last = lateral if kind == "lattice_box" else range(outer + 1)
+    points = list(itertools.product(*([lateral] * (dim - 1) + [last])))
+    return points, [(x, y) for x in points for y in _axis_neighbours(x, outer)]
+
+
+def reference_error(kind, dim, quotient, i, rules):
+    """The InputError text WeightedGraph raises for the values that `rules`
+    gives in rule-call order, through the point-by-point oracles; None when
+    they are accepted."""
+    points, edges = full_snapshot(kind, dim, i)
+    mass = {x: rules.mass(x) for x in points}
+    weight = {(x, y): rules.weight(x, y) for x, y in edges}
+    spec = FamilySpec(kind, dim=dim, quotient=quotient, mass_rule=mass.__getitem__,
+                      weight_rule=lambda u, v: weight[u, v])
+    try:
+        if kind in ORACLES:
+            ORACLES[kind](spec, i)
+        else:
+            WeightedGraph(points, {x: spec.mass(x) for x in points},
+                          [(x, y, spec.weight(x, y)) for x, y in edges])
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+class RecordingRules:
+    """Rules that log each call and return fixed values (or a bad one at a
+    chosen call)."""
+
+    def __init__(self, mass=1.5, weight=0.75, bad_at=None, bad=None):
+        self.calls = []
+        self._values = {"mass": mass, "weight": weight}
+        self._bad_at, self._bad = bad_at, bad
+
+    def _value(self, name, args):
+        self.calls.append((name,) + args)
+        return self._bad if len(self.calls) - 1 == self._bad_at else self._values[name]
+
+    def mass(self, v):
+        return self._value("mass", (v,))
+
+    def weight(self, u, v):
+        return self._value("weight", (u, v))
+
+
+# (kind, dim, quotient, steps): every kind with rules (t3 takes none), at
+# small steps and, except for the small quotients, at one whose graph has
+# SPARSE_MIN_DIM vertices or more, where the builders keep arrays
+RULE_CASES = [
+    ("path_segment", 1, False, (2, 5, 250)),
+    ("binary_tree", 1, False, (1, 3, 7)),
+    ("binary_tree", 1, True, (1, 3, 7)),
+    ("lattice_box", 1, False, (2, 120)),
+    ("lattice_box", 2, False, (1, 3, 7)),
+    ("lattice_box", 2, True, (1, 3, 18)),
+    ("lattice_box", 3, False, (1, 2)),
+    ("lattice_box", 3, True, (1, 3)),
+    ("half_space", 2, False, (1, 3, 9)),
+    ("half_space", 3, False, (1, 3)),
+]
+
+
+@pytest.mark.parametrize("kind,dim,quotient,steps", RULE_CASES, ids=repr)
+def test_a_recording_rule_sees_the_full_snapshot_in_order(kind, dim, quotient, steps):
+    for i in steps:
+        rules = RecordingRules()
+        spec = FamilySpec(kind, dim=dim, quotient=quotient, mass_rule=rules.mass,
+                          weight_rule=rules.weight)
+        generate(spec, i)
+        points, edges = full_snapshot(kind, dim, i)
+        assert rules.calls == [("mass", x) for x in points] + \
+            [("weight", x, y) for x, y in edges]
+        assert all(type(v) is type(points[0]) for call in rules.calls for v in call[1:])
+
+
+@pytest.mark.parametrize("bad", [0, -1, float("inf"), float("nan")], ids=repr)
+@pytest.mark.parametrize("kind,dim,quotient,steps", RULE_CASES, ids=repr)
+def test_a_bad_rule_value_raises_the_constructor_error(kind, dim, quotient, steps, bad):
+    raised = 0
+    for i in steps:
+        points, edges = full_snapshot(kind, dim, i)
+        # everywhere, at the third vertex, at the second edge, and an infinite
+        # mass beside a bad weight (infinities are reported last)
+        for fields in ({"mass": bad}, {"weight": bad},
+                       {"bad_at": 2, "bad": bad}, {"bad_at": len(points) + 1, "bad": bad},
+                       {"mass": float("inf"), "bad_at": len(points), "bad": bad}):
+            want = reference_error(kind, dim, quotient, i, RecordingRules(**fields))
+            rules = RecordingRules(**fields)
+            spec = FamilySpec(kind, dim=dim, quotient=quotient, mass_rule=rules.mass,
+                              weight_rule=rules.weight)
+            if want is None:
+                # a quotient sum can be positive and finite around one bad value
+                assert quotient
+                generate(spec, i)
+                continue
+            with pytest.raises(InputError) as got:
+                generate(spec, i)
+            # every rule was called before the error
+            assert len(rules.calls) == len(points) + len(edges)
+            assert str(got.value) == want
+            raised += 1
+    assert raised >= 3 * len(steps)
+
+
 def test_deep_tree_quotient_is_cheap_and_exact():
     start = time.perf_counter()
     step = generate(FamilySpec("binary_tree", quotient=True), 60)
