@@ -3,12 +3,16 @@
 Graph files are line oriented: `# comment`, `v <id> <mass>`,
 `e <id> <id> <weight>`, and one optional `omega <id> ...` marking the
 interior.  Ids are opaque tokens and stay strings through parse and emit, so
-a parse/emit round trip reproduces the graph exactly.
+a parse/emit round trip reproduces the graph exactly.  A file is validated
+once, in its one pass over the lines, and the graph is built from the
+positions and weights gathered there, without the WeightedGraph
+constructor's second validation.
 
 Reports are JSON with a fixed key order, every float printed with up to 17
 significant digits (exact double round trip), and the distinguished infinite
-value spelled as the string "infinite".  Identical inputs produce
-byte-identical output apart from tool_version.
+value spelled as the string "infinite".  One depth-first pass appends the
+pieces of a report to a list.  Identical inputs produce byte-identical
+output apart from tool_version.
 
 Exit codes: 0 success, 2 bad input or a numerical failure, 3 enumeration
 budget exceeded, 4 a verified inequality failed.  An error report carries
@@ -25,7 +29,7 @@ any other is a usage error.
 
 import argparse
 import functools
-import json as _json
+from json.encoder import encode_basestring_ascii as _quote
 import math
 import re
 import sys
@@ -40,10 +44,10 @@ from .constants import (Budget, ConstantResult, LimitReport, Parts, alpha_dirich
                         alpha_steklov, alpha_steklov_limit, gamma_k_dirichlet,
                         gamma_k_steklov, gamma_tilde_dirichlet, kappa_steklov)
 from .errors import BudgetError, InputError, SingularMatrixError
-from .graph_core import WeightedGraph, energy, make_domain
+from .graph_core import _derived, energy, make_domain
 from .infinite_families import (KINDS, FamilyKind, FamilySpec, default_source,
                                 generate_steps, kinds_with)
-from .infinity import is_infinite
+from .infinity import INFINITE
 from .linear_core import SpectralResult
 from .spectra import DOMAIN_SPECTRA
 from .verify import K_THEOREMS, REGISTRY, THEOREMS, BoundReport, EqualityReport, check
@@ -70,41 +74,48 @@ def _positive(token, lineno, what):
 def parse_graph(text):
     """Parse a graph file; returns (graph, interior or None).
 
-    All validation failures name the offending line.
+    Validates in its one pass over the lines, in file order, naming the
+    offending line; then "no vertices declared", then the first isolated
+    vertex, which names no line.  The graph is built from the positions,
+    pairs and weights gathered on the way (graph_core._derived), not
+    validated again by the WeightedGraph constructor: it is the graph that
+    the constructor would build from the same vertices, masses and edges.
     """
-    order = []
-    masses = {}
-    edges = []
-    seen_edges = set()
+    masses = {}  # id -> mass, in declaration order
+    index = {}  # id -> dense position
+    edges = {}  # (i, j) dense positions, i < j -> weight, in file order
+    touched = bytearray()  # per position: whether an edge meets it
     omega = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         kind = parts[0]
-        if kind == "v":
+        if kind == "e":
+            if len(parts) != 4:
+                raise InputError("line %d: expected 'e <id> <id> <weight>'" % lineno)
+            u, v = parts[1], parts[2]
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None:
+                raise InputError("line %d: undeclared endpoint %r"
+                                 % (lineno, u if i is None else v))
+            if i == j:
+                raise InputError("line %d: self-loop at %r" % (lineno, u))
+            key = (i, j) if i < j else (j, i)
+            if key in edges:
+                raise InputError("line %d: duplicate edge %r-%r" % (lineno, u, v))
+            edges[key] = _positive(parts[3], lineno, "weight")
+            touched[i] = touched[j] = 1
+        elif kind == "v":
             if len(parts) != 3:
                 raise InputError("line %d: expected 'v <id> <mass>'" % lineno)
             vid = parts[1]
             if vid in masses:
                 raise InputError("line %d: duplicate vertex %r" % (lineno, vid))
             masses[vid] = _positive(parts[2], lineno, "mass")
-            order.append(vid)
-        elif kind == "e":
-            if len(parts) != 4:
-                raise InputError("line %d: expected 'e <id> <id> <weight>'" % lineno)
-            u, v = parts[1], parts[2]
-            for end in (u, v):
-                if end not in masses:
-                    raise InputError("line %d: undeclared endpoint %r" % (lineno, end))
-            if u == v:
-                raise InputError("line %d: self-loop at %r" % (lineno, u))
-            key = (u, v) if u < v else (v, u)
-            if key in seen_edges:
-                raise InputError("line %d: duplicate edge %r-%r" % (lineno, u, v))
-            seen_edges.add(key)
-            edges.append((u, v, _positive(parts[3], lineno, "weight")))
+            index[vid] = len(touched)
+            touched.append(0)
         elif kind == "omega":
             if omega is not None:
                 raise InputError("line %d: second omega line" % lineno)
@@ -119,9 +130,13 @@ def parse_graph(text):
             omega = tuple(ids)
         else:
             raise InputError("line %d: unknown record %r" % (lineno, kind))
-    if not order:
+    if not masses:
         raise InputError("no vertices declared")
-    return WeightedGraph(order, masses, edges), omega
+    vertices = tuple(masses)
+    if 0 in touched:
+        raise InputError("isolated vertex %r" % (vertices[touched.index(0)],))
+    graph = _derived(vertices, index, masses, tuple(edges), tuple(edges.values()))
+    return graph, omega
 
 
 def _token(vid):
@@ -158,21 +173,85 @@ def _num(x):
 
 def to_json(obj):
     """Serialize with insertion order, 17-significant-digit floats, and the
-    "infinite" sentinel; strings escape through the stdlib."""
-    if is_infinite(obj):
-        return '"infinite"'
-    if obj is None:
-        return "null"
+    "infinite" sentinel; strings escape as json.dumps escapes them.  One
+    depth-first pass appends the pieces to a list: the first non-finite
+    number or unserializable object met raises InputError."""
+    out = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def _emit(obj, out):
+    (_EMITTERS.get(type(obj)) or _emitter(obj))(obj, out)
+
+
+def _emitter(obj):
+    """The emitter of a type missing from _EMITTERS (the sentinel and None
+    are there), chosen by the checks in their order of precedence: strings,
+    numbers, dicts, lists and tuples, subclasses included."""
     if isinstance(obj, str):
-        return _json.dumps(obj)
-    if isinstance(obj, bool) or isinstance(obj, (int, float)):
-        return _num(obj)
+        return _emit_str
+    if isinstance(obj, (int, float)):  # bool is an int
+        return _emit_num
     if isinstance(obj, dict):
-        items = ("%s: %s" % (_json.dumps(str(k)), to_json(v)) for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+        return _emit_dict
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(to_json(v) for v in obj) + "]"
+        return _emit_seq
+    return _unserializable
+
+
+def _emit_infinite(obj, out):
+    out.append('"infinite"')
+
+
+def _emit_none(obj, out):
+    out.append("null")
+
+
+def _emit_str(obj, out):
+    out.append(_quote(obj))
+
+
+def _emit_num(obj, out):
+    out.append(_num(obj))
+
+
+def _emit_float(obj, out):
+    if not math.isfinite(obj):
+        raise InputError("non-finite number %r in report" % obj)
+    out.append("%.17g" % obj)
+
+
+def _emit_dict(obj, out):
+    sep = "{"
+    for k, v in obj.items():
+        out.append(sep)
+        out.append(_quote(k if type(k) is str else str(k)))
+        out.append(": ")
+        _emit(v, out)
+        sep = ", "
+    out.append("{}" if sep == "{" else "}")
+
+
+def _emit_seq(obj, out):
+    sep = "["
+    for v in obj:
+        out.append(sep)
+        _emit(v, out)
+        sep = ", "
+    out.append("[]" if sep == "[" else "]")
+
+
+def _unserializable(obj, out):
     raise InputError("unserializable object %r" % (obj,))
+
+
+# exact type -> emitter; _emitter chooses for every other type
+_EMITTERS = {
+    str: _emit_str, float: _emit_float, np.float64: _emit_float, int: _emit_num,
+    bool: _emit_num, type(None): _emit_none, dict: _emit_dict, list: _emit_seq,
+    tuple: _emit_seq, type(INFINITE): _emit_infinite,
+}
 
 
 def _plain(value):
@@ -491,9 +570,12 @@ def _cmd_coarea(args):
         if vid in field:
             raise InputError("field id %r is given twice" % vid)
         try:
-            field[vid] = float(val)
+            value = float(val)
         except ValueError:
             raise InputError("bad field value %r" % val)
+        if not math.isfinite(value):
+            raise InputError("field value of %r must be a finite number, got %r" % (vid, val))
+        field[vid] = value
     value = coarea_value(domain, field)
     quad = energy(domain, field, field)
     holds = value <= 2.0 * quad + 1e-12 * max(1.0, abs(quad))

@@ -449,11 +449,15 @@ def _min_pair(root, masses):
 
 
 def _levels(vec):
-    """Superlevel slot sets of a signed field, largest value first."""
-    out = []
-    for thresh in sorted({x for x in vec if x > 1e-12}, reverse=True):
-        out.append(tuple(int(i) for i in np.nonzero(vec >= thresh - 1e-15)[0]))
-    return out
+    """Superlevel slot sets of a signed field, largest value first: for each
+    distinct value x > 1e-12, in descending order, the ascending slots i
+    with vec[i] >= x - 1e-15.  Each set is a prefix of the stable
+    descending order of vec (a NaN sorts last and is in none), so one
+    searchsorted on the negated sorted values gives every prefix length."""
+    order = np.argsort(-vec, kind="stable")
+    thresh = np.unique(vec[vec > 1e-12])[::-1]
+    counts = np.searchsorted(-vec[order], -(thresh - 1e-15), side="right")
+    return [tuple(np.sort(order[:c]).tolist()) for c in counts.tolist()]
 
 
 def _screen_single(root, masses, order, cands):

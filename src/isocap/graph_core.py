@@ -17,7 +17,6 @@ they are faster, and by array masks from there.  make_domain hands back the
 domain it last built for a graph and interior while that domain is alive.
 """
 
-import functools
 import itertools
 import weakref
 
@@ -27,6 +26,24 @@ from .errors import DomainError, InputError
 from .linear_core import SPARSE_MIN_DIM
 
 _INF = float("inf")
+
+
+class _cached:
+    """functools.cached_property without its lock (Python 3.11 takes one on
+    every first read): the first read stores the value in the instance
+    dict, where every later read finds it before this non-data descriptor,
+    and where an assignment (WeightedGraph._set) puts a value directly."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
 class WeightedGraph:
@@ -127,15 +144,15 @@ class WeightedGraph:
             self.pairs = pairs
             self.weights = weights
 
-    @functools.cached_property
+    @_cached
     def pairs(self):
         return tuple(map(tuple, self.ends.tolist()))
 
-    @functools.cached_property
+    @_cached
     def weights(self):
         return tuple(self.edge_weights.tolist())
 
-    @functools.cached_property
+    @_cached
     def ends(self):
         pairs = self.pairs
         ends = np.fromiter(itertools.chain.from_iterable(pairs), np.intp,
@@ -143,18 +160,18 @@ class WeightedGraph:
         ends.setflags(write=False)
         return ends
 
-    @functools.cached_property
+    @_cached
     def edge_weights(self):
         w = np.array(self.weights, dtype=float)
         w.setflags(write=False)
         return w
 
-    @functools.cached_property
+    @_cached
     def edges(self):
         vs = self.vertices
         return tuple((vs[i], vs[j], w) for (i, j), w in zip(self.pairs, self.weights))
 
-    @functools.cached_property
+    @_cached
     def adjacency(self):
         vs = self.vertices
         adj = [[] for _ in vs]

@@ -14,8 +14,9 @@ dense eigensolve diagonalizes the whole matrix but post-processes (orients,
 checks residuals of, returns) only the eigenpairs its caller asks for.
 
 A factored principal block K[rows, rows] has two routes, chosen by
-block_stiffness from the number of rows: below SPARSE_MIN_DIM, cho_factor on
-the dense block, as before the sparse route existed, so those results keep
+block_stiffness from the number of rows: below SPARSE_MIN_DIM, cho_factor
+(LAPACK potrf) on the dense block and LAPACK potrs for each solve, the bits
+of cho_solve, as before the sparse route existed, so those results keep
 their bits; from there, and on any graph past DENSE_MAX_DIM vertices,
 SuperLU (splu, minimum-degree ordering on K + K^T, symmetric mode) on the
 CSR block of sparse_stiffness (the same entries bit for bit), and the dense
@@ -179,15 +180,25 @@ class SpectralResult:
 
 
 def _fix_signs(vectors):
-    # deterministic orientation: first coordinate that is clearly nonzero is positive
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        big = np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300)
-        if big.any():
-            lead = col[np.argmax(big)]
-            if lead < 0:
-                vectors[:, j] = -col
+    """Orient every column in place, deterministically: its first entry
+    above 1e-12 of the column's largest magnitude is made positive.  A
+    column with no such entry (all zero, or holding a NaN) is left as it
+    is."""
+    if not vectors.size:
+        return vectors
+    # |x| > c as x > c or x < -c, and max |x| from the column max and min:
+    # the same comparisons with no temporary the size of vectors but booleans
+    cut = 1e-12 * np.maximum(np.maximum(vectors.max(axis=0), -vectors.min(axis=0)), 1e-300)
+    big = (vectors > cut) | (vectors < -cut)
+    lead = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+    np.negative(vectors, out=vectors, where=big.any(axis=0) & (lead < 0))
     return vectors
+
+
+def _norm(x):
+    """np.linalg.norm of a contiguous float vector without its wrapper: the
+    same sqrt of the same dot product."""
+    return np.sqrt(x.dot(x))
 
 
 def _residual(k, m, eigenvalues, vectors):
@@ -211,11 +222,11 @@ def _residual(k, m, eigenvalues, vectors):
     for j, lam in enumerate(eigenvalues):
         v = vectors[:, j]
         mv = m * v
-        num = np.linalg.norm(k @ v - lam * mv)
-        den = kn * np.linalg.norm(v) + abs(lam) * np.linalg.norm(mv)
+        # norm ravels a strided column into a contiguous copy: so does this
+        den = kn * _norm(v.copy()) + abs(lam) * _norm(mv)
         if den == 0.0:
             continue
-        worst = max(worst, num / den)
+        worst = max(worst, _norm(k @ v - lam * mv) / den)
     return worst
 
 

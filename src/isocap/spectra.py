@@ -11,7 +11,10 @@ positions they keep and eliminate.  One routine, _eliminate, serves
 dtn_operator and all four spectra: it forms the Schur complement
 (linear_core.schur_solver), solves the eigenproblem, and extends each
 eigenvector through the eliminated block with the same factor
-(harmonically for the DtN operators, by zero flux for Neumann).  The factor
+(harmonically for the DtN operators, by zero flux for Neumann).
+spectrum_with_operator returns an eliminated spectrum together with the
+DtnOperator it was solved on, so that verify enumerates a pair constant on
+that same form instead of eliminating the block again.  The factor
 is a dense Cholesky below 200 eliminated rows and a sparse LU of the CSR
 stiffness from there (linear_core.block_stiffness); the Schur form over the
 kept rows is dense either way.
@@ -24,6 +27,8 @@ the dense eigensolve otherwise.
 
 import dataclasses
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +36,8 @@ import numpy as np
 from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
-from .linear_core import (block_solver, block_stiffness, lowest_eigenpairs, schur_solver,
-                          stiffness_matrix, sym_eig_generalized)
+from .linear_core import (SpectralResult, block_solver, block_stiffness, lowest_eigenpairs,
+                          schur_solver, stiffness_matrix, sym_eig_generalized)
 
 
 @dataclass
@@ -86,6 +91,8 @@ def _finite(fn):
     (eigenpairs, residuals, DtN forms and extended fields) and for the
     public enumerators of constants.  It raises an InputError that names the
     step, instead of a RuntimeWarning on stderr and inf or nan in the result.
+    Each number is checked once: the walk (_all_finite) skips what was
+    checked where it was built, the eigenfunction fields of a spectrum.
     """
     @functools.wraps(fn)
     def checked(*args, **kwargs):
@@ -98,24 +105,41 @@ def _finite(fn):
 
 
 def _check_finite(result, step):
-    if not all(np.isfinite(x).all() for x in _numbers(result)):
+    if not _all_finite(result):
         raise InputError("non-finite values in %s" % step)
 
 
-def _numbers(result):
-    """The float arrays and floats a result holds, through lists, dict
-    values and dataclass fields (a DtN form is one array).  Counts, the
-    INFINITE sentinel and the tuples that hold vertex ids are skipped."""
-    if isinstance(result, (float, np.ndarray)):
-        yield result
-    elif isinstance(result, list):
-        for r in result:
-            yield from _numbers(r)
-    elif isinstance(result, dict):  # an eigenfunction: vertex -> float
-        yield np.fromiter(result.values(), float, len(result))
-    elif dataclasses.is_dataclass(result):
-        for f in dataclasses.fields(result):
-            yield from _numbers(getattr(result, f.name))
+def _all_finite(result):
+    """Whether every float and float array that result holds is finite,
+    each number checked once, through lists, dict values and dataclass
+    fields (a DtN form is one array).  Counts, the INFINITE sentinel and the
+    tuples that hold vertex ids are skipped.  A list of dicts (eigenfunction
+    fields: vertex -> float) is read as one array."""
+    if isinstance(result, float):
+        return math.isfinite(result)
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all())
+    if isinstance(result, list):
+        if result and all(isinstance(r, dict) for r in result):
+            values = itertools.chain.from_iterable(r.values() for r in result)
+            return bool(np.isfinite(np.fromiter(values, float)).all())
+        return all(map(_all_finite, result))
+    if isinstance(result, dict):
+        return bool(np.isfinite(np.fromiter(result.values(), float, len(result))).all())
+    names = _number_fields(type(result))
+    return names is None or all(_all_finite(getattr(result, name)) for name in names)
+
+
+@functools.cache
+def _number_fields(cls):
+    """The names of the dataclass fields that _all_finite reads, None for a
+    type that is not a dataclass.  SpectralResult.fields is left out: each
+    spectrum checks its fields where it builds them (Dirichlet fields are
+    entries of the checked vectors, or 0.0)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if (cls, f.name) != (SpectralResult, "fields"))
 
 
 @_finite
@@ -138,11 +162,9 @@ def dirichlet_spectrum(graph, interior, count=None):
         raise InputError("count must be in 1..|interior|")
     mass = np.array([graph.mass[v] for v in domain.interior])
     res = lowest_eigenpairs(domain.induced, n, mass, count, vertex_order=domain.interior)
-    res.fields = [
-        {v: (float(res.vectors[domain.interior_index[v], j]) if v in domain.interior_index else 0.0)
-         for v in domain.closure}
-        for j in range(count)
-    ]
+    # the fields are entries of the checked vectors, or 0.0 on the boundary
+    zeros = [0.0] * len(domain.boundary)
+    res.fields = [dict(zip(domain.closure, col + zeros)) for col in res.vectors.T.tolist()]
     return res
 
 
@@ -157,15 +179,20 @@ def neumann_spectrum(domain, count=None):
     boundary the form is K_II itself.  lambda_0 = 0 with constant
     eigenfunction.
     """
+    return _neumann(domain, count)[1]
+
+
+def _neumann(domain, count):
+    """(operator, spectrum) of neumann_spectrum."""
     n = len(domain.interior)
     count = n if count is None else count
     if count > n:
         raise InputError("count exceeds |Omega|")
     if count < 1:
         raise InputError("count must be positive")
-    _, spectrum = _eliminate(domain.induced, range(n), range(n, len(domain.closure)),
-                             domain.interior, domain.boundary, domain.graph.mass)
-    return spectrum(count)
+    op, spectrum = _eliminate(domain.induced, range(n), range(n, len(domain.closure)),
+                              domain.interior, domain.boundary, domain.graph.mass)
+    return op, spectrum(count)
 
 
 def _eliminate(graph, keep, elim, keep_ids, elim_ids, mass):
@@ -190,11 +217,10 @@ def _eliminate(graph, keep, elim, keep_ids, elim_ids, mass):
     def spectrum(count):
         res = sym_eig_generalized(form, op.mass, vertex_order=op.boundary, count=count)
         minus_k_ek = None if solve is None else -k_ek
-        for j in range(count):
-            v = res.vectors[:, j]
-            f = {x: float(v[i]) for i, x in enumerate(keep_ids)}
+        for j, col in enumerate(res.vectors.T.tolist()):
+            f = dict(zip(keep_ids, col))
             if solve is not None:
-                f.update(zip(elim_ids, solve(minus_k_ek @ v).tolist()))
+                f.update(zip(elim_ids, solve(minus_k_ek @ res.vectors[:, j]).tolist()))
             res.fields.append(f)
         _check_finite(res.fields, "harmonic_extension")
         # a form entry carries a rounding error of order u K_ii, so the
@@ -241,14 +267,19 @@ def steklov_spectrum(domain, count=None):
 
     Eigenfunctions are returned with their harmonic extensions (_eliminate).
     """
-    _, spectrum = _steklov(domain)
+    return _steklov_spectrum(domain, count)[1]
+
+
+def _steklov_spectrum(domain, count):
+    """(operator, spectrum) of steklov_spectrum."""
+    op, spectrum = _steklov(domain)
     nb = len(domain.boundary)
     count = nb if count is None else count
     if count > nb:
         raise InputError("count exceeds |boundary|")
     if count < 1:
         raise InputError("count must be positive")
-    return spectrum(count)
+    return op, spectrum(count)
 
 
 @_finite
@@ -315,6 +346,11 @@ def hm_dtn_spectrum(graph, omega, count=None):
     No edges are removed inside Omega; the form is the Schur complement of
     the full stiffness keeping Omega.  sigma_0^S = 0.
     """
+    return _hm_spectrum(graph, omega, count)[1]
+
+
+def _hm_spectrum(graph, omega, count):
+    """(operator, spectrum) of hm_dtn_spectrum."""
     graph.check_vertices(omega, "Omega")
     oset = set(omega)
     if not oset or len(oset) == len(graph.vertices):
@@ -328,9 +364,9 @@ def hm_dtn_spectrum(graph, omega, count=None):
     if not 1 <= count <= n:
         raise InputError("count must be in 1..|Omega|")
     at = graph.index
-    _, spectrum = _eliminate(graph, [at[v] for v in keep],
-                             [at[v] for v in drop], keep, drop, graph.mass)
-    return spectrum(count)
+    op, spectrum = _eliminate(graph, [at[v] for v in keep],
+                              [at[v] for v in drop], keep, drop, graph.mass)
+    return op, spectrum(count)
 
 
 # The spectra of a marked domain by name (the CLI's spectrum modes), called as
@@ -342,3 +378,25 @@ DOMAIN_SPECTRA = {
     "steklov": lambda domain, V, count: steklov_spectrum(domain, count=count),
     "hm": lambda domain, V, count: hm_dtn_spectrum(domain.graph, V, count=count),
 }
+
+# The eliminated spectra of DOMAIN_SPECTRA, with the DtN operator each is
+# solved on: mode -> (the name of the public function, whose checks they
+# keep, and (domain, V, count) -> (operator, spectrum)).
+_WITH_OPERATOR = {
+    "neumann": ("neumann_spectrum", lambda domain, V, count: _neumann(domain, count)),
+    "steklov": ("steklov_spectrum", lambda domain, V, count: _steklov_spectrum(domain, count)),
+    "hm": ("hm_dtn_spectrum", lambda domain, V, count: _hm_spectrum(domain.graph, V, count)),
+}
+
+
+def spectrum_with_operator(mode, domain, V, count):
+    """(DtnOperator, SpectralResult) for an eliminated mode of DOMAIN_SPECTRA:
+    the spectrum that DOMAIN_SPECTRA[mode](domain, V, count) returns, with
+    the same checks and error texts, and the operator it was solved on, so
+    that a caller can enumerate a pair constant on that form instead of
+    eliminating the same block again."""
+    name, body = _WITH_OPERATOR[mode]
+    with np.errstate(all="ignore"):
+        op, res = body(domain, V, count)
+    _check_finite(res, name)
+    return op, res
