@@ -13,7 +13,9 @@ offsets of the rank-one step) is built once and cached (_level_plan).
 Every constant reads one operator, the Schur form of its universe
 (_reduce), on the route of linear_core.block_stiffness: from the dense
 stiffness of the whole graph only below SPARSE_MIN_DIM eliminated rows
-(graph vertices, if none).  All
+(graph vertices, if none).  The graph keeps its last elimination
+(linear_core.graph_schur), so a pair constant and the spectrum of the same
+form, its heuristic's guiding field included, eliminate once.  All
 enumerators are exhaustive within the budget and reduce by (value,
 lexicographic witness), so results do not depend on evaluation order or
 chunking.  The public enumerators run under spectra._finite: no
@@ -34,7 +36,7 @@ from .errors import BudgetError, InputError, SingularMatrixError
 from .graph_core import is_connected
 from .infinity import INFINITE, is_infinite
 # stiffness_matrix is unused: a name of this module that perfbench traces
-from .linear_core import block_stiffness, schur_solver, stiffness_matrix  # noqa: F401
+from .linear_core import graph_schur, stiffness_matrix  # noqa: F401
 from .spectra import (_finite, dirichlet_spectrum, hm_dtn_spectrum, neumann_spectrum,
                       steklov_spectrum)
 
@@ -602,16 +604,18 @@ def _over_budget(size, limit, message, heuristic):
 
 def _reduce(graph, ids, free=None):
     """(root, masses) of a constant over its universe, the vertices ids of
-    graph: the Schur complement of the stiffness onto ids, the vertices free
-    eliminated (all others when None) as spectra._eliminate does and every
-    other vertex grounded, and their masses as a float array.  Schur
-    complements compose, so a candidate eliminates only root slots."""
+    graph: the read-only Schur complement of the stiffness onto ids, the
+    vertices free eliminated (all others when None) and every other vertex
+    grounded, and their masses as a float array.  The root is
+    linear_core.graph_schur's, so a spectrum posed on the same positions
+    (spectra._eliminate) shares its elimination.  Schur complements
+    compose, so a candidate eliminates only root slots."""
     if free is None:
         inside = set(ids)
         elim = [i for i, v in enumerate(graph.vertices) if v not in inside]
     else:
         elim = [graph.index[v] for v in free]
-    root = schur_solver(block_stiffness(graph, elim), [graph.index[v] for v in ids], elim)[0]
+    root = graph_schur(graph, [graph.index[v] for v in ids], elim)[0]
     return root, np.array([graph.mass[v] for v in ids])
 
 
@@ -641,9 +645,9 @@ def alpha_dirichlet(domain, budget=None, heuristic=False):
     return _alpha_d_raw(domain.graph, domain.interior, budget, heuristic)
 
 
-def _pair_constant(root, masses, order, over, field, connected=False):
+def _pair_constant(root, masses, order, over, connected, field):
     """The pair constant on the slots of its root form (_reduce): by the
-    heuristic when over (_over_budget), else exactly.
+    heuristic when over (_over_budget), guided by field(), else exactly.
 
     connected: the root comes from a connected closure, so every pair
     capacity is positive; a minimal value <= 0 then means the Schur
@@ -671,11 +675,8 @@ def alpha_neumann(domain, budget=None, heuristic=False):
         raise InputError("alpha_N needs |Omega| >= 2")
     over = _over_budget(n, budget.pair, _PAIR, heuristic)
     root, masses = _reduce(domain.induced, domain.interior)
-
-    def field():
-        return neumann_spectrum(domain, 2).vectors[:, 1]
-
-    return _pair_constant(root, masses, domain.interior, over, field, connected=True)
+    return _pair_constant(root, masses, domain.interior, over, True,
+                          lambda: neumann_spectrum(domain, 2).vectors[:, 1])
 
 
 @_finite
@@ -688,11 +689,8 @@ def alpha_steklov(domain, budget=None, heuristic=False):
         raise InputError("alpha_S needs |delta Omega| >= 2")
     over = _over_budget(len(domain.boundary), budget.pair, _PAIR, heuristic)
     root, masses = _reduce(domain.induced, domain.boundary)
-
-    def field():
-        return steklov_spectrum(domain, 2).vectors[:, 1]
-
-    return _pair_constant(root, masses, domain.boundary, over, field, connected=True)
+    return _pair_constant(root, masses, domain.boundary, over, True,
+                          lambda: steklov_spectrum(domain, 2).vectors[:, 1])
 
 
 @_finite
@@ -743,11 +741,8 @@ def beta_steklov(graph, omega, budget=None, heuristic=False):
     order = [v for v in graph.vertices if v in oset]
     over = _over_budget(len(order), budget.pair, _PAIR, heuristic)
     root, masses = _reduce(graph, order)
-
-    def field():
-        return hm_dtn_spectrum(graph, order, 2).vectors[:, 1]
-
-    return _pair_constant(root, masses, order, over, field, connected=is_connected(graph))
+    return _pair_constant(root, masses, order, over, is_connected(graph),
+                          lambda: hm_dtn_spectrum(graph, order, 2).vectors[:, 1])
 
 
 # ---------------------------------------------------------------------------

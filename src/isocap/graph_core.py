@@ -71,11 +71,15 @@ class WeightedGraph:
     time they are read.  linear_core.stiffness_matrix stores the graph's
     stiffness, a read-only ndarray in vertex order, on the instance the
     first time it is asked for, and linear_core.sparse_stiffness the same
-    entries as a CSR matrix.
+    entries as a CSR matrix, and linear_core.graph_schur the last Schur
+    elimination of the stiffness; make_domain keeps a weak reference to the
+    last domain.  Neither of the last two pickles.
     """
 
     # make_domain's weak reference to the domain it last built on the graph
     _domain = None
+    # linear_core.graph_schur's last elimination: (key, (S, solve, K_EK))
+    _schur = None
 
     def __init__(self, vertices, mass, edges):
         vertices = tuple(vertices)
@@ -181,9 +185,10 @@ class WeightedGraph:
         return dict(zip(vs, map(tuple, adj)))
 
     def __getstate__(self):
-        # the weak reference does not pickle
+        # the weak reference and the elimination's solver do not pickle
         state = dict(self.__dict__)
         state.pop("_domain", None)
+        state.pop("_schur", None)
         return state
 
     def mass_of(self, subset):

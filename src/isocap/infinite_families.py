@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .graph_core import SPARSE_MIN_DIM, WeightedGraph, _derived, make_domain
 
 FamilyStep = namedtuple("FamilyStep", "index graph domain W sink")
@@ -51,9 +51,25 @@ FamilyStep = namedtuple("FamilyStep", "index graph domain W sink")
 # build(spec, step) -> FamilyStep; source(spec): the default source set, in
 # every step's closure.  spec.dim is read by a dimensioned kind (others take
 # only 1), spec.quotient by a reducible one; grounded windows meet the boundary
-# of U; a single kind is one fixed graph, without rules; summable: CLI option.
+# of U; a single kind is one fixed graph, without rules; summable: CLI option;
+# points(spec, step): the points the builder walks at a step >= 1, None for
+# a single kind.
 FamilyKind = namedtuple("FamilyKind", "build source dimensioned reducible grounded single "
-                        "summable", defaults=(False,) * 5)
+                        "summable points", defaults=(False,) * 5 + (None,))
+
+# The most points (vertices of the full snapshot, quotient or not) that a
+# builder may walk for one step.  At this size one step took 0.25-0.75 s and
+# 175-245 MB peak RSS for the process (paths, trees, boxes and slabs) on a
+# 2-core x86-64 host, and at four times it 1.0-3.3 s and 590-810 MB.  The
+# largest step of the tests, CI, README and benchmark walks 131,072 points
+# (binary_tree:quotient step 16 with rules).
+MAX_POINTS = 1 << 18
+
+
+def _power(base, exp):
+    # base ** exp (base >= 2) with exp cut at MAX_POINTS's bit length: past
+    # MAX_POINTS exactly when the uncut power is, and no huge integer is made
+    return base ** min(exp, MAX_POINTS.bit_length())
 
 
 def kinds_with(flag):
@@ -307,29 +323,42 @@ def _origin(spec):
     return ((0,) * spec.dim,)
 
 
+def _tree_points(spec, i):
+    # the quotient with unit rules walks only its i + 2 generations
+    unit = spec.quotient and spec.mass_rule is None and spec.weight_rule is None
+    return i + 2 if unit else _power(2, i + 1)
+
+
 # the family kinds, in the order that messages list them; a step index is a
 # segment length, a tree depth or a window radius (t3 ignores it)
 KINDS = {
     # vertex 0 is in every step's sink
-    "path_segment": FamilyKind(_path_step, lambda spec: (1,)),
+    "path_segment": FamilyKind(_path_step, lambda spec: (1,), points=lambda spec, n: n + 1),
     "t3": FamilyKind(lambda spec, step: _interior_step(0, *t3_example()), lambda spec: ("x1",),
                      single=True),
     # the root: label 1, or generation 0 of the quotient
     "binary_tree": FamilyKind(_binary_tree_step, lambda spec: (0,) if spec.quotient else (1,),
-                              reducible=True, grounded=True),
+                              reducible=True, grounded=True, points=_tree_points),
     "lattice_box": FamilyKind(_lattice_box_step, _origin, dimensioned=True, reducible=True,
-                              summable=True),
-    "half_space": FamilyKind(_half_space_step, _origin, dimensioned=True, grounded=True),
+                              summable=True,
+                              points=lambda spec, r: _power(2 * r + 3, spec.dim)),
+    "half_space": FamilyKind(_half_space_step, _origin, dimensioned=True, grounded=True,
+                             points=lambda spec, R: _power(2 * R + 3, spec.dim - 1) * (R + 2)),
 }
 
 
 def generate(spec, step=None):
     """The step-indexed snapshot of the family, from its kind's builder; the
     rules are called as the module docstring says (once per vertex and edge
-    of the full snapshot, quotient or not)."""
+    of the full snapshot, quotient or not).  A step whose builder would walk
+    more than MAX_POINTS points raises BudgetError before anything is
+    built; an index below 1 is left to the builder, which refuses it."""
     entry = KINDS[spec.kind]
     if step is None and not entry.single:
         raise InputError("family kind %r needs a step index" % spec.kind)
+    if entry.points is not None and step >= 1 and entry.points(spec, step) > MAX_POINTS:
+        raise BudgetError("step %d of family kind %r walks more than %d points, the family "
+                          "point budget" % (step, spec.kind, MAX_POINTS))
     return entry.build(spec, step)
 
 

@@ -22,13 +22,13 @@ SuperLU (splu, minimum-degree ordering on K + K^T, symmetric mode) on the
 CSR block of sparse_stiffness (the same entries bit for bit), and the dense
 stiffness is never assembled.  It serves capacity.equilibrium_potential (the
 free block), spectra.harmonic_extension (K_II) and schur_solver, the one
-elimination kernel.  spectra._eliminate, which serves the four eliminated
-spectra (Neumann and the three DtN operators), takes from schur_solver the
-Schur complement over the kept rows (dense either way), the solver of the
-eliminated block and the coupling block, and extends its eigenvectors
-through the same factor; constants._reduce takes the Schur complement onto
-the universe of every isocapacitary constant.  A block with nothing
-eliminated is only gathered, from the CSR stiffness on a graph of
+elimination kernel; every dense factorization is one call of _factor.
+graph_schur keeps a graph's last elimination on the graph, as
+stiffness_matrix keeps its stiffness, for spectra._eliminate (the Neumann
+and three DtN spectra, extended through the same factor) and
+constants._reduce (the form onto each constant's universe): a spectrum and
+a constant posed on the same positions eliminate once.  A block with
+nothing eliminated is only gathered, from the CSR stiffness on a graph of
 SPARSE_MIN_DIM vertices or more.  Above the threshold the
 results agree with the dense route's to 1e-12 relative (4e-16 measured for
 capacities, 3.6e-15 of the largest eigenvalue for the spectra).
@@ -315,13 +315,19 @@ def _sparse_lowest(k, mass, count, vertex_order):
     return _result(k, m, w[order], _fix_signs(d[:, None] * u[:, order]), vertex_order)
 
 
+def _factor(a, message=None):
+    """The (factor, lower) of cho_factor (LAPACK potrf) on a dense SPD
+    block: the one dense factorization of this module.  A block that is not
+    SPD raises SingularMatrixError with message, or LAPACK's own."""
+    try:
+        return scipy.linalg.cho_factor(a, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(message or str(exc)) from exc
+
+
 def solve_spd(K, b):
     """Solve K x = b for symmetric positive definite K by Cholesky."""
-    try:
-        factor = scipy.linalg.cho_factor(K, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return scipy.linalg.cho_solve(_factor(K), b, check_finite=False)
 
 
 def block_stiffness(graph, rows):
@@ -347,7 +353,7 @@ def block_stiffness(graph, rows):
 def block_solver(K, rows, message=None):
     """solve(b) = K[rows, rows]^{-1} b for a stiffness K from block_stiffness.
 
-    A dense K is sliced and factored by cho_factor, and solved by LAPACK's
+    A dense K is sliced and factored by _factor, and solved by LAPACK's
     potrs, the call (and bits) of cho_solve without its wrapper's overhead;
     a CSR K by splu (MMD_AT_PLUS_A, SymmetricMode, as in _sparse_lowest) on
     its CSR block.  A principal block of a stiffness is symmetric and
@@ -357,10 +363,7 @@ def block_solver(K, rows, message=None):
     """
     if isinstance(K, np.ndarray):
         rows = np.asarray(rows, dtype=np.intp)
-        try:
-            factor, _ = scipy.linalg.cho_factor(K[rows[:, None], rows], check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(message or str(exc)) from exc
+        factor, _ = _factor(K[rows[:, None], rows], message)
         return lambda b: lapack.dpotrs(factor, b)[0]
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
@@ -403,6 +406,23 @@ def schur_solver(K, keep, eliminate):
     for j in range(0, len(keep), band):
         s[:, j:j + band] -= kek.T @ solve(_dense(kek[:, j:j + band]))
     return 0.5 * (s + s.T), solve, kek
+
+
+def graph_schur(graph, keep, eliminate):
+    """schur_solver(block_stiffness(graph, eliminate), keep, eliminate),
+    its form S read-only.  The last real elimination is kept on the graph
+    in one slot under the key (keep, eliminate), so a second call on the
+    same positions factors nothing; a gather (nothing eliminated) is not
+    kept, or a window block would live as long as its graph.  The slot
+    holds no reference to the graph, and it does not pickle."""
+    key = (tuple(keep), tuple(eliminate))
+    if graph._schur is not None and graph._schur[0] == key:
+        return graph._schur[1]
+    out = schur_solver(block_stiffness(graph, eliminate), keep, eliminate)
+    out[0].setflags(write=False)
+    if len(eliminate):
+        graph._schur = (key, out)
+    return out
 
 
 def _dense(block):

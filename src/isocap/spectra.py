@@ -8,14 +8,13 @@ non-trivial eigenvalue converges to the same quantities.
 The Neumann problem and the three DtN operators (Lambda_Omega, the grounded
 Lambda_W and the variant S_Omega) differ only in the stiffness block and the
 positions they keep and eliminate.  One routine, _eliminate, serves
-dtn_operator and all four spectra: it forms the Schur complement
-(linear_core.schur_solver), solves the eigenproblem, and extends each
+dtn_operator and all four spectra: it takes the Schur complement from
+linear_core.graph_schur, solves the eigenproblem, and extends each
 eigenvector through the eliminated block with the same factor
-(harmonically for the DtN operators, by zero flux for Neumann).
-spectrum_with_operator returns an eliminated spectrum together with the
-DtnOperator it was solved on, so that verify enumerates a pair constant on
-that same form instead of eliminating the block again.  The factor
-is a dense Cholesky below 200 eliminated rows and a sparse LU of the CSR
+(harmonically for the DtN operators, by zero flux for Neumann).  The graph
+keeps that elimination, so the pair constant posed on the same form
+(constants._reduce) and a second spectrum of it do not eliminate again.
+The factor is a dense Cholesky below 200 eliminated rows and a sparse LU of the CSR
 stiffness from there (linear_core.block_stiffness); the Schur form over the
 kept rows is dense either way.
 
@@ -36,8 +35,8 @@ import numpy as np
 from .errors import DomainError, InputError
 from .graph_core import is_connected, make_domain
 from .infinity import INFINITE
-from .linear_core import (SpectralResult, block_solver, block_stiffness, lowest_eigenpairs,
-                          schur_solver, stiffness_matrix, sym_eig_generalized)
+from .linear_core import (SpectralResult, block_solver, block_stiffness, graph_schur,
+                          lowest_eigenpairs, stiffness_matrix, sym_eig_generalized)
 
 
 @dataclass
@@ -46,9 +45,12 @@ class DtnOperator:
 
     form is the Schur complement of the induced stiffness eliminating the
     interior; applying it to boundary values f gives m(z) * du_f/dn(z).
-    (_eliminate builds one for each of its four spectra, and boundary holds
-    the kept vertices: W cap deltaU for the grounded operator, Omega for the
-    variant one and the interior for the Neumann problem.)
+    It is read-only: it is the graph's cached elimination
+    (linear_core.graph_schur), which other calls on the same positions
+    share.  (_eliminate builds one for each of its four spectra, and
+    boundary holds the kept vertices: W cap deltaU for the grounded
+    operator, Omega for the variant one and the interior for the Neumann
+    problem.)
     """
 
     boundary: tuple
@@ -179,26 +181,20 @@ def neumann_spectrum(domain, count=None):
     boundary the form is K_II itself.  lambda_0 = 0 with constant
     eigenfunction.
     """
-    return _neumann(domain, count)[1]
-
-
-def _neumann(domain, count):
-    """(operator, spectrum) of neumann_spectrum."""
     n = len(domain.interior)
     count = n if count is None else count
     if count > n:
         raise InputError("count exceeds |Omega|")
     if count < 1:
         raise InputError("count must be positive")
-    op, spectrum = _eliminate(domain.induced, range(n), range(n, len(domain.closure)),
-                              domain.interior, domain.boundary, domain.graph.mass)
-    return op, spectrum(count)
+    _, spectrum = _eliminate(domain.induced, range(n), range(n, len(domain.closure)))
+    return spectrum(count)
 
 
-def _eliminate(graph, keep, elim, keep_ids, elim_ids, mass):
+def _eliminate(graph, keep, elim):
     """The DtN operator of the stiffness of graph on the positions keep, the
-    positions elim eliminated; keep_ids and elim_ids name them in the same
-    orders and mass maps ids to masses.
+    positions elim eliminated, from the graph's cached elimination
+    (linear_core.graph_schur).
 
     Returns the operator, checked and named in an error as dtn_operator,
     and spectrum(count): the count lowest eigenpairs of form v = sigma M v
@@ -208,10 +204,10 @@ def _eliminate(graph, keep, elim, keep_ids, elim_ids, mass):
     harmonic_extension; a spectrum whose fields are finite but some kept
     K_ii / m_i is not is an InputError too.
     """
-    k = block_stiffness(graph, elim)
-    form, solve, k_ek = schur_solver(k, keep, elim)
+    form, solve, k_ek = graph_schur(graph, keep, elim)
+    keep_ids, elim_ids = ([graph.vertices[i] for i in rows] for rows in (keep, elim))
     op = DtnOperator(boundary=tuple(keep_ids), form=form,
-                     mass=np.array([mass[v] for v in keep_ids]))
+                     mass=np.array([graph.mass[v] for v in keep_ids]))
     _check_finite(op, "dtn_operator")
 
     def spectrum(count):
@@ -226,7 +222,8 @@ def _eliminate(graph, keep, elim, keep_ids, elim_ids, mass):
         # a form entry carries a rounding error of order u K_ii, so the
         # eigenvalues are known only to about u max_i K_ii / m_i: past the
         # float range, that error could pass for a finite eigenvalue
-        if not np.isfinite(k.diagonal()[list(keep)] / op.mass).all():
+        diagonal = block_stiffness(graph, elim).diagonal()
+        if not np.isfinite(diagonal[list(keep)] / op.mass).all():
             raise InputError("operator scale (stiffness over mass) is not finite")
         return res
 
@@ -238,8 +235,7 @@ def _steklov(domain):
     if not domain.boundary:
         raise InputError("domain has no boundary")
     n = len(domain.interior)
-    return _eliminate(domain.induced, range(n, len(domain.closure)), range(n),
-                      domain.boundary, domain.interior, domain.graph.mass)
+    return _eliminate(domain.induced, range(n, len(domain.closure)), range(n))
 
 
 @_finite
@@ -267,19 +263,14 @@ def steklov_spectrum(domain, count=None):
 
     Eigenfunctions are returned with their harmonic extensions (_eliminate).
     """
-    return _steklov_spectrum(domain, count)[1]
-
-
-def _steklov_spectrum(domain, count):
-    """(operator, spectrum) of steklov_spectrum."""
-    op, spectrum = _steklov(domain)
+    _, spectrum = _steklov(domain)
     nb = len(domain.boundary)
     count = nb if count is None else count
     if count > nb:
         raise InputError("count exceeds |boundary|")
     if count < 1:
         raise InputError("count must be positive")
-    return op, spectrum(count)
+    return spectrum(count)
 
 
 @_finite
@@ -334,8 +325,7 @@ def grounded_dtn_spectrum(domain, W, count=None):
         raise InputError("count must be in 1..|W cap boundary|")
     # grounding keeps the weights of edges leaving W on the diagonal
     at = domain.closure_index
-    _, spectrum = _eliminate(domain.induced, [at[z] for z in w_bnd],
-                             [at[v] for v in w_int], w_bnd, w_int, domain.graph.mass)
+    _, spectrum = _eliminate(domain.induced, [at[z] for z in w_bnd], [at[v] for v in w_int])
     return spectrum(count)
 
 
@@ -346,27 +336,20 @@ def hm_dtn_spectrum(graph, omega, count=None):
     No edges are removed inside Omega; the form is the Schur complement of
     the full stiffness keeping Omega.  sigma_0^S = 0.
     """
-    return _hm_spectrum(graph, omega, count)[1]
-
-
-def _hm_spectrum(graph, omega, count):
-    """(operator, spectrum) of hm_dtn_spectrum."""
     graph.check_vertices(omega, "Omega")
     oset = set(omega)
     if not oset or len(oset) == len(graph.vertices):
         raise InputError("Omega must be a proper nonempty subset")
     if not is_connected(graph):
         raise DomainError("graph is not connected")
-    keep = [v for v in graph.vertices if v in oset]
-    drop = [v for v in graph.vertices if v not in oset]
+    keep = [i for i, v in enumerate(graph.vertices) if v in oset]
+    drop = [i for i, v in enumerate(graph.vertices) if v not in oset]
     n = len(keep)
     count = n if count is None else count
     if not 1 <= count <= n:
         raise InputError("count must be in 1..|Omega|")
-    at = graph.index
-    op, spectrum = _eliminate(graph, [at[v] for v in keep],
-                              [at[v] for v in drop], keep, drop, graph.mass)
-    return op, spectrum(count)
+    _, spectrum = _eliminate(graph, keep, drop)
+    return spectrum(count)
 
 
 # The spectra of a marked domain by name (the CLI's spectrum modes), called as
@@ -378,25 +361,3 @@ DOMAIN_SPECTRA = {
     "steklov": lambda domain, V, count: steklov_spectrum(domain, count=count),
     "hm": lambda domain, V, count: hm_dtn_spectrum(domain.graph, V, count=count),
 }
-
-# The eliminated spectra of DOMAIN_SPECTRA, with the DtN operator each is
-# solved on: mode -> (the name of the public function, whose checks they
-# keep, and (domain, V, count) -> (operator, spectrum)).
-_WITH_OPERATOR = {
-    "neumann": ("neumann_spectrum", lambda domain, V, count: _neumann(domain, count)),
-    "steklov": ("steklov_spectrum", lambda domain, V, count: _steklov_spectrum(domain, count)),
-    "hm": ("hm_dtn_spectrum", lambda domain, V, count: _hm_spectrum(domain.graph, V, count)),
-}
-
-
-def spectrum_with_operator(mode, domain, V, count):
-    """(DtnOperator, SpectralResult) for an eliminated mode of DOMAIN_SPECTRA:
-    the spectrum that DOMAIN_SPECTRA[mode](domain, V, count) returns, with
-    the same checks and error texts, and the operator it was solved on, so
-    that a caller can enumerate a pair constant on that form instead of
-    eliminating the same block again."""
-    name, body = _WITH_OPERATOR[mode]
-    with np.errstate(all="ignore"):
-        op, res = body(domain, V, count)
-    _check_finite(res, name)
-    return op, res

@@ -3,9 +3,11 @@
 Each theorem is one entry of REGISTRY: an eigenvalue side evaluated by the
 solvers in spectra, a constant side evaluated by the enumerators in
 constants, and the exact bracket factors of lower * constant <= eigenvalue
-<= upper * constant.  The k-indexed brackets have an unspecified universal
-constant on the lower side; those lower bounds are recorded as an empirical
-ratio, never asserted.
+<= upper * constant.  Where both sides keep and eliminate the same positions
+of one graph (the pair theorems, dtn_bottom, the equality case), they share
+the graph's one cached elimination (linear_core.graph_schur).  The k-indexed
+brackets have an unspecified universal constant on the lower side; those
+lower bounds are recorded as an empirical ratio, never asserted.
 
 Inequality comparisons use additive slack 1e-9 * max(1, |eigenvalue|) to
 absorb solver residuals.  Equality detection uses 1e-8 relative.
@@ -18,15 +20,15 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .constants import (_PAIR, DEFAULT_BUDGET, _monotone_scan, _over_budget, _pair_constant,
-                        alpha_dirichlet, alpha_ds, beta_tuple, gamma_k_steklov,
-                        gamma_tilde_dirichlet, kappa_steklov)
+from .constants import (_monotone_scan, alpha_dirichlet, alpha_ds, alpha_neumann, alpha_steklov,
+                        beta_steklov, beta_tuple, gamma_k_steklov, gamma_tilde_dirichlet,
+                        kappa_steklov)
 from .errors import InputError
 from .graph_core import SteklovDomain, make_domain
 from .infinite_families import FamilyStep, kinds_with
 from .linear_core import sym_eig_generalized
-from .spectra import (DOMAIN_SPECTRA, _check_finite, _finite, dirichlet_spectrum, dtn_operator,
-                      grounded_dtn_spectrum, spectrum_with_operator)
+from .spectra import (DOMAIN_SPECTRA, _finite, dirichlet_spectrum, dtn_operator,
+                      grounded_dtn_spectrum)
 from .infinity import INFINITE, is_infinite
 
 DOMAIN = "a marked domain"
@@ -47,17 +49,17 @@ class Theorem:
     that do not increase, every_step asserts the upper bound at each step.
     lower None marks a k-indexed theorem, whose lower side carries an
     unspecified constant: empirical_c = eigenvalue * k^6 / constant is
-    recorded instead of a lower check.  pair names the pair constant whose
-    root form is the eigenvalue side's DtN operator: such a theorem has no
-    constant callable, and the pair constant is enumerated on the form that
-    the spectrum was solved on (_pair_on_form).
+    recorded instead of a lower check.  A pair constant reduces onto the
+    positions its DtN spectrum eliminated, so it reads the form that the
+    spectrum was solved on (linear_core.graph_schur): one elimination for
+    both sides.
     """
 
     id: str
     kind: str
     lower: Optional[float]
     upper: float
-    constant: Optional[Callable] = None
+    constant: Callable
     spectrum: Optional[str] = None
     vertices: Optional[Callable] = None
     first: int = 0
@@ -65,7 +67,6 @@ class Theorem:
     eigenvalue: Optional[Callable] = None
     monotone: bool = False
     every_step: bool = False
-    pair: Optional[str] = None
 
 
 @dataclass
@@ -143,30 +144,9 @@ def _on_domain(theorem, domain, k, budget, heuristic, W):
     number = theorem.first + (k or 1) - 1
     if len(vertices) <= number:
         raise InputError(theorem.precondition)
-    if theorem.pair is None:
-        spectrum = DOMAIN_SPECTRA[theorem.spectrum](domain, vertices, number + 1)
-        res = theorem.constant(domain, vertices, k, budget, heuristic)
-    else:
-        op, spectrum = spectrum_with_operator(theorem.spectrum, domain, vertices, number + 1)
-        res = _pair_on_form(theorem.pair, op, budget, heuristic,
-                            lambda: spectrum.vectors[:, 1])
+    spectrum = DOMAIN_SPECTRA[theorem.spectrum](domain, vertices, number + 1)
+    res = theorem.constant(domain, vertices, k, budget, heuristic)
     return _report(theorem, k, spectrum.eigenvalues[number], res)
-
-
-def _pair_on_form(name, op, budget, heuristic, field):
-    """The pair constant `name` (alpha_neumann, alpha_steklov or
-    beta_steklov) enumerated on op, the DtN form of the matching spectrum:
-    the root form that the constant's own function would eliminate again,
-    bit for bit, with its masses and universe order.  Keeps that function's
-    budget error, its cancellation check (a closure that carries a DtN
-    spectrum is connected) and its name in a non-finite error.  field()
-    is its heuristic's guiding field, the second eigenvector of the
-    spectrum, as the function itself would compute it."""
-    over = _over_budget(len(op.boundary), (budget or DEFAULT_BUDGET).pair, _PAIR, heuristic)
-    with np.errstate(all="ignore"):
-        res = _pair_constant(op.form, op.mass, op.boundary, over, field, connected=True)
-    _check_finite(res, name)
-    return res
 
 
 def _on_steps(theorem, instance, k, budget, heuristic, W):
@@ -222,13 +202,13 @@ REGISTRY = {theorem.id: theorem for theorem in (
             constant=lambda d, V, k, b, h: alpha_dirichlet(d, budget=b, heuristic=h),
             precondition="first Dirichlet eigenvalue needs |Omega| >= 1"),
     Theorem("neumann_1", DOMAIN, 0.125, 2.0, spectrum="neumann", vertices=_interior, first=1,
-            pair="alpha_neumann",
+            constant=lambda d, V, k, b, h: alpha_neumann(d, budget=b, heuristic=h),
             precondition="first nonzero Neumann eigenvalue needs |Omega| >= 2"),
     Theorem("steklov_1", DOMAIN, 0.125, 2.0, spectrum="steklov", vertices=_boundary, first=1,
-            pair="alpha_steklov",
+            constant=lambda d, V, k, b, h: alpha_steklov(d, budget=b, heuristic=h),
             precondition="first nonzero boundary eigenvalue needs |dOmega| >= 2"),
     Theorem("hm_steklov_1", DOMAIN, 0.125, 2.0, spectrum="hm", vertices=_interior, first=1,
-            pair="beta_steklov",
+            constant=lambda d, V, k, b, h: beta_steklov(d.graph, V, budget=b, heuristic=h),
             precondition="first nonzero eigenvalue needs |Omega| >= 2"),
     Theorem("bottom", STEPS, 0.25, 1.0,
             eigenvalue=lambda s, k: dirichlet_spectrum(s.graph, s.W, count=1).eigenvalues[0],
@@ -328,7 +308,8 @@ def check_equality_case(domain, budget=None):
     op = dtn_operator(domain)
     spec = sym_eig_generalized(op.form, op.mass)
     sigma = spec.eigenvalues[1]
-    alpha = _pair_on_form("alpha_steklov", op, budget, False, None).value
+    # alpha_S reduces onto the boundary, the elimination op was formed by
+    alpha = alpha_steklov(domain, budget=budget).value
     tol = 1e-8 * max(1.0, abs(sigma))
     equal = bool(abs(sigma - 2.0 * alpha) <= tol)
     gap = 2.0 * alpha - sigma

@@ -1,13 +1,16 @@
 import copy
 import itertools
+import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
-from isocap import (InputError, WeightedGraph, cap, cap_exhaustion,
+from isocap import (BudgetError, InputError, WeightedGraph, cap, cap_exhaustion,
                     dirichlet_spectrum, energy, grounded_dtn_spectrum,
                     make_domain)
+from isocap import infinite_families
 from isocap.cli_io import parse_family_spec, run_command
 from isocap.infinite_families import (KINDS, FamilyKind, FamilySpec, FamilyStep,
                                       default_source, generate, generate_steps,
@@ -610,3 +613,61 @@ def test_a_new_kind_is_one_entry(monkeypatch, capsys):
     want = _family_outputs(capsys, "path_segment", commands)
     assert [code for code, _ in want] == [0, 0, 0, 0]
     assert _family_outputs(capsys, "segment_copy", commands) == want
+
+
+# ---------------------------------------------------------------------------
+# the family point budget: a step is refused before it is built
+
+HUGE_STEPS = [
+    ("binary_tree", "80..80", "cap"),
+    ("path_segment", "9223372036854775807..9223372036854775807", "cap"),
+    ("lattice_box:3", "100000..100000", "cap"),
+    ("lattice_box:40", "1..1", "cap"),
+    ("half_space:9", "5..5", "sigma"),
+]
+
+
+@pytest.mark.parametrize("spec,steps,emit", HUGE_STEPS)
+def test_a_huge_step_is_a_budget_report(capsys, spec, steps, emit):
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_command(["family", spec, "--steps", steps, "--emit", emit])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == ""
+    assert json.loads(out)["error"]["kind"] == "budget"
+    # the report is all that is allocated: about 80 kB measured, with the
+    # argument parser
+    assert peak < 1 << 20
+
+
+def test_the_point_budget_counts_what_each_builder_walks():
+    budget = infinite_families.MAX_POINTS
+    for kind, entry in KINDS.items():
+        assert (entry.points is None) == entry.single
+    # the full snapshot's vertices are the points its builder walks
+    for spec in (FamilySpec("path_segment"), FamilySpec("binary_tree"),
+                 FamilySpec("lattice_box", dim=2), FamilySpec("lattice_box", dim=3),
+                 FamilySpec("half_space", dim=2), FamilySpec("half_space", dim=3)):
+        for i in (2, 3):
+            assert KINDS[spec.kind].points(spec, i) == len(generate(spec, i).graph.vertices)
+    # the last step of each shape within the budget, and the first past it
+    for spec, last in [(FamilySpec("path_segment"), budget - 1),
+                       (FamilySpec("binary_tree"), 17),
+                       (FamilySpec("lattice_box", dim=3), 30),
+                       (FamilySpec("lattice_box", dim=3, quotient=True), 30),
+                       (FamilySpec("half_space", dim=3), 38),
+                       (FamilySpec("binary_tree", quotient=True, mass_rule=lambda v: 1.0), 17)]:
+        entry = KINDS[spec.kind]
+        assert entry.points(spec, last) <= budget < entry.points(spec, last + 1)
+        with pytest.raises(BudgetError, match="family point budget"):
+            generate(spec, last + 1)
+    # the unit-rule quotient tree walks its generations only
+    assert len(generate(FamilySpec("binary_tree", quotient=True), 1023).graph.vertices) == 1025
+    # an index below 1 is still the builder's input error
+    with pytest.raises(InputError, match="box step needs r >= 1"):
+        generate(FamilySpec("lattice_box", dim=3), -10 ** 30)

@@ -2,7 +2,8 @@
 
 The graph file parser validates in its single line pass, the report emitter
 appends to one list, the pair theorems of verify enumerate their constant on
-the spectrum's own DtN form, the eigenvector signs are fixed for the whole
+the spectrum's own DtN form (the graph's one cached elimination), the
+eigenvector signs are fixed for the whole
 array at once and the superlevel sets come from one sorted order.  Each is
 checked here against the code it replaced, kept below as an oracle: the same
 graphs, the same error texts, the same report bytes and the same bits.
@@ -406,16 +407,19 @@ def test_coarea_rejects_a_non_finite_field_value_by_id(tmp_path, value):
     ("steklov_1", lambda dom: alpha_steklov(dom)),
     ("hm_steklov_1", lambda dom: beta_steklov(dom.graph, dom.interior)),
 ])
-def test_pair_theorems_enumerate_on_the_spectrum_form(theorem, constant, monkeypatch):
-    doms = [random_domain(np.random.default_rng([29, i]), max_closure=11) for i in range(30)]
-    want = [constant(dom) for dom in doms]
+def test_pair_theorems_enumerate_on_the_spectrum_form(theorem, constant, eliminations):
+    # the spectrum and the pair constant of one check share one elimination,
+    # counted on freshly built domains, and the constant is the one its own
+    # function computes
+    def doms():
+        return [random_domain(np.random.default_rng([29, i]), max_closure=11)
+                for i in range(30)]
 
-    def no_root(*args):
-        raise AssertionError("the pair root was eliminated again")
-
-    monkeypatch.setattr(constants, "_reduce", no_root)
-    for dom, res in zip(doms, want):
+    want = [constant(dom) for dom in doms()]
+    for dom, res in zip(doms(), want):
+        eliminations.clear()
         rep = check(theorem, dom)
+        assert len(eliminations) == 1
         assert repr(rep.constant) == repr(res.value)
         assert rep.witness == res.witness
 

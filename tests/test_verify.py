@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import isocap.constants as constants
 from isocap import (Budget, BudgetError, InputError, SingularMatrixError, WeightedGraph,
                     alpha_steklov, is_infinite, make_domain)
 from isocap.infinite_families import (FamilySpec, generate_steps, line_domain,
@@ -173,22 +172,23 @@ def test_equality_undecided_for_wide_boundaries():
     assert rep.witness is None
 
 
-def test_equality_case_enumerates_alpha_s_on_the_dtn_form(monkeypatch):
+def test_equality_case_enumerates_alpha_s_on_the_dtn_form(eliminations):
     # the DtN form of the eigenvalue side is the root of the pair
-    # enumeration: alpha_steklov's own elimination is never formed, and the
-    # value, the budget error and the cancellation check are alpha_steklov's
-    doms = [random_domain(np.random.default_rng([7, i]), max_closure=13) for i in range(30)]
-    want = [alpha_steklov(dom).value for dom in doms]
+    # enumeration: one elimination per call, counted on freshly built
+    # domains, and the value, the budget error and the cancellation check
+    # are alpha_steklov's
+    def doms():
+        return [random_domain(np.random.default_rng([7, i]), max_closure=13)
+                for i in range(30)]
+
+    want = [alpha_steklov(dom).value for dom in doms()]
     hostile = WeightedGraph("abc", {"a": 1e-300, "b": 1.0, "c": 1e300},
                             [("a", "b", 1e300), ("b", "c", 1e-300)])
-
-    def no_root(*args):
-        raise AssertionError("the pair root was eliminated again")
-
-    monkeypatch.setattr(constants, "_reduce", no_root)
-    for dom, value in zip(doms, want):
+    for dom, value in zip(doms(), want):
         if len(dom.boundary) >= 2:
+            eliminations.clear()
             assert repr(check_equality_case(dom).alpha_s) == repr(value)
+            assert len(eliminations) == 1
     with pytest.raises(BudgetError, match="pair universe size 6 exceeds pair budget 5; "):
         check_equality_case(t3_example()[1], budget=Budget(pair=5))
     with pytest.raises(SingularMatrixError, match="on a connected closure"):
